@@ -3,19 +3,26 @@
 Whenever both operands are exactly representable the operations go
 through rational arithmetic and stay exact.  Otherwise the result is a
 :class:`~decreal.realnum.ComputedReal` whose enclosures are derived from
-the operands' enclosures by outward-safe interval arithmetic; digits of
-the result are pinned from those enclosures on demand, and a value that
-sits on an exact decimal boundary surfaces as ``DigitsUnstable`` at
-digit-query time while its enclosures stay available through
-:func:`evaluate`.
+the operands' enclosures by outward-safe interval arithmetic.  The
+product, reciprocal and square-root kernels work on scaled integers: a
+request for width 10**-q reads the operands on a decimal grid 10**-w
+whose guard digits are fixed before the first refinement, computes on
+integers (corner products, floor and ceiling division, ``math.isqrt``)
+and rounds outward to the grid 10**-k, with k one or two digits past
+q.  The precision asked of an operand is therefore the requested one
+plus a constant for each node, linear in the depth of an expression.
+Digits of the result are pinned from those enclosures on demand, and a
+value that sits on an exact decimal boundary surfaces as
+``DigitsUnstable`` at digit-query time while its enclosures stay
+available through :func:`evaluate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import frozen
 from .errors import DigitsUnstable, NegativeRadicand, SignUndecided
 from .realnum import (
     DEFAULT_BUDGET,
@@ -30,7 +37,7 @@ from .realnum import (
 from .terminating import TerminatingDecimal, pow10
 
 
-@dataclass(frozen=True)
+@frozen
 class Enclosure:
     """A closed interval [lo, hi] of terminating decimals containing a
     real value, with exactly representable width."""
@@ -133,6 +140,27 @@ def _decimal_digits(bound: Fraction) -> int:
     return d
 
 
+def _floor_scaled(f: Fraction, k: int) -> int:
+    """floor(f * 10**k), in integers."""
+    return f.numerator * 10 ** k // f.denominator
+
+
+def _ceil_scaled(f: Fraction, k: int) -> int:
+    """ceil(f * 10**k), in integers."""
+    return -(-f.numerator * 10 ** k // f.denominator)
+
+
+def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[Fraction, Fraction]:
+    """The enclosure [lo, hi] * 10**-k, checked against the width 10**-q
+    asked for: guard digits chosen up front always pass when operands
+    keep their width contract, so a failure means one broke it."""
+    if hi - lo > 10 ** (k - q):
+        raise AssertionError(
+            "an operand enclosure is wider than its precision allows")
+    scale = 10 ** k
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
 def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     """x * y with the sign handled by negation identities.
 
@@ -140,7 +168,10 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     are factored out through neg so the core interval path multiplies
     non-negative-leaning enclosures; operands whose sign cannot be
     settled cheaply fall through to the same interval product, which is
-    sound for any signs.
+    sound for any signs.  The product is formed from integer corners:
+    both operands are read on the grid 10**-w, with guard digits fixed
+    up front from the operands' magnitudes, and the extreme corners are
+    rounded outward to the grid 10**-(q+2).
     """
     if _is_exact_zero(x) or _is_exact_zero(y):
         return ZERO_REAL
@@ -165,21 +196,26 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     if sy is Classification.NEGATIVE:
         return neg(mul(x, neg(y)))
 
-    # magnitude headroom for choosing the working precision
-    mx = max(abs(b) for b in x.bounds(0))
-    my = max(abs(b) for b in y.bounds(0))
-    extra = _decimal_digits(mx + my + 1) + 1
+    # every enclosure of width <= 1 lies within 1 of the first one, so
+    # mx and my bound the magnitudes of all later enclosures
+    mx = max(abs(b) for b in x.bounds(0)) + 1
+    my = max(abs(b) for b in y.bounds(0)) + 1
+    # an operand read on the grid 10**-w is at most 3 units wide, so the
+    # corners spread by at most 3 * (mx + my) units of 10**-w, plus a
+    # negligible term; `extra` digits bring that below one unit of 10**-k
+    extra = _decimal_digits(mx + my) + 1
 
-    def refine(m: int) -> tuple[Fraction, Fraction]:
-        work = m + extra
-        while True:
-            lx, hx = x.bounds(work)
-            ly, hy = y.bounds(work)
-            corners = (lx * ly, lx * hy, hx * ly, hx * hy)
-            lo, hi = min(corners), max(corners)
-            if hi - lo <= Fraction(1, 10 ** m):
-                return lo, hi
-            work += 8
+    def refine(q: int) -> tuple[Fraction, Fraction]:
+        k = q + 2
+        w = k + extra
+        lx, hx = x.bounds(w)
+        ly, hy = y.bounds(w)
+        xs = (_floor_scaled(lx, w), _ceil_scaled(hx, w))
+        ys = (_floor_scaled(ly, w), _ceil_scaled(hy, w))
+        corners = [a * b for a in xs for b in ys]
+        shift = 10 ** (2 * w - k)
+        return _on_grid(min(corners) // shift, -(-max(corners) // shift),
+                        k, q)
 
     return ComputedReal(refine, f"({_describe(x)} * {_describe(y)})")
 
@@ -187,12 +223,13 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
 def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """1 / x for x provably nonzero.
 
-    The bracket is seeded by the decimal size of x: a value below 10**k
-    has reciprocal above 10**-(k+1), and a value above 10**-(m+1) has
-    reciprocal below 10**(m+1), with seed 1 on the easy side when
-    |x| >= 1.  Refinement then inverts ever-tighter enclosures of x.
-    Raises ZeroDivisionError for exact zero and SignUndecided when the
-    sign of x cannot be established within the budget.
+    Once an enclosure of x has a positive floor lo0, the reciprocal of
+    [lx, hx] is read on the grid 10**-(q+2) by floor and ceiling integer
+    division; since its width (hx - lx) / (lx * hx) is at most
+    10**-w / lo0**2, the guard digits that buy the requested width are
+    known before the first refinement.  Raises ZeroDivisionError for
+    exact zero and SignUndecided when the sign of x cannot be
+    established within the budget.
     """
     if x.is_exact:
         f = x.as_fraction()
@@ -209,30 +246,23 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     # enclosure has lo > 0
     m = 1
     while True:
-        lo0, hi0 = x.bounds(m)
+        lo0, _ = x.bounds(m)
         if lo0 > 0:
             break
         m += max(4, m)
-    k = _decimal_digits(hi0)
-    seed_lo = Fraction(1, 10 ** (k + 1))
-    if lo0 >= 1:
-        seed_hi = Fraction(1)
-    else:
-        d = _decimal_digits(1 / lo0)  # lo0 > 10**-d
-        seed_hi = Fraction(10 ** d)
-    assert seed_lo * hi0 < 1, "lower seed must multiply below one"
-    assert seed_hi * lo0 >= 1, "upper seed must multiply to at least one"
-    # width of 1/[lx, hx] is (hx - lx) / (lx * hx) <= 10**-work / lo0**2
-    head = 2 * _decimal_digits(1 / lo0) + 1
+    head = _decimal_digits(1 / (lo0 * lo0))
 
     def refine(q: int) -> tuple[Fraction, Fraction]:
-        work = q + head
-        while True:
-            lx, hx = x.bounds(work)
-            lo, hi = max(seed_lo, 1 / hx), min(seed_hi, 1 / lx)
-            if hi - lo <= Fraction(1, 10 ** q):
-                return lo, hi
-            work += 8
+        k = q + 2
+        lx, hx = x.bounds(k + head)
+        lx = max(lx, lo0)
+        one = 10 ** k
+        lo = one * hx.denominator // hx.numerator
+        hi = -(-one * lx.denominator // lx.numerator)
+        # lo / 10**k <= 1 / hx and hi / 10**k >= 1 / lx
+        assert lo * hx.numerator <= one * hx.denominator
+        assert hi * lx.numerator >= one * lx.denominator
+        return _on_grid(lo, hi, k, q)
 
     return ComputedReal(refine, f"1/({_describe(x)})")
 
@@ -248,13 +278,15 @@ def _exact_sqrt(f: Fraction) -> Fraction | None:
 def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """The unique non-negative s with s*s = r.
 
-    The bracket [lo, hi] always satisfies lo**2 <= r <= hi**2 and is
-    halved each step; it is seeded across the r = 1 boundary (for
-    r >= 1, s lies in [1, r]; for r < 1, in [r, 1]).  For a radicand
-    known only by enclosures, a midpoint whose square falls inside the
-    radicand's enclosure cannot be ordered against r, but it is then
-    provably within the target tolerance of s and the bracket collapses
-    onto it.  Rational perfect squares come back exact.
+    Enclosures come from integer square roots on the grid 10**-k.  For
+    an exact radicand p/d that is not a rational square, s lies strictly
+    between isqrt(p * 10**(2k) // d) and the next unit, with k = q + 1.
+    For a radicand known only by enclosures [lr, hr], the floor root of
+    lr and the ceiling root of hr bound s on the grid 10**-(q+2); the
+    radicand's width is shrunk by the factor 2 * sqrt(lr0), where lr0
+    is its positive floor, so it is asked for about q + head + 2 digits
+    and the demand of nested roots grows linearly with depth.  Rational
+    perfect squares come back exact.
     """
     if r.is_exact:
         f = r.as_fraction()
@@ -265,20 +297,15 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         exact = _exact_sqrt(f)
         if exact is not None:
             return real_from_fraction(exact)
-        state = [min(f, Fraction(1)), max(f, Fraction(1))]
+        p, d = f.numerator, f.denominator
 
         def refine_exact(q: int) -> tuple[Fraction, Fraction]:
-            lo, hi = state
-            tol = Fraction(1, 10 ** q)
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                if mid * mid <= f:
-                    lo = mid
-                else:
-                    hi = mid
-                assert lo * lo <= f <= hi * hi
-            state[0], state[1] = lo, hi
-            return lo, hi
+            k = q + 1
+            scaled = p * 10 ** (2 * k)
+            s = math.isqrt(scaled // d)
+            # f is not a rational square, so the upper end is strict
+            assert s * s * d <= scaled < (s + 1) * (s + 1) * d
+            return _on_grid(s, s + 1, k, q)
 
         return ComputedReal(refine_exact, f"sqrt({_describe(r)})")
 
@@ -290,35 +317,25 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
 
     m = 1
     while True:
-        lr0, hr0 = r.bounds(m)
+        lr0, _ = r.bounds(m)
         if lr0 > 0:
             break
         m += max(4, m)
-    # lo0**2 <= lr0 <= r and hi0**2 >= hr0 >= r on both sides of 1
-    lo0, hi0 = min(lr0, Fraction(1)), max(hr0, Fraction(1))
-    state = [lo0, hi0]
-    # ambiguity exit: |mid**2 - r| <= width(r-enclosure) and mid >= lo0
-    # give |mid - s| <= width / lo0
-    head = _decimal_digits(1 / lo0)
+    # sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)), and both
+    # roots are at least sqrt(lr0) >= 10**-head
+    head = (_decimal_digits(1 / lr0) + 1) // 2
 
     def refine(q: int) -> tuple[Fraction, Fraction]:
-        lo, hi = state
-        tol = Fraction(1, 10 ** q)
-        lr, hr = r.bounds(2 * q + 2 * head + 1)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            square = mid * mid
-            if square < lr:
-                lo = mid
-            elif square > hr:
-                hi = mid
-            else:
-                lo = max(lo, mid - tol / 2)
-                hi = min(hi, mid + tol / 2)
-                break
-            assert lo * lo <= hr and lr <= hi * hi
-        state[0], state[1] = lo, hi
-        return lo, hi
+        k = q + 2
+        lr, hr = r.bounds(k + head)
+        low = _floor_scaled(max(lr, lr0), 2 * k)
+        high = _ceil_scaled(hr, 2 * k)
+        lo = math.isqrt(low)
+        hi = math.isqrt(high)
+        if hi * hi < high:
+            hi += 1
+        assert lo * lo <= low and high <= hi * hi
+        return _on_grid(lo, hi, k, q)
 
     return ComputedReal(refine, f"sqrt({_describe(r)})")
 

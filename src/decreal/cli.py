@@ -16,9 +16,13 @@ example ``51.43``, ``0.(142857)``, ``2.120(1)``.  Fractions like
 ``22/7`` need no special casing: ``/`` is division and the exact paths
 make the quotient exact.
 
-Exit codes: 0 success; 1 malformed input or I/O failure; 2 digits could
-not stabilise (the enclosure is still printed); 3 a comparison or
-construction was undecided within its budget.
+Parentheses and ``sqrt(...)`` may nest at most ``MAX_NESTING`` levels
+deep; deeper input is rejected as malformed.
+
+Exit codes: 0 success; 1 malformed input, a negative ``--digits`` or
+``--budget``, or I/O failure; 2 digits could not stabilise (the
+enclosure is still printed); 3 a comparison or construction was
+undecided within its budget.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._frozen import frozen
 from .arithmetic import add, evaluate, mul, neg, reciprocal, sqrt
 from .errors import (
     DecrealError,
@@ -46,30 +50,33 @@ from .terminating import Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
 DEFAULT_CMP_BUDGET = 1000
+# the parser recurses four frames per level: 200 levels stay inside the
+# interpreter's default recursion limit of 1000, with room for callers
+MAX_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True)
+@frozen
 class Literal:
     value: RealNumber
 
 
-@dataclass(frozen=True)
+@frozen
 class Negate:
     operand: "Expression"
 
 
-@dataclass(frozen=True)
+@frozen
 class Binary:
     op: str  # one of + - * /
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
+@frozen
 class SquareRoot:
     operand: "Expression"
 
@@ -104,6 +111,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -142,15 +150,17 @@ class _Parser:
 
     def factor_tail(self) -> Expression:
         tok = self.take()
-        if tok == "sqrt":
-            self.expect("(")
+        if tok in ("sqrt", "("):
+            if tok == "sqrt":
+                self.expect("(")
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise MalformedLiteral(
+                    f"expression nests deeper than {MAX_NESTING} levels")
             inner = self.expr()
             self.expect(")")
-            return SquareRoot(inner)
-        if tok == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            self.nesting -= 1
+            return SquareRoot(inner) if tok == "sqrt" else inner
         if tok in ("+", "-", "*", "/", ")"):
             raise MalformedLiteral(f"expected a value, found {tok!r}")
         return Literal(parse_real(tok))
@@ -312,6 +322,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(
         _shield_operands(sys.argv[1:] if argv is None else argv))
+    for name in ("digits", "budget"):
+        if getattr(args, name, 0) < 0:
+            print(f"error: --{name} must be non-negative", file=sys.stderr)
+            return 1
     try:
         return args.handler(args)
     except (OrderUndecided, SignUndecided) as exc:

@@ -10,9 +10,9 @@ that the embedding respects order, sums and products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import frozen
 from .realnum import (
     DigitPrefix,
     RealNumber,
@@ -66,7 +66,7 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
     return DigitPrefix(negative, int_part, "".join(digits))
 
 
-@dataclass(frozen=True)
+@frozen
 class NoPeriodFound:
     """No repeating cycle within the searched bounds.  Evidence of
     irrationality, not proof: the search window is finite."""
@@ -74,7 +74,7 @@ class NoPeriodFound:
     window: int
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodFound:
     offset: int
     period: str
@@ -98,12 +98,12 @@ def assert_no_period(x: RealNumber, max_period: int,
     return NoPeriodFound(window)
 
 
-@dataclass(frozen=True)
+@frozen
 class PhiOk:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class PhiViolation:
     detail: str
 

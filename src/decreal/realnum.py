@@ -23,12 +23,12 @@ answer ``UNDECIDED`` when every examined position agrees.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
+from ._frozen import frozen
 from .errors import (
     CanonicalViolation,
     DigitsUnstable,
@@ -40,6 +40,7 @@ from .errors import (
 from .terminating import (
     Comparison,
     TerminatingDecimal,
+    digits_from_int,
     int_from_digits,
     pow10,
 )
@@ -59,7 +60,7 @@ class Classification(Enum):
     POSITIVE = 1
 
 
-@dataclass(frozen=True)
+@frozen
 class DigitPrefix:
     """A confirmed finite prefix of a canonical expansion.
 
@@ -83,12 +84,14 @@ class DigitPrefix:
         return len(self.digits)
 
     def value(self) -> Fraction:
-        mag = Fraction(int(self.digits or "0"), 10 ** len(self.digits))
+        mag = Fraction(int_from_digits(self.digits or "0"),
+                       10 ** len(self.digits))
         mag += self.int_part
         return -mag if self.negative else mag
 
     def as_terminating(self) -> TerminatingDecimal:
-        units = self.int_part * 10 ** len(self.digits) + int(self.digits or "0")
+        units = (self.int_part * 10 ** len(self.digits)
+                 + int_from_digits(self.digits or "0"))
         if self.negative:
             units = -units
         return TerminatingDecimal(units, len(self.digits))
@@ -97,7 +100,7 @@ class DigitPrefix:
         return DigitPrefix(self.negative, self.int_part, self.digits + str(digit))
 
     def render(self) -> str:
-        body = str(self.int_part)
+        body = digits_from_int(self.int_part)
         if self.digits:
             body += "." + self.digits
         return ("-" if self.negative else "") + body
@@ -141,7 +144,7 @@ class RealNumber:
         return DigitPrefix(bool(negative), self.int_part, digits)
 
 
-@dataclass(frozen=True)
+@frozen
 class TerminatingReal(RealNumber):
     """A terminating decimal viewed as a real number."""
 
@@ -177,7 +180,7 @@ class TerminatingReal(RealNumber):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicReal(RealNumber):
     """An eventually-periodic expansion, exactly a non-terminating rational.
 
@@ -271,7 +274,8 @@ class PeriodicReal(RealNumber):
 
     def __str__(self) -> str:
         pre, per = self._expansion
-        return ("-" if self.negative else "") + f"{self.int_part}.{pre}({per})"
+        body = f"{digits_from_int(self.int_part)}.{pre}({per})"
+        return ("-" if self.negative else "") + body
 
 
 def real_from_fraction(value: Fraction) -> RealNumber:
@@ -345,8 +349,9 @@ class OracleReal(RealNumber):
         raise DigitsUnstable(0, scan_budget)
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
-        t = Fraction(int("0" + "".join(str(self.digit_at(i))
-                                       for i in range(1, m + 1))), 10 ** m)
+        t = Fraction(int_from_digits("0" + "".join(str(self.digit_at(i))
+                                                   for i in range(1, m + 1))),
+                     10 ** m)
         lo = self._int_part + t
         hi = lo + Fraction(1, 10 ** m)
         if self.negative:
@@ -449,8 +454,8 @@ class ComputedReal(RealNumber):
                     raise DigitsUnstable(n, window)
                 m = min(m + step, n + window)
                 step *= 2
-            s = str(a).rjust(n + 1, "0")
-            ip, ds = (int(s[:-n]), s[-n:]) if n else (a, "")
+            ip, frac = divmod(a, 10 ** n)
+            ds = digits_from_int(frac).rjust(n, "0") if n else ""
             pinned = (neg, ip, ds)
             if self._pinned is None or len(ds) > len(self._pinned[2]):
                 self._pinned = pinned
@@ -764,7 +769,7 @@ def _between_positive(a: RealNumber, b: RealNumber,
     def bump(last: int) -> TerminatingDecimal:
         # truncate a before position `last` and write a 9 there
         head = "".join(str(va.digit(i)) for i in range(1, last))
-        units = va.int_part * 10 ** last + int(head + "9")
+        units = va.int_part * 10 ** last + int_from_digits(head + "9")
         return TerminatingDecimal(units, last)
 
     try:

@@ -20,10 +20,10 @@ that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
+from ._frozen import frozen
 from .errors import CanonicalViolation, MalformedLiteral, OrderUndecided
 from .realnum import (
     DEFAULT_BUDGET,
@@ -49,12 +49,12 @@ ENUMERATION_SCAN = 200
 # tail hints
 
 
-@dataclass(frozen=True)
+@frozen
 class Unknown:
     """The oracle has no information about the tail of the stream."""
 
 
-@dataclass(frozen=True)
+@frozen
 class AllNinesFrom:
     """Every selected digit from this fractional position on will be 9."""
 
@@ -65,7 +65,7 @@ class AllNinesFrom:
             raise ValueError("tail positions start at 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class AllZerosFrom:
     """Every selected digit from this fractional position on will be 0."""
 
@@ -84,7 +84,7 @@ UNKNOWN = Unknown()
 # bounded sets
 
 
-@dataclass(frozen=True)
+@frozen
 class PrefixMaxOracle:
     """Presentation of an infinite bounded family by digit selection.
 
@@ -116,7 +116,7 @@ class PrefixMaxOracle:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteSet:
     """A nonempty finite set of reals."""
 
@@ -127,7 +127,7 @@ class FiniteSet:
             raise ValueError("a bounded set must be nonempty")
 
 
-@dataclass(frozen=True)
+@frozen
 class Family:
     """An infinite family given by an oracle, with an explicit bound."""
 
@@ -260,32 +260,32 @@ def sup(S: BoundedSet, *, hint_window: int = HINT_WINDOW,
 # upper-bound and certificate checks
 
 
-@dataclass(frozen=True)
+@frozen
 class Yes:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class No:
     witness: RealNumber
 
 
-@dataclass(frozen=True)
+@frozen
 class Undecided:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class Pass:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class FailBound:
     witness: RealNumber
 
 
-@dataclass(frozen=True)
+@frozen
 class FailLeastness:
     witness: RealNumber
 

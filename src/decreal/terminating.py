@@ -8,10 +8,10 @@ rescaling to a common scale, so the field laws hold with no rounding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._frozen import frozen
 from .errors import MalformedLiteral
 
 
@@ -33,7 +33,7 @@ class Comparison(Enum):
 _LITERAL = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]+))?")
 
 
-@dataclass(frozen=True)
+@frozen
 class TerminatingDecimal:
     """A signed decimal with finitely many fractional digits.
 
@@ -153,7 +153,7 @@ class TerminatingDecimal:
     # -- rendering ---------------------------------------------------
 
     def __str__(self) -> str:
-        body = str(self.mantissa).rjust(self.scale + 1, "0")
+        body = digits_from_int(self.mantissa).rjust(self.scale + 1, "0")
         if self.scale:
             body = body[:-self.scale] + "." + body[-self.scale:]
         return ("-" if self.units < 0 else "") + body
@@ -173,6 +173,12 @@ def pow10(k: int) -> TerminatingDecimal:
     return TerminatingDecimal(1, -k)
 
 
+# int <-> str conversions run in chunks of this many digits, below the
+# interpreter's cap
+_CHUNK = 4000
+_CHUNK_BASE = 10 ** _CHUNK
+
+
 def int_from_digits(digits: str) -> int:
     """Decode a decimal digit string of any length.
 
@@ -182,10 +188,26 @@ def int_from_digits(digits: str) -> int:
     order of 10 modulo q — so decode in bounded chunks instead.
     """
     value = 0
-    for i in range(0, len(digits), 4000):
-        chunk = digits[i:i + 4000]
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i:i + _CHUNK]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
+
+
+def digits_from_int(value: int) -> str:
+    """Decimal digits of a non-negative integer of any length.
+
+    The twin of :func:`int_from_digits`: ``str()`` of an int is capped
+    the same way, so split off bounded chunks from the low end instead.
+    """
+    if value < 0:
+        raise ValueError("value must be non-negative")
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(str(low).rjust(_CHUNK, "0"))
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 def parse_terminating(text: str) -> TerminatingDecimal:

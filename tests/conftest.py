@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the production code paths: digits
 come from grade-school sequential long division (production uses modular
-exponentiation), square roots from ``math.isqrt`` on scaled integers
-(production uses interval bisection), and period structure from the
+exponentiation), square roots by the long-hand digit-pair method
+(production uses ``math.isqrt``), and period structure from the
 multiplicative order of 10 (production finds the first repeated
 remainder).  Expected values in the tests are frozen from these routes,
 never from the code under test.
@@ -58,11 +58,33 @@ def fraction_prefix(f: Fraction, n: int) -> str:
         mag.numerator, mag.denominator, n)
 
 
+def longhand_isqrt(v: int) -> int:
+    """floor(sqrt(v)) by the schoolbook method.
+
+    Bring down the decimal digits of v two at a time; each step appends
+    the largest digit d with (20 * root + d) * d <= remainder.
+    """
+    assert v >= 0
+    pairs = []
+    while v:
+        v, pair = divmod(v, 100)
+        pairs.append(pair)
+    root = rem = 0
+    for pair in reversed(pairs):
+        rem = rem * 100 + pair
+        d = 9
+        while (20 * root + d) * d > rem:
+            d -= 1
+        rem -= (20 * root + d) * d
+        root = root * 10 + d
+    return root
+
+
 def sqrt_truncation(r: Fraction, n: int) -> Fraction:
-    """floor(sqrt(r) * 10^n) / 10^n via integer square root."""
+    """floor(sqrt(r) * 10^n) / 10^n via the long-hand square root."""
     assert r >= 0
     scaled = r.numerator * 10 ** (2 * n) // r.denominator
-    return Fraction(math.isqrt(scaled), 10**n)
+    return Fraction(longhand_isqrt(scaled), 10**n)
 
 
 def multiplicative_order(a: int, n: int) -> int:

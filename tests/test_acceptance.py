@@ -2,7 +2,7 @@
 single PASS line (visible under ``pytest -s`` or on failure).
 
 Every expected value is produced by an independent oracle (Fraction
-arithmetic, integer square roots, sequential long division) or frozen
+arithmetic, long-hand square roots, sequential long division) or frozen
 from the worked examples; nothing is read back from the code under test.
 
 Criterion 10's full 10^4 x 10^4 box takes ~20 minutes of pure Fraction
@@ -17,7 +17,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import SEED, fraction_prefix
+from conftest import SEED, fraction_prefix, sqrt_truncation
 from decreal.arithmetic import add, evaluate, mul, neg, reciprocal, sqrt
 from decreal.cli import evaluate_expression, parse_expression
 from decreal.errors import (
@@ -250,8 +250,8 @@ def test_criterion_06_enclosure_convergence():
 
 
 def test_criterion_07_square_roots():
-    # 50-digit truncation of sqrt(2) from the integer-square-root oracle
-    trunc = Fraction(math.isqrt(2 * 10**100), 10**50)
+    # 50-digit truncation of sqrt(2) from the long-hand square-root oracle
+    trunc = sqrt_truncation(Fraction(2), 50)
     e = evaluate(sqrt(P("2")), 50)
     lo, hi = e.lo.as_fraction(), e.hi.as_fraction()
     assert lo * lo <= 2 <= hi * hi
@@ -265,7 +265,7 @@ def test_criterion_07_square_roots():
         x = sqrt(real_from_fraction(r))
         e = evaluate(mul(x, x), 30)
         assert e.lo.as_fraction() <= r <= e.hi.as_fraction(), r
-    report(7, "sqrt(2) matches the isqrt oracle to 50 digits; "
+    report(7, "sqrt(2) matches the long-hand oracle to 50 digits; "
               "eval(sqrt(r)^2, 30) contains r on 100 rationals")
 
 

@@ -1,18 +1,19 @@
 """Interval arithmetic: certified enclosures, exact fast paths, roots,
 reciprocals, and the multiple-exceeding witness.
 
-Oracles: Fraction arithmetic for exact results, integer square roots for
-radicals, sequential long division for opaque digit streams.  Opaque
+Oracles: Fraction arithmetic for exact results, long-hand square roots
+for radicals, sequential long division for opaque digit streams.  Opaque
 wrappers force the interval refiners even on rational data, so every
 containment check here is a dual-route comparison."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import opaque, sqrt_truncation
+from conftest import fraction_prefix, longhand_isqrt, opaque, sqrt_truncation
 from decreal.arithmetic import (
     Enclosure,
     add,
@@ -26,6 +27,7 @@ from decreal.arithmetic import (
 from decreal.errors import DigitsUnstable, NegativeRadicand, SignUndecided
 from decreal.realnum import (
     ZERO_REAL,
+    ComputedReal,
     parse_real,
     real_from_fraction,
     render_digits,
@@ -63,6 +65,13 @@ class TestEvaluate:
     ])
     def test_goldens(self, text, n, want):
         assert str(evaluate(P(text), n)) == want
+
+    def test_periodic_past_int_str_cap(self):
+        # 5000 threes exceed the interpreter's 4300-digit int<->str cap
+        e = evaluate(P("0.(3)"), 5000)
+        lo = Fraction(10**5000 - 1, 3 * 10**5000)
+        assert e.lo.as_fraction() == lo
+        assert e.hi.as_fraction() == lo + Fraction(1, 10**5000)
 
     @given(fractions_st, st.integers(min_value=1, max_value=50))
     @settings(max_examples=200)
@@ -216,6 +225,18 @@ class TestSqrt:
         assert lo * lo <= r <= hi * hi
         assert enclosure_width(e) <= Fraction(1, 10**20)
 
+    def test_render_past_int_str_cap(self):
+        want = fraction_prefix(sqrt_truncation(Fraction(2), 5000), 5000)
+        assert render_digits(sqrt(P("2")), 5000) == want
+
+    def test_ten_thousand_digits(self):
+        want = fraction_prefix(sqrt_truncation(Fraction(2), 10**4), 10**4)
+        t0 = time.process_time()
+        got = render_digits(sqrt(P("2")), 10**4)
+        elapsed = time.process_time() - t0
+        assert got == want
+        assert elapsed < 0.5, f"took {elapsed:.3f} s of CPU time"
+
     def test_square_of_root_contains_radicand(self):
         for r in (Fraction(2), Fraction(3, 7), Fraction(99, 10)):
             x = sqrt(real_from_fraction(r))
@@ -279,3 +300,105 @@ class TestComposition:
         # sqrt(sqrt(16)) = 2
         e = evaluate(sqrt(sqrt(opaque(Fraction(16)))), 15)
         assert enclosure_contains(e, Fraction(2))
+
+
+def _signed_bounds(x, negate: bool, m: int) -> tuple[Fraction, Fraction]:
+    """bounds(m) of x, read through neg(x) when negate is set."""
+    if not negate:
+        return x.bounds(m)
+    lo, hi = neg(x).bounds(m)
+    return -hi, -lo
+
+
+def _grid_aligned(lo: Fraction, hi: Fraction, m: int) -> bool:
+    """Both ends are multiples of 10**-(m + 2), the finest kernel grid."""
+    return all(10 ** (m + 2) % b.denominator == 0 for b in (lo, hi))
+
+
+precisions_st = st.integers(min_value=0, max_value=5000)
+
+
+def _is_square(v: int) -> bool:
+    return longhand_isqrt(v) ** 2 == v
+
+
+# rational squares come back exact, off the grid (sqrt(4/9) = 0.(6))
+radicands_st = st.fractions(
+    min_value=Fraction(1, 300), max_value=1000, max_denominator=300,
+).filter(lambda r: not (_is_square(r.numerator)
+                        and _is_square(r.denominator)))
+nonzero_st = fractions_st.filter(lambda f: f != 0)
+
+
+class TestGridKernels:
+    """bounds(m) of every integer kernel contains the value, is at most
+    10**-m wide and lies on the decimal grid, for both signs."""
+
+    @given(radicands_st, st.booleans(), precisions_st)
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt_exact_radicand(self, r, negate, m):
+        lo, hi = _signed_bounds(sqrt(real_from_fraction(r)), negate, m)
+        assert 0 <= lo and lo * lo <= r <= hi * hi
+        assert hi - lo <= Fraction(1, 10**m)
+        assert _grid_aligned(lo, hi, m)
+
+    @given(radicands_st, st.booleans(), precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_sqrt_computed_radicand(self, r, negate, m):
+        lo, hi = _signed_bounds(sqrt(opaque(r)), negate, m)
+        assert 0 <= lo and lo * lo <= r <= hi * hi
+        assert hi - lo <= Fraction(1, 10**m)
+        assert _grid_aligned(lo, hi, m)
+
+    @given(nonzero_st, precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_reciprocal(self, f, m):
+        lo, hi = reciprocal(opaque(f)).bounds(m)
+        assert lo <= 1 / f <= hi
+        assert hi - lo <= Fraction(1, 10**m)
+        assert _grid_aligned(lo, hi, m)
+
+    @given(nonzero_st, nonzero_st, st.booleans(), precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_mul(self, f, g, exact_left, m):
+        left = real_from_fraction(f) if exact_left else opaque(f)
+        lo, hi = mul(left, opaque(g)).bounds(m)
+        assert lo <= f * g <= hi
+        assert hi - lo <= Fraction(1, 10**m)
+        assert _grid_aligned(lo, hi, m)
+
+
+def _recorded(x) -> tuple[ComputedReal, list[int]]:
+    """x behind a ComputedReal that records every precision asked of it."""
+    asked: list[int] = []
+
+    def refine(m: int) -> tuple[Fraction, Fraction]:
+        asked.append(m)
+        return x.bounds(m)
+
+    return ComputedReal(refine, "recorded"), asked
+
+
+class TestPrecisionDemand:
+    @pytest.mark.parametrize("depth", [1, 2, 4, 8])
+    def test_nested_sqrt_demand_linear_in_depth(self, depth):
+        n = 50
+        x, asked = _recorded(opaque(Fraction(5, 3)))
+        for _ in range(depth):
+            x = sqrt(add(x, P("1")))
+        x.bounds(n)
+        assert max(asked) <= n + 4 * depth, asked
+
+
+class TestContractBreach:
+    """An operand whose enclosures never narrow makes the kernels raise
+    instead of retrying forever."""
+
+    @pytest.mark.parametrize("op", [mul, reciprocal, sqrt],
+                             ids=["mul", "reciprocal", "sqrt"])
+    def test_too_wide_operand_raises(self, op):
+        too_wide = ComputedReal(lambda m: (Fraction(1), Fraction(2)),
+                                "too wide")
+        x = op(too_wide, opaque(Fraction(3))) if op is mul else op(too_wide)
+        with pytest.raises(AssertionError):
+            x.bounds(10)

@@ -92,6 +92,22 @@ class TestEval:
         code, _, err = invoke(capsys, "eval", "sqrt(0-9)")
         assert code == 1
 
+    def test_negative_digits_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "eval", "sqrt(2)", "--digits", "-3")
+        assert (code, out) == (1, "") and "--digits" in err
+
+    def test_nesting_past_limit_exit_1(self, capsys):
+        deep = "(" * 600 + "1" + "+1)" * 600
+        code, out, err = invoke(capsys, "eval", deep)
+        assert (code, out) == (1, "") and "nests deeper" in err
+
+    def test_nesting_at_depth_200_admitted(self, capsys):
+        code, out, _ = invoke(capsys, "eval", "(" * 200 + "1" + "+1)" * 200)
+        assert (code, out) == (0, "201\n")
+        code, out, _ = invoke(capsys, "eval", "sqrt(" * 200 + "2" + ")" * 200,
+                              "--digits", "5")
+        assert (code, out) == (0, "1.00000\n")
+
 
 class TestCmp:
     @pytest.mark.parametrize("a,b,symbol", [
@@ -107,6 +123,11 @@ class TestCmp:
         code, out, _ = invoke(capsys, "cmp", "sqrt(2)*sqrt(2)", "2",
                               "--budget", "25")
         assert (code, out) == (3, "undecided\n")
+
+    def test_negative_budget_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "cmp", "sqrt(2)", "1",
+                                "--budget", "-5")
+        assert (code, out) == (1, "") and "--budget" in err
 
 
 class TestBetween:

@@ -299,6 +299,14 @@ class TestBetween:
         w = between(opaque(Fraction(1, 7)), opaque(Fraction(1, 3)))
         assert Fraction(1, 7) < w.as_fraction() < Fraction(1, 3)
 
+    def test_witness_past_int_str_cap(self):
+        # the endpoints agree for 5000 digits, past the interpreter's
+        # 4300-digit int<->str cap
+        lo = Fraction(1, 3)
+        hi = lo + Fraction(1, 10**5000)
+        w = between(real_from_fraction(lo), real_from_fraction(hi), 6000)
+        assert lo < w.as_fraction() < hi
+
 
 class TestOracleReal:
     def test_memo_determinism(self):

@@ -17,6 +17,8 @@ from decreal.terminating import (
     TerminatingDecimal,
     add,
     compare,
+    digits_from_int,
+    int_from_digits,
     mul,
     neg,
     parse_terminating,
@@ -40,6 +42,14 @@ class TestCanonicalForm:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             TerminatingDecimal(1, -1)
+
+    def test_immutable(self):
+        t = TerminatingDecimal(25, 1)
+        with pytest.raises(AttributeError):
+            t.units = 3
+        with pytest.raises(AttributeError):
+            del t.scale
+        assert (t.units, t.scale) == (25, 1)
 
     @given(tds)
     def test_canonical_units_not_divisible_by_ten(self, t):
@@ -80,6 +90,20 @@ class TestParseAndRender:
         assert str(TerminatingDecimal(-25, 2)) == "-0.25"
         assert str(TerminatingDecimal(5143, 2)) == "51.43"
         assert str(TerminatingDecimal(7)) == "7"
+
+    def test_render_past_int_str_cap(self):
+        # 5000 digits exceed the interpreter's 4300-digit int<->str cap
+        ones = (10**5000 - 1) // 9
+        assert str(TerminatingDecimal(ones, 5000)) == "0." + "1" * 5000
+        assert str(TerminatingDecimal(-10**5000)) == "-1" + "0" * 5000
+
+    @given(st.integers(min_value=0, max_value=10**9000))
+    def test_digits_from_int_roundtrip(self, v):
+        text = digits_from_int(v)
+        assert int_from_digits(text) == v
+        assert text == "0" or text[0] != "0"
+        if v < 10**4000:
+            assert text == str(v)
 
 
 class TestStructure:
