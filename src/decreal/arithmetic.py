@@ -28,6 +28,7 @@ from .realnum import (
     DEFAULT_BUDGET,
     Classification,
     ComputedReal,
+    PeriodicReal,
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
@@ -129,6 +130,10 @@ def neg(x: RealNumber) -> RealNumber:
 def _describe(x: RealNumber) -> str:
     if isinstance(x, ComputedReal):
         return x.description or "?"
+    if isinstance(x, PeriodicReal):
+        # its literal writes out a whole period, which can run to
+        # millions of digits
+        return str(x.fraction)
     return str(x) if x.is_exact else repr(x)
 
 

@@ -55,3 +55,20 @@ class CanonicalViolation(DecrealError):
 
 class NegativeRadicand(DecrealError, ValueError):
     """A square root was requested of a provably negative value."""
+
+
+class ExpansionTooLong(DecrealError):
+    """An exact expansion is too long to materialise.
+
+    Rendering an eventually periodic value writes out its preperiod and
+    one whole period, and the period of p/q can be nearly q digits long.
+    Past ``limit`` digits that is refused; single digits (``digit_at``)
+    and prefixes (``decimal_representation``) stay available.
+    """
+
+    def __init__(self, value, limit: int):
+        self.value = value
+        self.limit = limit
+        super().__init__(
+            f"the expansion of {value} is longer than {limit} digits; "
+            f"`decreal rep {value} --digits N` prints its first N digits")

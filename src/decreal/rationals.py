@@ -39,31 +39,30 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
     """First n digits by the floor recurrence.
 
     On the magnitude y0 = |x| - [|x|]: digit k is [10 * y_{k-1}], and
-    the scaled remainder carries to the next step.  Negative values are
+    the scaled remainder carries to the next step.  For an exact source
+    |x| = a/q, the recurrence runs on the integer remainder p = q * y,
+    so each step is one ``divmod(10 * p, q)``.  Negative values are
     expanded on the magnitude and the sign reattached.  For an exact
     source this is a genuinely independent route to the same digits as
-    long division.  An all-nines tail would require some remainder to
-    reach 1, which the invariant 0 <= y < 1 rules out, so the trailing
-    replacement can never fire here; digit-stream sources are read off
-    as already-canonical digits instead.
+    the block long division behind ``PeriodicReal``.  An all-nines tail
+    would require some remainder to reach q, which the invariant
+    0 <= p < q rules out, so the trailing replacement can never fire
+    here; digit-stream sources are read off as already-canonical digits
+    instead.
     """
     if n < 0:
         raise ValueError("digit count must be non-negative")
     if not x.is_exact:
         return x.prefix(n)
     f = x.as_fraction()
-    negative = f < 0
-    y = abs(f)
-    int_part = y.numerator // y.denominator
-    y -= int_part
+    q = f.denominator
+    int_part, p = divmod(abs(f.numerator), q)
     digits = []
     for _ in range(n):
-        y *= 10
-        d = y.numerator // y.denominator
+        d, p = divmod(10 * p, q)
         digits.append(str(d))
-        y -= d
-        assert 0 <= y < 1
-    return DigitPrefix(negative, int_part, "".join(digits))
+        assert 0 <= p < q
+    return DigitPrefix(f < 0, int_part, "".join(digits))
 
 
 @frozen

@@ -26,23 +26,26 @@ import threading
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ._frozen import frozen
 from .errors import (
     CanonicalViolation,
     DigitsUnstable,
+    ExpansionTooLong,
     MalformedLiteral,
     NotLess,
     OrderUndecided,
     SignUndecided,
 )
 from .terminating import (
+    _CHUNK,
     Comparison,
     TerminatingDecimal,
     digits_from_int,
     int_from_digits,
     pow10,
+    split_denominator,
 )
 
 import re
@@ -50,6 +53,14 @@ import re
 DEFAULT_BUDGET = 1000
 # extra refinement digits allowed before digit pinning gives up
 PIN_WINDOW = 64
+# longest exact expansion (preperiod plus period) that is materialised;
+# longer ones raise ExpansionTooLong
+MAX_EXPANSION_DIGITS = 10**6
+# widest block of exact digits made at once: str() of an int is
+# quadratic in its length, so the conversions cost in proportion to the
+# block width, while the divisions do not depend on it; 200-600 digits
+# measured alike
+_DIGIT_BLOCK = 500
 # window scanned past a run of nines by the canonical-form checker
 NINE_CHECK_WINDOW = 64
 
@@ -185,8 +196,11 @@ class PeriodicReal(RealNumber):
     """An eventually-periodic expansion, exactly a non-terminating rational.
 
     The structural fields (int_part, preperiod, period) are materialised
-    lazily by long division, which yields the minimal period, so two
-    instances are structurally equal exactly when their values are equal.
+    on demand: the preperiod length comes from the factors 2 and 5 of the
+    denominator, and the period from block long division, which yields
+    the minimal period, so two instances are structurally equal exactly
+    when their values are equal.  Expansions longer than
+    ``MAX_EXPANSION_DIGITS`` raise ``ExpansionTooLong``.
     """
 
     fraction: Fraction
@@ -194,34 +208,30 @@ class PeriodicReal(RealNumber):
     is_exact = True
 
     def __post_init__(self):
-        den = self.fraction.denominator
-        while den % 2 == 0:
-            den //= 2
-        while den % 5 == 0:
-            den //= 5
-        if den == 1:
+        if split_denominator(self.fraction.denominator)[0] == 1:
             raise ValueError("value terminates; use TerminatingReal")
 
     @cached_property
     def _expansion(self) -> tuple[str, str]:
-        """(preperiod, period) of the magnitude by long division.
+        """(preperiod, period) of the magnitude.
 
-        The cycle closes at the first repeated remainder, which gives the
-        shortest period and shortest preperiod.
+        With denominator 2^a * 5^b * q, q coprime to 10, the preperiod
+        has k = max(a, b) digits and comes from one division; what is
+        left is s/q, purely periodic, whose period is found by
+        ``_period_digits``.
         """
+        limit = MAX_EXPANSION_DIGITS
         mag = abs(self.fraction)
-        rem = mag - (mag.numerator // mag.denominator)
-        p, q = rem.numerator, rem.denominator
-        seen: dict[int, int] = {}
-        digits: list[str] = []
-        r = p
-        while r not in seen:
-            seen[r] = len(digits)
-            r *= 10
-            digits.append(str(r // q))
-            r %= q
-        start = seen[r]
-        return "".join(digits[:start]), "".join(digits[start:])
+        den = mag.denominator
+        q, k = split_denominator(den)
+        if k > limit:
+            raise ExpansionTooLong(self.fraction, limit)
+        pre, s = divmod(mag.numerator % den * (10 ** k // (den // q)), q)
+        preperiod = digits_from_int(pre).rjust(k, "0") if k else ""
+        period = _period_digits(s, q, limit - k)
+        if period is None:
+            raise ExpansionTooLong(self.fraction, limit)
+        return preperiod, period
 
     @property
     def negative(self) -> bool:
@@ -248,6 +258,22 @@ class PeriodicReal(RealNumber):
         rem = mag - self.int_part
         p, q = rem.numerator, rem.denominator
         return (p * pow(10, i, 10 * q)) % (10 * q) // q
+
+    def prefix(self, n: int) -> DigitPrefix:
+        if n < 0:
+            raise ValueError("prefix length must be non-negative")
+        # a division per block of digits, not n calls of digit_at
+        mag = abs(self.fraction)
+        int_part, r = divmod(mag.numerator, mag.denominator)
+        blocks, got = [], 0
+        if n:
+            for block in _digit_blocks(r, mag.denominator,
+                                       min(n, _DIGIT_BLOCK)):
+                blocks.append(block)
+                got += len(block)
+                if got >= n:
+                    break
+        return DigitPrefix(self.negative, int_part, "".join(blocks)[:n])
 
     def integral_part(self) -> int:
         return self.fraction.numerator // self.fraction.denominator
@@ -278,15 +304,54 @@ class PeriodicReal(RealNumber):
         return ("-" if self.negative else "") + body
 
 
+def _digit_blocks(s: int, q: int, first: int) -> Iterator[str]:
+    """The digits of s/q (0 <= s < q) after the point, in blocks: the
+    first ``first`` >= 1 digits wide, doubling up to ``_DIGIT_BLOCK``
+    digits, or ``first`` when that is wider, but never past the
+    int<->str cap.  Each block is one divmod and one zero-padded str()."""
+    top = min(max(first, _DIGIT_BLOCK), _CHUNK)
+    width = min(first, top)
+    while True:
+        block, s = divmod(s * 10 ** width, q)
+        yield str(block).rjust(width, "0")
+        width = min(2 * width, top)
+
+
+def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
+    """One period of the purely periodic s/q (0 < s < q, q coprime to 10),
+    or None when the period is longer than ``limit`` digits.
+
+    The digits from position p on are those of r_p/q, r_p the remainder
+    there.  When 10**w > q, two remainders are equal exactly when the w
+    digits after them are, so the period is the first p >= 1 at which
+    the leading w digits recur, and no table of remainders is needed.
+    Only the new digits of each block, with the w - 1 before them, are
+    searched.
+    """
+    w = q.bit_length() * 30103 // 100_000 + 1  # 10**w > 2**bits > q
+    blocks: list[str] = []
+    head = tail = ""  # the first w digits; the last w - 1 digits
+    n = 0  # digits generated
+    for block in _digit_blocks(s, q, w + 8):
+        blocks.append(block)
+        if len(head) < w:
+            head = (head + block)[:w]
+        window, base = tail + block, n - len(tail)  # window[0] is digit base
+        n += len(block)
+        if len(head) == w:
+            i = window.find(head, max(1 - base, 0))
+            if i >= 0:
+                p = base + i
+                return "".join(blocks)[:p] if p <= limit else None
+        if n >= limit + w:
+            return None  # a period of at most limit digits shows by now
+        tail = window[max(len(window) - w + 1, 0):]
+
+
 def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise."""
-    den = value.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den == 1:
+    if split_denominator(value.denominator)[0] == 1:
         return TerminatingReal(TerminatingDecimal.from_fraction(value))
     return PeriodicReal(value)
 

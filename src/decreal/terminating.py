@@ -80,18 +80,10 @@ class TerminatingDecimal:
     def from_fraction(cls, value: Fraction) -> "TerminatingDecimal":
         """Exact conversion; the denominator must factor as 2^a * 5^b."""
         den = value.denominator
-        twos = fives = 0
-        while den % 2 == 0:
-            den //= 2
-            twos += 1
-        while den % 5 == 0:
-            den //= 5
-            fives += 1
-        if den != 1:
+        rest, scale = split_denominator(den)
+        if rest != 1:
             raise ValueError(f"{value} is not a terminating decimal")
-        scale = max(twos, fives)
-        units = value.numerator * 2 ** (scale - twos) * 5 ** (scale - fives)
-        return cls(units, scale)
+        return cls(value.numerator * 10 ** scale // den, scale)
 
     def floor(self) -> int:
         """The unique integer n with n <= self < n + 1."""
@@ -177,6 +169,28 @@ def pow10(k: int) -> TerminatingDecimal:
 # interpreter's cap
 _CHUNK = 4000
 _CHUNK_BASE = 10 ** _CHUNK
+# leaf size of int_from_digits: int() of a string is quadratic in its
+# length, so short leaves are cheaper per digit until the products that
+# join them cost more than they save
+_LEAF = 1000
+
+
+def split_denominator(den: int) -> tuple[int, int]:
+    """(q, k) with den = 2^a * 5^b * q, q coprime to 10, k = max(a, b).
+
+    For p/den in lowest terms, k is the length of the preperiod of the
+    decimal expansion and q the denominator of its purely periodic
+    rest; the expansion terminates exactly when q == 1.
+    """
+    if den < 1:
+        raise ValueError("denominator must be positive")
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return den, max(twos, fives)
 
 
 def int_from_digits(digits: str) -> int:
@@ -185,13 +199,31 @@ def int_from_digits(digits: str) -> int:
     ``int()`` on a string is capped at a few thousand digits by the
     interpreter (CVE-2020-10735 guard); repeating groups routinely exceed
     that — a denominator q can have a period as long as the multiplicative
-    order of 10 modulo q — so decode in bounded chunks instead.
+    order of 10 modulo q — so split the string in halves, ``hi * 10**h +
+    lo``, and call ``int()`` only on leaves below the cap.  Halves keep
+    the large products balanced, where Karatsuba multiplication pays
+    off; adding one chunk at a time would make every product lopsided.
+    The low half is always ``_LEAF * 2**j`` digits, so one conversion
+    needs only a few powers of ten, each the square of the one below.
     """
-    value = 0
-    for i in range(0, len(digits), _CHUNK):
-        chunk = digits[i:i + _CHUNK]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
+    if len(digits) <= _LEAF:
+        return int(digits) if digits else 0
+    powers = {_LEAF: 10 ** _LEAF}
+
+    def power(h: int) -> int:
+        if h not in powers:
+            powers[h] = power(h // 2) ** 2
+        return powers[h]
+
+    def decode(lo: int, hi: int) -> int:
+        if hi - lo <= _LEAF:
+            return int(digits[lo:hi])
+        h = _LEAF
+        while 2 * h < hi - lo:
+            h *= 2
+        return decode(lo, hi - h) * power(h) + decode(hi - h, hi)
+
+    return decode(0, len(digits))
 
 
 def digits_from_int(value: int) -> str:

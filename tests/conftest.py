@@ -1,12 +1,15 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately avoid the production code paths: digits
-come from grade-school sequential long division (production uses modular
-exponentiation), square roots by the long-hand digit-pair method
-(production uses ``math.isqrt``), and period structure from the
-multiplicative order of 10 (production finds the first repeated
-remainder).  Expected values in the tests are frozen from these routes,
-never from the code under test.
+come from grade-school sequential long division (production's
+``digit_at`` uses modular exponentiation, its prefixes and periods one
+division per block of digits) or from Fraction multiples where
+production's ``decimal_representation`` runs long division itself,
+square roots by the long-hand digit-pair method (production uses
+``math.isqrt``), and period structure from the multiplicative order of
+10 (production reads the preperiod length off the factors 2 and 5 and
+finds the period where the leading digits recur).  Expected values in
+the tests are frozen from these routes, never from the code under test.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Command-line surface: grammar, printing, exit codes, determinism."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_prefix, sqrt_truncation
 from decreal.cli import evaluate_expression, parse_expression, run
 from decreal.errors import MalformedLiteral
 from decreal.realnum import real_from_fraction
@@ -107,6 +109,26 @@ class TestEval:
         code, out, _ = invoke(capsys, "eval", "sqrt(" * 200 + "2" + ")" * 200,
                               "--digits", "5")
         assert (code, out) == (0, "1.00000\n")
+
+    def test_expansion_past_cap_exit_1(self, capsys):
+        # the period of 1/99999989 has 99 999 988 digits
+        start = time.process_time()
+        code, out, err = invoke(capsys, "eval", "1/99999989")
+        assert time.process_time() - start < 2
+        assert (code, out) == (1, "")
+        assert "decreal rep 1/99999989 --digits N" in err
+
+    @pytest.mark.parametrize("q", [999_983, 99_999_989])
+    def test_sum_with_long_period_operand(self, capsys, q):
+        # describing the operand must not write out its period
+        start = time.process_time()
+        code, out, _ = invoke(capsys, "eval", f"sqrt(2)+1/{q}",
+                              "--digits", "20")
+        assert time.process_time() - start < 0.1
+        lo = sqrt_truncation(Fraction(2), 30) + Fraction(1, q)
+        want = fraction_prefix(lo, 20)
+        assert fraction_prefix(lo + Fraction(1, 10**30), 20) == want
+        assert (code, out) == (0, want + "\n")
 
 
 class TestCmp:

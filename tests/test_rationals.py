@@ -1,8 +1,11 @@
 """Rational embedding: digit representations, period detection, and the
 order/sum/product preservation checker.
 
-Oracles: sequential long division, multiplicative-order period structure,
-and Fraction arithmetic — all from conftest."""
+Oracles: digits read off Fraction multiples, multiplicative-order period
+structure, and Fraction arithmetic — all from conftest.  Production's
+``decimal_representation`` is itself integer long division, so it is
+checked against the Fraction route, not against conftest's long
+division."""
 
 from fractions import Fraction
 
@@ -12,8 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     expected_period_structure,
-    fraction_prefix,
-    long_division_digits,
+    fraction_digit,
     rand_fraction,
 )
 from decreal.rationals import (
@@ -32,6 +34,14 @@ from decreal.realnum import parse_real
 
 fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
                             max_denominator=10**4)
+
+
+def digit_route_prefix(f: Fraction, n: int) -> str:
+    """f truncated to n >= 1 fractional digits, each digit read off
+    |f| * 10**i by ``fraction_digit``."""
+    sign = "-" if f < 0 else ""
+    digits = "".join(str(fraction_digit(f, i)) for i in range(1, n + 1))
+    return f"{sign}{int(abs(f))}.{digits}"
 
 
 class TestToDecimal:
@@ -77,7 +87,7 @@ class TestDecimalRepresentation:
     @settings(max_examples=150)
     def test_matches_long_division(self, f, n):
         got = decimal_representation(to_decimal(f), n)
-        assert got.render() == fraction_prefix(f, n)
+        assert got.render() == digit_route_prefix(f, n)
 
     def test_accepts_streams(self):
         x = OracleReal(digit_fn=lambda i: i % 10, negative=False, int_part=3)
@@ -122,10 +132,9 @@ class TestAssertNoPeriod:
         # the scan window (40 digits) is long enough that, by the
         # periodicity-overlap argument, the minimal period and offset it
         # reports must be the true ones; expected digits come from the
-        # independent long-division route
-        mag = abs(f)
-        digits = long_division_digits(mag.numerator, mag.denominator,
-                                      pre + per)
+        # Fraction route, independent of the long division it searches
+        digits = "".join(str(fraction_digit(f, i))
+                         for i in range(1, pre + per + 1))
         assert out == PeriodFound(offset=pre, period=digits[pre:])
 
 

@@ -3,6 +3,7 @@
 Oracles: sequential long division and Fraction arithmetic from conftest;
 expected digits and witnesses are frozen from those routes."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,15 @@ from conftest import (
 from decreal.errors import (
     CanonicalViolation,
     DigitsUnstable,
+    ExpansionTooLong,
     MalformedLiteral,
     NotLess,
     OrderUndecided,
     SignUndecided,
 )
+from decreal import realnum
 from decreal.realnum import (
+    MAX_EXPANSION_DIGITS,
     Classification,
     ComputedReal,
     DigitPrefix,
@@ -117,6 +121,97 @@ class TestPeriodicStructure:
         x = real_from_fraction(Fraction(p, q))
         want = int(long_division_digits(p % q, q, i)[-1])
         assert x.digit_at(i) == want
+
+    @staticmethod
+    def _check_structure(f):
+        x = real_from_fraction(f)
+        if not isinstance(x, PeriodicReal):
+            return  # terminating after reduction
+        pre, per = expected_period_structure(f.denominator)
+        mag = abs(f)
+        digits = long_division_digits(mag.numerator, mag.denominator,
+                                      pre + per)
+        assert (x.preperiod, x.period) == (digits[:pre], digits[pre:])
+
+    @given(st.one_of(st.integers(min_value=3, max_value=10**6),
+                     st.integers(min_value=9 * 10**5, max_value=10**6)
+                     ).filter(lambda q: q % 2 and q % 5),
+           st.integers(min_value=0, max_value=8),
+           st.integers(min_value=0, max_value=8),
+           st.integers(min_value=1, max_value=10**9),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_structure_matches_long_division(self, q, a, b, p, negative):
+        self._check_structure(Fraction(-p if negative else p,
+                                       q * 2**a * 5**b))
+
+    # the period search reads blocks of w + 8 digits, doubling up to
+    # 500, and finds a period L once L + w digits are read, where 10**w
+    # exceeds the denominator; for each of these, L + w is one digit
+    # before, on or one digit past the end of a block
+    BLOCK_EDGE_DENOMINATORS = (
+        239, 73, 81, 717, 657, 2997, 2791, 641, 603, 951, 697, 729, 1173,
+        3187, 3671, 799, 6723, 4507, 4519, 8341, 13151, 2753, 5507, 16879,
+        13139, 28151, 8627, 10073, 10627, 10631)
+
+    @pytest.mark.parametrize("q", BLOCK_EDGE_DENOMINATORS)
+    def test_structure_at_block_edges(self, q):
+        for p in (1, q - 1, -2 * q - 1):
+            self._check_structure(Fraction(p, q))
+        self._check_structure(Fraction(7, 40 * q))
+
+    def test_structure_with_denominator_past_int_str_cap(self):
+        # 10**w > q needs w > 4000 digits here, more than one block
+        q = 10**4321 - 1
+        x = real_from_fraction(Fraction(2, q))
+        assert (x.preperiod, x.period) == ("", "0" * 4320 + "2")
+        y = real_from_fraction(Fraction(10**4320 + 3, 10 * q))
+        assert y.preperiod == "0"
+        assert y.period == long_division_digits(10**4320 + 3, q, 4321)
+
+    def test_long_period_literal_roundtrip(self):
+        f = Fraction(3, 8 * 100_019)  # 10 has order 100 018 mod 100 019
+        x = real_from_fraction(f)
+        start = time.process_time()
+        assert P(str(x)) == x
+        assert time.process_time() - start < 0.5
+        assert (len(x.preperiod), len(x.period)) == \
+            expected_period_structure(f.denominator)
+
+
+class TestExpansionCap:
+    def test_long_period_raises_quickly(self):
+        x = real_from_fraction(Fraction(1, 99_999_989))
+        start = time.process_time()
+        with pytest.raises(ExpansionTooLong) as info:
+            str(x)
+        assert time.process_time() - start < 2
+        assert info.value.limit == MAX_EXPANSION_DIGITS
+        # digits and prefixes stay available
+        assert x.digit_at(1) == 0 and x.digit_at(8) == 1
+        assert x.prefix(16).render() == fraction_prefix(x.fraction, 16)
+
+    @pytest.mark.parametrize("f,cap,renders", [
+        (Fraction(1, 7), 6, True),                # period 6
+        (Fraction(1, 7), 5, False),
+        (Fraction(1, 603), 33, True),             # period 33, seen at 37
+        (Fraction(1, 603), 32, False),
+        (Fraction(-1, 12), 3, True),              # 0.08(3)
+        (Fraction(-1, 12), 2, False),
+        (Fraction(1, 3 * 2**10), 11, True),       # preperiod 10
+        (Fraction(1, 3 * 2**10), 10, False),
+        (Fraction(1, 3 * 2**10), 9, False),       # preperiod alone too long
+    ])
+    def test_cap_counts_preperiod_and_period(self, monkeypatch, f, cap,
+                                             renders):
+        monkeypatch.setattr(realnum, "MAX_EXPANSION_DIGITS", cap)
+        x = real_from_fraction(f)
+        if renders:
+            assert P(str(x)).as_fraction() == f
+        else:
+            with pytest.raises(ExpansionTooLong) as info:
+                str(x)
+            assert info.value.limit == cap
 
 
 class TestDigitAccess:
@@ -403,6 +498,18 @@ class TestPrefix:
     @settings(max_examples=200)
     def test_prefix_matches_long_division(self, f, n):
         x = real_from_fraction(f)
+        assert x.prefix(n).render() == fraction_prefix(f, n)
+
+    @given(st.integers(min_value=-10**6, max_value=10**6),
+           st.integers(min_value=1, max_value=10**4),
+           st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=40, deadline=None)
+    def test_long_periodic_prefix_matches_long_division(self, k, q, n):
+        # 3 divides the denominator, not the numerator: always periodic;
+        # n runs past the 4300-digit int<->str cap
+        f = Fraction(3 * k + 1, 3 * q)
+        x = real_from_fraction(f)
+        assert isinstance(x, PeriodicReal)
         assert x.prefix(n).render() == fraction_prefix(f, n)
 
     def test_prefix_value(self):

@@ -3,10 +3,11 @@
 Oracle: Python Fraction arithmetic (stdlib, independent of this layer's
 integer rescaling)."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decreal.errors import MalformedLiteral
@@ -23,6 +24,7 @@ from decreal.terminating import (
     neg,
     parse_terminating,
     pow10,
+    split_denominator,
 )
 
 units = st.integers(min_value=-10**12, max_value=10**12)
@@ -105,6 +107,25 @@ class TestParseAndRender:
         if v < 10**4000:
             assert text == str(v)
 
+    @given(st.one_of(st.integers(min_value=0, max_value=20_000),
+                     st.integers(min_value=15_000, max_value=20_000),
+                     st.sampled_from([999, 1000, 1001, 1999, 2000, 2001,
+                                      3999, 4000, 4001, 4300, 4301,
+                                      8000, 8001, 16_001])),
+           st.integers(min_value=0, max_value=60),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_int_from_digits_matches_horner(self, length, zeros, seed):
+        # leading zeros, then seeded random digits; the oracle takes one
+        # digit a step
+        zeros = min(zeros, length)
+        text = "0" * zeros + "".join(random.Random(seed).choices(
+            "0123456789", k=length - zeros))
+        want = 0
+        for ch in text:
+            want = want * 10 + (ord(ch) - ord("0"))
+        assert int_from_digits(text) == want
+
 
 class TestStructure:
     def test_floor_golden(self):
@@ -141,6 +162,28 @@ class TestStructure:
             parse_terminating("0.125")
         with pytest.raises(ValueError):
             TerminatingDecimal.from_fraction(Fraction(1, 3))
+
+    @given(st.integers(min_value=-10**6, max_value=10**6),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=40))
+    def test_from_fraction_matches_fraction(self, p, a, b):
+        f = Fraction(p, 2**a * 5**b)
+        assert TerminatingDecimal.from_fraction(f).as_fraction() == f
+
+    @given(st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=0, max_value=60),
+           st.integers(min_value=0, max_value=60))
+    def test_split_denominator(self, q, a, b):
+        # oracle: strip the factors one at a time
+        den = rest = q * 2**a * 5**b
+        twos = fives = 0
+        while rest % 2 == 0:
+            rest //= 2
+            twos += 1
+        while rest % 5 == 0:
+            rest //= 5
+            fives += 1
+        assert split_denominator(den) == (rest, max(twos, fives))
 
 
 class TestArithmetic:
