@@ -32,6 +32,7 @@ from .realnum import (
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
+    _is_exact_zero,
     classify,
     real_from_fraction,
 )
@@ -95,10 +96,6 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
     if p.negative:
         return Enclosure(t + (-ulp), t)
     return Enclosure(t, t + ulp)
-
-
-def _is_exact_zero(x: RealNumber) -> bool:
-    return isinstance(x, TerminatingReal) and x.value.is_zero()
 
 
 def add(x: RealNumber, y: RealNumber) -> RealNumber:

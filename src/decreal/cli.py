@@ -176,21 +176,37 @@ def parse_expression(text: str) -> Expression:
 
 
 def evaluate_expression(node: Expression) -> RealNumber:
+    """The value of an expression tree.
+
+    A chain of operators of one precedence level, such as ``a - b + c``
+    or ``a * b / c``, is collected from the tree without recursion, with
+    ``a - b`` read as ``a + neg(b)`` and ``a / b`` as ``a * reciprocal(b)``.
+    Its operands are evaluated left to right and then combined in pairs,
+    so a chain of n operands nests ceil(log2 n) deep, in this function
+    and in the enclosure closures of the result alike.
+    """
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Negate):
         return neg(evaluate_expression(node.operand))
     if isinstance(node, SquareRoot):
         return sqrt(evaluate_expression(node.operand))
-    left = evaluate_expression(node.left)
-    right = evaluate_expression(node.right)
-    if node.op == "+":
-        return add(left, right)
-    if node.op == "-":
-        return add(left, neg(right))
-    if node.op == "*":
-        return mul(left, right)
-    return mul(left, reciprocal(right))
+    if node.op in "+-":
+        level, combine, invert = "+-", add, neg
+    else:
+        level, combine, invert = "*/", mul, reciprocal
+    chain = []  # (operator, right operand), last first
+    while isinstance(node, Binary) and node.op in level:
+        chain.append((node.op, node.right))
+        node = node.left
+    operands = [evaluate_expression(node)]
+    for op, right in reversed(chain):
+        value = evaluate_expression(right)
+        operands.append(value if op in "+*" else invert(value))
+    while len(operands) > 1:
+        paired = [combine(a, b) for a, b in zip(operands[::2], operands[1::2])]
+        operands = paired + operands[len(paired) * 2:]
+    return operands[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import frozen
+from .arithmetic import add, mul
 from .realnum import (
     DigitPrefix,
     RealNumber,
@@ -143,8 +144,6 @@ def phi_check(x: Rational, y: Rational) -> PhiOk | PhiViolation:
     rational result must coincide with decimal arithmetic on the
     embedded operands.
     """
-    from .arithmetic import add, mul  # deferred: arithmetic sits above us
-
     dx, dy = to_decimal(x), to_decimal(y)
 
     if x == y:

@@ -177,6 +177,14 @@ class TerminatingReal(RealNumber):
     def integral_part(self) -> int:
         return self.value.floor()
 
+    def prefix(self, n: int) -> DigitPrefix:
+        if n < 0:
+            raise ValueError("prefix length must be non-negative")
+        scale = self.value.scale
+        int_part, frac = divmod(self.value.mantissa, 10 ** scale)
+        digits = digits_from_int(frac).rjust(scale, "0") if scale else ""
+        return DigitPrefix(self.negative, int_part, digits[:n].ljust(n, "0"))
+
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
         f = self.value.as_fraction()
         return f, f
@@ -221,17 +229,23 @@ class PeriodicReal(RealNumber):
         ``_period_digits``.
         """
         limit = MAX_EXPANSION_DIGITS
-        mag = abs(self.fraction)
-        den = mag.denominator
+        _, r, den = self._magnitude
         q, k = split_denominator(den)
         if k > limit:
             raise ExpansionTooLong(self.fraction, limit)
-        pre, s = divmod(mag.numerator % den * (10 ** k // (den // q)), q)
+        pre, s = divmod(r * (10 ** k // (den // q)), q)
         preperiod = digits_from_int(pre).rjust(k, "0") if k else ""
         period = _period_digits(s, q, limit - k)
         if period is None:
             raise ExpansionTooLong(self.fraction, limit)
         return preperiod, period
+
+    @cached_property
+    def _magnitude(self) -> tuple[int, int, int]:
+        """(int_part, r, q) with |x| = int_part + r/q and 0 < r < q."""
+        q = self.fraction.denominator
+        int_part, r = divmod(abs(self.fraction.numerator), q)
+        return int_part, r, q
 
     @property
     def negative(self) -> bool:
@@ -239,8 +253,7 @@ class PeriodicReal(RealNumber):
 
     @property
     def int_part(self) -> int:
-        mag = abs(self.fraction)
-        return mag.numerator // mag.denominator
+        return self._magnitude[0]
 
     @property
     def preperiod(self) -> str:
@@ -253,22 +266,18 @@ class PeriodicReal(RealNumber):
     def digit_at(self, i: int) -> int:
         if i < 1:
             raise ValueError("digit positions start at 1")
-        # floor(frac * 10**i) mod 10 without materialising the expansion
-        mag = abs(self.fraction)
-        rem = mag - self.int_part
-        p, q = rem.numerator, rem.denominator
-        return (p * pow(10, i, 10 * q)) % (10 * q) // q
+        # floor(r/q * 10**i) mod 10 without materialising the expansion
+        _, r, q = self._magnitude
+        return r * pow(10, i, 10 * q) % (10 * q) // q
 
     def prefix(self, n: int) -> DigitPrefix:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
         # a division per block of digits, not n calls of digit_at
-        mag = abs(self.fraction)
-        int_part, r = divmod(mag.numerator, mag.denominator)
+        int_part, r, q = self._magnitude
         blocks, got = [], 0
         if n:
-            for block in _digit_blocks(r, mag.denominator,
-                                       min(n, _DIGIT_BLOCK)):
+            for block in _digit_blocks(r, q, min(n, _DIGIT_BLOCK)):
                 blocks.append(block)
                 got += len(block)
                 if got >= n:
@@ -354,10 +363,6 @@ def real_from_fraction(value: Fraction) -> RealNumber:
     if split_denominator(value.denominator)[0] == 1:
         return TerminatingReal(TerminatingDecimal.from_fraction(value))
     return PeriodicReal(value)
-
-
-def real_from_terminating(value: TerminatingDecimal) -> TerminatingReal:
-    return TerminatingReal(value)
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))

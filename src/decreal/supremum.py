@@ -20,10 +20,10 @@ that produced it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._frozen import frozen
+from .arithmetic import add
 from .errors import CanonicalViolation, MalformedLiteral, OrderUndecided
 from .realnum import (
     DEFAULT_BUDGET,
@@ -37,7 +37,13 @@ from .realnum import (
     parse_real,
     real_from_fraction,
 )
-from .terminating import Comparison, TerminatingDecimal, add as td_add, mul as td_mul
+from .terminating import (
+    Comparison,
+    TerminatingDecimal,
+    add as td_add,
+    int_from_digits,
+    mul as td_mul,
+)
 
 # digits confirmed eagerly before sup falls back to a lazy stream
 HINT_WINDOW = 64
@@ -356,20 +362,6 @@ def _member_above(S: BoundedSet, p: RealNumber,
     return None
 
 
-def _sub_delta(s: RealNumber, delta: TerminatingDecimal) -> RealNumber:
-    if s.is_exact:
-        return real_from_fraction(s.as_fraction() - delta.as_fraction())
-    from .arithmetic import add
-    return add(s, TerminatingReal(-delta))
-
-
-def _add_delta(s: RealNumber, delta: TerminatingDecimal) -> RealNumber:
-    if s.is_exact:
-        return real_from_fraction(s.as_fraction() + delta.as_fraction())
-    from .arithmetic import add
-    return add(s, TerminatingReal(delta))
-
-
 def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
                           samples: int = 50,
                           budget: int = DEFAULT_BUDGET
@@ -423,8 +415,7 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
 
     for k in range(1, samples + 1):
         # 2^-k, exactly: 5^k / 10^k
-        delta = TerminatingDecimal(5 ** k, k)
-        p = _sub_delta(s, delta)
+        p = add(s, TerminatingReal(TerminatingDecimal(-5 ** k, k)))
         outcome = leastness_probe(p)
         if outcome is not None:
             return outcome
@@ -436,7 +427,7 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
         if outcome is not None:
             return outcome
     for k in range(1, min(3, samples) + 1):
-        above = _add_delta(s, TerminatingDecimal(5 ** k, k))
+        above = add(s, TerminatingReal(TerminatingDecimal(5 ** k, k)))
         verdict = is_upper_bound(above, S, budget)
         if isinstance(verdict, No):
             return FailBound(verdict.witness)
@@ -452,13 +443,6 @@ def _signum(x: RealNumber) -> int:
     return -1 if f < 0 else (1 if f > 0 else 0)
 
 
-def _matches(member: RealNumber, prefix: DigitPrefix) -> bool:
-    if member.int_part != prefix.int_part:
-        return False
-    return all(member.digit_at(i + 1) == int(prefix.digits[i])
-               for i in range(len(prefix)))
-
-
 def finite_family(members: Iterable[RealNumber]) -> Family:
     """A prefix-max oracle over an explicit finite set of exact reals.
 
@@ -466,6 +450,13 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
     member (lexicographic and numeric order agree on canonical
     expansions), so the tail hint comes straight from that member when
     it terminates.  Exists for cross-checking sup against plain max.
+
+    Member digits are read in blocks through ``prefix``, first the
+    ``HINT_WINDOW`` digits that sup confirms eagerly and then twice as
+    many as held whenever a longer prefix is asked about, and kept for
+    the life of the family.
+    A digit selection is then one ``startswith`` on the digits held for
+    each member: no digit is recomputed, and no rational arithmetic runs.
     """
     members = tuple(members)
     if not members:
@@ -485,9 +476,20 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
     def max_integral() -> int:
         return pick(m.int_part for m in pool)
 
+    reads = [m.prefix(0) for m in pool]
+
     def max_next_digit(prefix: DigitPrefix) -> int:
-        survivors = [m for m in pool if _matches(m, prefix)]
-        return pick(m.digit_at(len(prefix) + 1) for m in survivors)
+        n = len(prefix)
+        nexts = []
+        for i, read in enumerate(reads):
+            if read.int_part != prefix.int_part:
+                continue
+            if len(read) <= n:
+                read = reads[i] = pool[i].prefix(
+                    max(n + 1, 2 * len(read), HINT_WINDOW))
+            if read.digits.startswith(prefix.digits):
+                nexts.append(read.digits[n])
+        return int(pick(nexts))
 
     def tail_hint(prefix: DigitPrefix) -> TailHint:
         if isinstance(best, TerminatingReal):
@@ -610,12 +612,23 @@ def lower_cut(c: RealNumber) -> Family:
     exactly c (for terminating c via the tail repair, otherwise as the
     identical digit stream).  Witnesses come from betweenness: any
     bound b < c is exceeded by a member strictly between b and c.
+
+    A digit after a prefix of n digits is read on the grid 10**-(n+1):
+    with U the prefix's units (its n digits, trailing zeros included,
+    as one integer) and |c| = num/den, the next digit is one floor
+    division of num * 10**(n+1) by den, less 10 * U.
     """
     if not c.is_exact:
         raise ValueError("lower cuts are supported for exact reals")
     f = c.as_fraction()
-    mag = abs(f)
+    num, den = abs(f.numerator), f.denominator
     negative = f <= 0
+
+    def on_grid(prefix: DigitPrefix) -> tuple[int, int]:
+        """(10 * U, num * 10**(n+1)) for a prefix of n digits."""
+        n = len(prefix)
+        units = prefix.int_part * 10 ** n + int_from_digits(prefix.digits)
+        return 10 * units, num * 10 ** (n + 1)
 
     if not negative:
         # integer parts of members below c reach exactly ceil(c) - 1
@@ -623,22 +636,23 @@ def lower_cut(c: RealNumber) -> Family:
         start = top - 1
 
         def max_next_digit(prefix: DigitPrefix) -> int:
-            base = prefix.value()
-            step = Fraction(1, 10 ** (len(prefix) + 1))
-            for d in range(9, -1, -1):
-                if base + d * step < f:
-                    return d
-            raise AssertionError("no digit keeps the prefix below the cut")
+            # the largest d with 10 * U + d < num * 10**(n+1) / den
+            base, scaled = on_grid(prefix)
+            d = min(9, (scaled - 1) // den - base)
+            if d < 0:
+                raise AssertionError("no digit keeps the prefix below the cut")
+            return d
     else:
-        start = mag.numerator // mag.denominator  # floor(|c|)
+        start = num // den  # floor(|c|)
 
         def max_next_digit(prefix: DigitPrefix) -> int:
-            base = abs(prefix.value())
-            step = Fraction(1, 10 ** (len(prefix) + 1))
-            for d in range(10):
-                if base + (d + 1) * step > mag:
-                    return d
-            raise AssertionError("no digit pushes the magnitude past the cut")
+            # the smallest d with 10 * U + d + 1 > num * 10**(n+1) / den
+            base, scaled = on_grid(prefix)
+            d = max(0, scaled // den - base)
+            if d > 9:
+                raise AssertionError(
+                    "no digit pushes the magnitude past the cut")
+            return d
 
     def tail_hint(prefix: DigitPrefix) -> TailHint:
         if isinstance(c, TerminatingReal):

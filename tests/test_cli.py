@@ -110,6 +110,46 @@ class TestEval:
                               "--digits", "5")
         assert (code, out) == (0, "1.00000\n")
 
+    def test_long_sum_of_streams(self, capsys):
+        # a left-nested chain of 600 adds overflowed the recursion limit
+        # in the chain of enclosure closures
+        code, out, _ = invoke(capsys, "eval", "+".join(["sqrt(2)"] * 600))
+        lo = sqrt_truncation(Fraction(2 * 600**2), 40)  # 600 * sqrt(2)
+        want = fraction_prefix(lo, 30)
+        assert fraction_prefix(lo + Fraction(1, 10**40), 30) == want
+        assert (code, out) == (0, want + "\n")
+
+    def test_long_exact_chains(self, capsys):
+        # 3000 terms overflowed the recursion limit of the evaluator
+        code, out, _ = invoke(capsys, "eval", "+".join(["1"] * 3000))
+        assert (code, out) == (0, "3000\n")
+        code, out, _ = invoke(capsys, "eval", "0" + "-1+2" * 1500)
+        assert (code, out) == (0, "1500\n")
+        code, out, _ = invoke(capsys, "eval", "1" + "/3*6" * 1500)
+        assert (code, out) == (0, str(2**1500) + "\n")
+
+    @given(st.lists(st.tuples(st.sampled_from("+-*/"), fractions_st),
+                    min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_left_to_right_fractions(self, steps):
+        # operands reduced in pairs give the value of the left-nested
+        # reading, computed here with Fraction and the usual precedence
+        terms, text = [Fraction(1)], "1"
+        for op, f in steps:
+            if op in "/" and f == 0:
+                f = Fraction(1)
+            text += op + "(" + str(real_from_fraction(f)) + ")"
+            if op == "+":
+                terms.append(f)
+            elif op == "-":
+                terms.append(-f)
+            elif op == "*":
+                terms[-1] *= f
+            else:
+                terms[-1] /= f
+        value = evaluate_expression(parse_expression(text))
+        assert value.as_fraction() == sum(terms)
+
     def test_expansion_past_cap_exit_1(self, capsys):
         # the period of 1/99999989 has 99 999 988 digits
         start = time.process_time()

@@ -4,6 +4,7 @@ cuts, hints, bound checks, and certificates.
 Oracles: Fraction max/arithmetic for finite sets, long-division digit
 prefixes for streams, geometric series for nine-tail repairs."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import fraction_prefix
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
+    DigitPrefix,
     OracleReal,
     parse_real,
     real_from_fraction,
@@ -222,6 +224,134 @@ class TestLowerCut:
     def test_zero_cut(self):
         s = sup(lower_cut(P("0")))
         assert s.is_exact and s.as_fraction() == 0
+
+
+def selection_stream(family: Family, n: int) -> DigitPrefix:
+    """The first n digits a family's oracle selects, with no tail hint
+    consulted: the kernel itself, not the exact result sup returns."""
+    oracle = family.oracle
+    prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+    for _ in range(n):
+        prefix = prefix.extend(oracle.max_next_digit(prefix))
+    return prefix
+
+
+def near(f: Fraction, k: int, tail: Fraction) -> Fraction:
+    """f truncated to k digits, plus tail * 10**-k: for 0 <= tail < 1 it
+    agrees with f on the first k digits, as 2.120(1) does with 2.12."""
+    sign = -1 if f < 0 else 1
+    cut = Fraction(int(abs(f) * 10**k), 10**k)
+    return sign * (cut + tail / 10**k)
+
+
+# members with few integer parts, terminating and periodic, and tails
+# that are terminating (denominators 2^a 5^b) or periodic
+bases_st = st.fractions(min_value=0, max_value=3, max_denominator=70)
+tails_st = st.fractions(min_value=0, max_value=Fraction(89, 90),
+                        max_denominator=90)
+
+
+@st.composite
+def pools(draw):
+    """1-8 exact members, many agreeing with a common base on long
+    prefixes; all negative, all non-negative, or mixed."""
+    base = draw(bases_st)
+    size = draw(st.integers(min_value=1, max_value=8))
+    members = []
+    for _ in range(size):
+        if draw(st.booleans()):
+            members.append(draw(bases_st))
+        else:
+            k = draw(st.sampled_from([0, 1, 2, 3, 40, 63, 64, 65, 200, 290]))
+            members.append(near(base, k, draw(tails_st)))
+    signs = draw(st.sampled_from(["positive", "negative", "mixed"]))
+    if signs == "negative":
+        members = [-m if m > 0 else m for m in members]
+        if all(m == 0 for m in members):
+            members.append(Fraction(-1, 7))
+    elif signs == "mixed":
+        members = [-m if i % 2 else m for i, m in enumerate(members)]
+    return members
+
+
+class TestSelectionKernels:
+    """The digit selection of member-backed families and lower cuts.
+
+    References come from Fraction: long-division digits of the pool's
+    maximum, and lower-cut digits chosen by exact Fraction sums."""
+
+    @given(pools())
+    @settings(max_examples=120, deadline=None)
+    def test_finite_family_stream_follows_the_maximum(self, fs):
+        family = finite_family([real_from_fraction(f) for f in fs])
+        got = selection_stream(family, 300).render()
+        assert got == fraction_prefix(max(fs), 300)
+
+    def test_finite_family_long_shared_prefix(self):
+        # the two largest agree on 290 digits and split past the first
+        # read of member digits
+        base = Fraction(2, 7) + 1
+        fs = [near(base, 290, Fraction(1, 9)), near(base, 290, Fraction(1, 8)),
+              base, Fraction(13, 10)]
+        family = finite_family([real_from_fraction(f) for f in fs])
+        assert selection_stream(family, 600).render() \
+            == fraction_prefix(max(fs), 600)
+
+    @staticmethod
+    def cut_digit(f: Fraction, prefix: DigitPrefix) -> int:
+        """The next digit of the cut below f, by Fraction sums."""
+        n = len(prefix)
+        base = prefix.int_part + Fraction(int(prefix.digits or "0"), 10**n)
+        step = Fraction(1, 10 ** (n + 1))
+        if f > 0:
+            return max(d for d in range(10) if base + d * step < f)
+        return min(d for d in range(10) if base + (d + 1) * step > -f)
+
+    @pytest.mark.parametrize("text", [
+        "0.(076923)", "-0.(09)", "0.1000(7)", "-2.00(1)", "1.000(3)",
+        "2.05", "-0.75", "-3", "3.0005", "0.00001", "-0.00001", "100.001",
+        "0",
+    ])
+    def test_lower_cut_matches_fraction_route(self, text):
+        c = P(text)
+        f = c.as_fraction()
+        oracle = lower_cut(c).oracle
+        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        ends_in_zero = 0
+        for _ in range(80):
+            want = self.cut_digit(f, prefix)
+            assert oracle.max_next_digit(prefix) == want
+            prefix = prefix.extend(want)
+            ends_in_zero += prefix.digits.endswith("0")
+        assert ends_in_zero
+
+    @given(fractions_st)
+    @settings(max_examples=60)
+    def test_lower_cut_stream_matches_fraction_route(self, f):
+        c = real_from_fraction(f)
+        oracle = lower_cut(c).oracle
+        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        for _ in range(40):
+            want = self.cut_digit(f, prefix)
+            assert oracle.max_next_digit(prefix) == want
+            prefix = prefix.extend(want)
+
+    def test_certificate_time_bound(self):
+        # the selection rescanned every member's whole prefix per digit:
+        # 0.72 s at budget 400
+        A = builtin_family("paper-A")
+        start = time.process_time()
+        verdict = check_sup_certificate(sup(A), A, samples=5, budget=400)
+        assert time.process_time() - start < 0.1
+        assert isinstance(verdict, Pass)
+
+    def test_render_time_bound(self):
+        # 4.4 s for 1000 digits when every digit rescanned the prefix
+        start = time.process_time()
+        got = render_digits(sup(builtin_family("paper-A")), 1000)
+        assert time.process_time() - start < 0.2
+        want = Fraction(212, 100) + Fraction(1, 9000)  # 2.120(1)
+        assert got == fraction_prefix(want, 1000)
 
 
 class TestTranslationScaling:

@@ -4,6 +4,7 @@ Oracle: Python Fraction arithmetic (stdlib, independent of this layer's
 integer rescaling)."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,47 @@ class TestParseAndRender:
         assert text == "0" or text[0] != "0"
         if v < 10**4000:
             assert text == str(v)
+
+    @staticmethod
+    def chunked_digits(value: int) -> str:
+        """Digits by stripping 1000-digit chunks off the low end with
+        divmod: slow, but a different route from production's."""
+        chunks = []
+        while value >= 10**1000:
+            value, low = divmod(value, 10**1000)
+            chunks.append(str(low).rjust(1000, "0"))
+        return str(value) + "".join(reversed(chunks))
+
+    @pytest.mark.parametrize("bits", [4095, 4096, 4097, 13_287, 13_288,
+                                      13_289, 14_284, 14_285, 16_383,
+                                      16_384, 16_385, 32_768, 32_769,
+                                      65_537])
+    def test_digits_from_int_near_leaves_and_cap(self, bits):
+        # 13 288 bits is about 4000 digits (the switch from str()) and
+        # 14 285 about 4300 (the interpreter's cap); 4096 * 2**j bits
+        # are the leaf widths
+        for value in (2**bits - 1, 2**bits, 2**bits + 1,
+                      random.Random(bits).getrandbits(bits)):
+            assert digits_from_int(value) == self.chunked_digits(value)
+
+    @given(st.integers(min_value=3990, max_value=4310),
+           st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_digits_from_int_roundtrip_near_cap(self, length, seed):
+        text = "".join(random.Random(seed).choices("123456789", k=1)
+                       + random.Random(seed).choices("0123456789",
+                                                     k=length - 1))
+        assert digits_from_int(int_from_digits(text)) == text
+
+    def test_digits_from_int_time_bound(self):
+        # stripping 4000-digit chunks took 2.0 s for 4*10**5 digits
+        rng = random.Random(7)
+        text = "9" + "".join(rng.choices("0123456789", k=400_000 - 1))
+        value = int_from_digits(text)
+        start = time.process_time()
+        got = digits_from_int(value)
+        assert time.process_time() - start < 0.5
+        assert got == text
 
     @given(st.one_of(st.integers(min_value=0, max_value=20_000),
                      st.integers(min_value=15_000, max_value=20_000),
