@@ -33,6 +33,8 @@ from .realnum import (
     TerminatingReal,
     ZERO_REAL,
     _is_exact_zero,
+    _precisions,
+    _try_classify,
     classify,
     real_from_fraction,
 )
@@ -142,6 +144,19 @@ def _decimal_digits(bound: Fraction) -> int:
     return d
 
 
+def _positive_floor(x: RealNumber, budget: int) -> tuple[int, Fraction]:
+    """(m, lo): the first precision m of the refine schedule at which
+    the enclosure of x has a positive lower end lo.  Once
+    ``classify(x, budget)`` has found x positive, m is at most the
+    budget: a computed value's enclosures only tighten, and a stream's
+    lower end turns positive at the nonzero digit classify found."""
+    for m in _precisions(1, budget):
+        lo, _ = x.bounds(m)
+        if lo > 0:
+            return m, lo
+    raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
+
+
 def _floor_scaled(f: Fraction, k: int) -> int:
     """floor(f * 10**k), in integers."""
     return f.numerator * 10 ** k // f.denominator
@@ -184,13 +199,7 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     if x.is_exact and y.is_exact:
         return real_from_fraction(x.as_fraction() * y.as_fraction())
 
-    def cheap_sign(v: RealNumber) -> Classification | None:
-        try:
-            return classify(v, 64)
-        except SignUndecided:
-            return None
-
-    sx, sy = cheap_sign(x), cheap_sign(y)
+    sx, sy = _try_classify(x, 64), _try_classify(y, 64)
     if sx is Classification.ZERO or sy is Classification.ZERO:
         return ZERO_REAL
     if sx is Classification.NEGATIVE:
@@ -244,14 +253,7 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if sign is Classification.NEGATIVE:
         return neg(reciprocal(neg(x), budget))
 
-    # a positive rational floor for x: classify succeeded, so some
-    # enclosure has lo > 0
-    m = 1
-    while True:
-        lo0, _ = x.bounds(m)
-        if lo0 > 0:
-            break
-        m += max(4, m)
+    _, lo0 = _positive_floor(x, budget)
     head = _decimal_digits(1 / (lo0 * lo0))
 
     def refine(q: int) -> tuple[Fraction, Fraction]:
@@ -317,12 +319,7 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if sign is Classification.ZERO:
         return ZERO_REAL
 
-    m = 1
-    while True:
-        lr0, _ = r.bounds(m)
-        if lr0 > 0:
-            break
-        m += max(4, m)
+    _, lr0 = _positive_floor(r, budget)
     # sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)), and both
     # roots are at least sqrt(lr0) >= 10**-head
     head = (_decimal_digits(1 / lr0) + 1) // 2
@@ -358,11 +355,6 @@ def archimedean_witness(x: RealNumber, y: RealNumber,
     if x.is_exact and y.is_exact:
         ratio = y.as_fraction() / x.as_fraction()
         return max(1, ratio.__floor__() + 1)
-    m = 1
-    while True:
-        lx, _ = x.bounds(m)
-        if lx > 0:
-            break
-        m += max(4, m)
+    m, lx = _positive_floor(x, budget)
     _, hy = y.bounds(m)
     return max(1, (hy / lx).__floor__() + 1)

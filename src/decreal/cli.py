@@ -46,7 +46,7 @@ from .errors import (
 from .rationals import decimal_representation, to_decimal
 from .realnum import RealNumber, between, compare, parse_real, render_digits
 from .supremum import load_set_file, sup
-from .terminating import Comparison, int_from_digits
+from .terminating import _LITERAL, Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
 DEFAULT_CMP_BUDGET = 1000
@@ -83,9 +83,10 @@ class SquareRoot:
 
 Expression = Union[Literal, Negate, Binary, SquareRoot]
 
+# a literal token is checked in full by parse_real
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<lit>[0-9]+(?:\.[0-9]*(?:\([0-9]+\))?)?)"
+    rf"(?P<lit>{_LITERAL.pattern})"
     r"|(?P<name>sqrt)"
     r"|(?P<op>[()+\-*/])"
     r")")

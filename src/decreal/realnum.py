@@ -45,10 +45,9 @@ from .terminating import (
     digits_from_int,
     int_from_digits,
     pow10,
+    scan_literal,
     split_denominator,
 )
-
-import re
 
 DEFAULT_BUDGET = 1000
 # extra refinement digits allowed before digit pinning gives up
@@ -63,6 +62,18 @@ MAX_EXPANSION_DIGITS = 10**6
 _DIGIT_BLOCK = 500
 # window scanned past a run of nines by the canonical-form checker
 NINE_CHECK_WINDOW = 64
+
+
+def _precisions(start: int, stop: int) -> Iterator[int]:
+    """The precisions at which an enclosure is refined until a question
+    is decided: start, start + 2, start + 6, ... (the step doubles),
+    ending with stop.  Exhausting it means the budget ran out."""
+    m, step = start, 2
+    while m < stop:
+        yield m
+        m = min(m + step, stop)
+        step *= 2
+    yield m
 
 
 class Classification(Enum):
@@ -296,17 +307,6 @@ class PeriodicReal(RealNumber):
     def as_fraction(self) -> Fraction:
         return self.fraction
 
-    @classmethod
-    def from_parts(cls, negative: bool, int_part: int,
-                   preperiod: str, period: str) -> "PeriodicReal":
-        if not period:
-            raise ValueError("period must be nonempty")
-        k, p = len(preperiod), len(period)
-        mag = Fraction(int_part)
-        mag += Fraction(int_from_digits(preperiod or "0"), 10 ** k)
-        mag += Fraction(int_from_digits(period), 10 ** k * (10 ** p - 1))
-        return cls(-mag if negative else mag)
-
     def __str__(self) -> str:
         pre, per = self._expansion
         body = f"{digits_from_int(self.int_part)}.{pre}({per})"
@@ -413,10 +413,9 @@ class OracleReal(RealNumber):
             return self._int_part
         # floor(-(n + 0.ddd...)) is -n for an all-zero tail, else -n - 1;
         # an all-zero tail can only be confirmed up to the scan budget
-        for i in range(1, scan_budget + 1):
-            if self.digit_at(i) != 0:
-                return -self._int_part - 1
-        raise DigitsUnstable(0, scan_budget)
+        if _view(self).first_not(0, 1, scan_budget) is None:
+            raise DigitsUnstable(0, scan_budget)
+        return -self._int_part - 1
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
         t = Fraction(int_from_digits("0" + "".join(str(self.digit_at(i))
@@ -505,25 +504,19 @@ class ComputedReal(RealNumber):
             if self._pinned is not None and len(self._pinned[2]) >= n:
                 neg, ip, ds = self._pinned
                 return neg, ip, ds[:n]
-            step = 2
-            m = n
-            while True:
+            for m in _precisions(n, n + window):
                 lo, hi = self.bounds(m)
                 if lo >= 0:
                     neg, mag_lo, mag_hi = False, lo, hi
                 elif hi <= 0:
                     neg, mag_lo, mag_hi = True, -hi, -lo
                 else:
-                    neg = None  # sign unresolved; refine further
-                if neg is not None:
-                    a = (mag_lo * 10 ** n).__floor__()
-                    b = (mag_hi * 10 ** n).__floor__()
-                    if a == b:
-                        break
-                if m >= n + window:
-                    raise DigitsUnstable(n, window)
-                m = min(m + step, n + window)
-                step *= 2
+                    continue  # sign unresolved; refine further
+                a = (mag_lo * 10 ** n).__floor__()
+                if a == (mag_hi * 10 ** n).__floor__():
+                    break
+            else:
+                raise DigitsUnstable(n, window)
             ip, frac = divmod(a, 10 ** n)
             ds = digits_from_int(frac).rjust(n, "0") if n else ""
             pinned = (neg, ip, ds)
@@ -546,18 +539,11 @@ class ComputedReal(RealNumber):
 
     def integral_part(self) -> int:
         # pin floor(value) directly in value space
-        step = 2
-        m = 0
-        while True:
+        for m in _precisions(0, PIN_WINDOW):
             lo, hi = self.bounds(m)
-            a = lo.numerator // lo.denominator
-            b = hi.numerator // hi.denominator
-            if a == b:
-                return a
-            if m >= PIN_WINDOW:
-                raise DigitsUnstable(0, PIN_WINDOW)
-            m = min(m + step, PIN_WINDOW)
-            step *= 2
+            if lo.__floor__() == hi.__floor__():
+                return lo.__floor__()
+        raise DigitsUnstable(0, PIN_WINDOW)
 
     def prefix(self, n: int) -> DigitPrefix:
         neg, ip, ds = self._pin(n)
@@ -580,13 +566,6 @@ class ComputedReal(RealNumber):
 # parsing
 
 
-_REAL = re.compile(
-    r"(-?)(0|[1-9][0-9]*)"      # sign, integer part without leading zeros
-    r"(?:\.([0-9]*)"            # optional fractional digits
-    r"(?:\(([0-9]+)\))?)?"      # optional repeating group
-)
-
-
 def parse_real(text: str) -> RealNumber:
     """Parse ``-? digits ('.' digits ('(' digits ')')?)?``.
 
@@ -596,12 +575,7 @@ def parse_real(text: str) -> RealNumber:
     An all-zero group is dropped.  Values are normalised, so the minimal
     period and preperiod come out regardless of how they were written.
     """
-    m = _REAL.fullmatch(text)
-    if m is None:
-        raise MalformedLiteral(f"malformed real literal: {text!r}")
-    sign, int_part, frac, period = m.groups()
-    if "." in text and not frac and period is None:
-        raise MalformedLiteral(f"malformed real literal: {text!r}")
+    negative, int_part, frac, period = scan_literal(text)
     if period is not None and set(period) == {"9"}:
         raise MalformedLiteral(
             f"{text!r}: an all-nines tail is not canonical; "
@@ -610,9 +584,9 @@ def parse_real(text: str) -> RealNumber:
     if frac:
         value += Fraction(int_from_digits(frac), 10 ** len(frac))
     if period is not None and set(period) != {"0"}:
-        k, p = len(frac or ""), len(period)
+        k, p = len(frac), len(period)
         value += Fraction(int_from_digits(period), 10 ** k * (10 ** p - 1))
-    if sign == "-":
+    if negative:
         value = -value
     return real_from_fraction(value)
 
@@ -633,13 +607,26 @@ class _View:
         self.digit = digit
         self.known_nonzero = known_nonzero
 
+    def first_not(self, d: int, start: int, budget: int) -> Optional[int]:
+        """The first position in [start, budget] whose digit is not d,
+        or None."""
+        for i in range(start, budget + 1):
+            if self.digit(i) != d:
+                return i
+        return None
+
     def nonzero_within(self, budget: int) -> bool:
-        if self.known_nonzero or self.int_part > 0:
-            return True
-        for i in range(1, budget + 1):
-            if self.digit(i) != 0:
-                return True
-        return False
+        return (self.known_nonzero or self.int_part > 0
+                or self.first_not(0, 1, budget) is not None)
+
+
+def _first_difference(vx: _View, vy: _View, budget: int) -> Optional[int]:
+    """The first position in [1, budget] where the two digit streams
+    differ, or None."""
+    for i in range(1, budget + 1):
+        if vx.digit(i) != vy.digit(i):
+            return i
+    return None
 
 
 def _view(x: RealNumber) -> _View:
@@ -688,11 +675,11 @@ def _walk(vx: _View, vy: _View, budget: int) -> Comparison:
     if vx.int_part != vy.int_part:
         return verdict(Comparison.LT if vx.int_part < vy.int_part
                        else Comparison.GT)
-    for i in range(1, budget + 1):
-        dx, dy = vx.digit(i), vy.digit(i)
-        if dx != dy:
-            return verdict(Comparison.LT if dx < dy else Comparison.GT)
-    return Comparison.UNDECIDED
+    i = _first_difference(vx, vy, budget)
+    if i is None:
+        return Comparison.UNDECIDED
+    return verdict(Comparison.LT if vx.digit(i) < vy.digit(i)
+                   else Comparison.GT)
 
 
 def _digit_compare(x: RealNumber, y: RealNumber, budget: int) -> Comparison:
@@ -746,18 +733,12 @@ def classify(x: RealNumber, budget: int = DEFAULT_BUDGET) -> Classification:
     if isinstance(x, PeriodicReal):
         return Classification(-1 if x.negative else 1)
     if isinstance(x, OracleReal):
-        flag = -1 if x.negative else 1
-        if x.int_part > 0:
-            return Classification(flag)
-        for i in range(1, budget + 1):
-            if x.digit_at(i) != 0:
-                return Classification(flag)
+        if _view(x).nonzero_within(budget):
+            return Classification(-1 if x.negative else 1)
         raise SignUndecided(
             f"oracle stream is zero through {budget} digits")
     if isinstance(x, ComputedReal):
-        step = 2
-        m = min(2, budget)
-        while True:
+        for m in _precisions(min(2, budget), budget):
             lo, hi = x.bounds(m)
             if lo > 0:
                 return Classification.POSITIVE
@@ -765,11 +746,8 @@ def classify(x: RealNumber, budget: int = DEFAULT_BUDGET) -> Classification:
                 return Classification.NEGATIVE
             if lo == hi:
                 return Classification.ZERO
-            if m >= budget:
-                raise SignUndecided(
-                    f"value within 10^-{budget} of zero; sign unknown")
-            m = min(m + step, budget)
-            step *= 2
+        raise SignUndecided(
+            f"value within 10^-{budget} of zero; sign unknown")
     raise TypeError(f"not a RealNumber: {x!r}")
 
 
@@ -821,9 +799,9 @@ def _above_zero_witness(b: RealNumber, budget: int) -> TerminatingDecimal:
         raise OrderUndecided("digits of the upper endpoint are unstable") from exc
     if vb.int_part >= 1:
         return TerminatingDecimal(1, 1)  # 0.1
-    for m in range(1, budget + 1):
-        if vb.digit(m) != 0:
-            return pow10(-(m + 1))
+    m = vb.first_not(0, 1, budget)
+    if m is not None:
+        return pow10(-(m + 1))
     raise OrderUndecided(
         f"no nonzero digit of the upper endpoint within {budget} digits")
 
@@ -846,27 +824,21 @@ def _between_positive(a: RealNumber, b: RealNumber,
         if va.int_part < vb.int_part:
             # raise some digit of a to 9: still below the next integer,
             # hence below b
-            for k in range(1, budget + 1):
-                if va.digit(k) < 9:
-                    return bump(k)
+            start = 1
         else:
             # equal integer parts: find the divergence, then raise the
             # first later sub-nine digit of a
-            split = None
-            for j in range(1, budget + 1):
-                da, db = va.digit(j), vb.digit(j)
-                if da != db:
-                    if da > db:
-                        raise OrderUndecided(
-                            "digit streams contradict the established order")
-                    split = j
-                    break
+            split = _first_difference(va, vb, budget)
             if split is None:
                 raise OrderUndecided(
                     f"no divergence found within {budget} digits")
-            for t in range(split + 1, budget + 1):
-                if va.digit(t) < 9:
-                    return bump(t)
+            if va.digit(split) > vb.digit(split):
+                raise OrderUndecided(
+                    "digit streams contradict the established order")
+            start = split + 1
+        last = va.first_not(9, start, budget)
+        if last is not None:
+            return bump(last)
     except DigitsUnstable as exc:
         raise OrderUndecided("endpoint digits are unstable") from exc
     # the examined prefix of a was all nines: fall back to the next integer

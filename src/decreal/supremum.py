@@ -35,14 +35,11 @@ from .realnum import (
     canonicalize_trailing_nines,
     compare,
     parse_real,
-    real_from_fraction,
 )
 from .terminating import (
     Comparison,
     TerminatingDecimal,
-    add as td_add,
     int_from_digits,
-    mul as td_mul,
 )
 
 # digits confirmed eagerly before sup falls back to a lazy stream
@@ -154,7 +151,7 @@ def set_sum(a: Iterable[TerminatingDecimal],
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("set_sum requires nonempty operands")
-    return {td_add(x, y) for x in a for y in b}
+    return {x + y for x in a for y in b}
 
 
 def set_product(a: Iterable[TerminatingDecimal],
@@ -163,7 +160,7 @@ def set_product(a: Iterable[TerminatingDecimal],
     a, b = list(a), list(b)
     if not a or not b:
         raise ValueError("set_product requires nonempty operands")
-    return {td_mul(x, y) for x in a for y in b}
+    return {x * y for x in a for y in b}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import decimal
 import re
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from ._frozen import frozen
 from .errors import MalformedLiteral
@@ -29,9 +30,10 @@ class Comparison(Enum):
     UNDECIDED = "undecided"
 
 
-# integer part must not carry leading zeros ("051.43" is malformed),
-# except for the single digit 0 itself
-_LITERAL = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]+))?")
+# the unsigned decimal literal: integer digits, then optional fractional
+# digits and an optional repeating group; the sign and the rules on
+# leading zeros and a bare point are checked in scan_literal
+_LITERAL = re.compile(r"([0-9]+)(?:\.([0-9]*)(?:\(([0-9]+)\))?)?")
 
 
 @frozen
@@ -279,6 +281,26 @@ def digits_from_int(value: int) -> str:
         return str(encode(value, leaf << levels))
 
 
+def scan_literal(text: str) -> tuple[bool, str, str, Optional[str]]:
+    """Split ``-? digits ('.' digits ('(' digits ')')?)?`` into
+    (negative, integer digits, fractional digits, repeating group or
+    None).
+
+    The integer part carries no leading zeros ("051.43" is malformed)
+    except for the single digit 0, and a point must be followed by
+    digits or a group ("1." is malformed).
+    """
+    negative = text.startswith("-")
+    m = _LITERAL.fullmatch(text, int(negative))
+    if m is None:
+        raise MalformedLiteral(f"malformed real literal: {text!r}")
+    int_digits, frac, period = m.groups()
+    if (int_digits.startswith("0") and int_digits != "0"
+            or frac == "" and period is None):
+        raise MalformedLiteral(f"malformed real literal: {text!r}")
+    return negative, int_digits, frac or "", period
+
+
 def parse_terminating(text: str) -> TerminatingDecimal:
     """Parse a terminating-decimal literal.
 
@@ -286,33 +308,8 @@ def parse_terminating(text: str) -> TerminatingDecimal:
     zeros, and an optional fractional part.  Trailing fractional zeros
     and "-0" are normalised away.
     """
-    m = _LITERAL.fullmatch(text)
-    if m is None:
+    negative, int_digits, frac, period = scan_literal(text)
+    if period is not None:
         raise MalformedLiteral(f"malformed terminating decimal: {text!r}")
-    sign, int_part, frac = m.groups()
-    frac = frac or ""
-    units = int_from_digits(int_part + frac)
-    if sign == "-":
-        units = -units
-    return TerminatingDecimal(units, len(frac))
-
-
-def compare(a: TerminatingDecimal, b: TerminatingDecimal) -> Comparison:
-    c = a._cmp(b)
-    if c < 0:
-        return Comparison.LT
-    if c > 0:
-        return Comparison.GT
-    return Comparison.EQ
-
-
-def add(a: TerminatingDecimal, b: TerminatingDecimal) -> TerminatingDecimal:
-    return a + b
-
-
-def mul(a: TerminatingDecimal, b: TerminatingDecimal) -> TerminatingDecimal:
-    return a * b
-
-
-def neg(a: TerminatingDecimal) -> TerminatingDecimal:
-    return -a
+    units = int_from_digits(int_digits + frac)
+    return TerminatingDecimal(-units if negative else units, len(frac))

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_prefix, longhand_isqrt, opaque, sqrt_truncation
+from conftest import (
+    fraction_digit,
+    fraction_prefix,
+    longhand_isqrt,
+    opaque,
+    sqrt_truncation,
+)
 from decreal.arithmetic import (
     Enclosure,
     add,
@@ -27,12 +33,16 @@ from decreal.arithmetic import (
 from decreal.errors import DigitsUnstable, NegativeRadicand, SignUndecided
 from decreal.realnum import (
     ZERO_REAL,
+    Classification,
     ComputedReal,
+    OracleReal,
+    classify,
+    compare,
     parse_real,
     real_from_fraction,
     render_digits,
 )
-from decreal.terminating import TerminatingDecimal
+from decreal.terminating import Comparison, TerminatingDecimal
 
 P = parse_real
 fractions_st = st.fractions(min_value=-100, max_value=100,
@@ -388,6 +398,81 @@ class TestPrecisionDemand:
             x = sqrt(add(x, P("1")))
         x.bounds(n)
         assert max(asked) <= n + 4 * depth, asked
+
+
+class TestRefineSchedule:
+    """The precisions each refine loop asks of a node, recorded: a change
+    to the shared schedule shows here as a change of work."""
+
+    @staticmethod
+    def tiny():
+        # sqrt(2) - 1.41421356, about 2.4e-9: positive, but not at first
+        return _recorded(add(sqrt(P("2")), P("-1.41421356")))
+
+    def test_pin(self):
+        x, asked = _recorded(sqrt(P("2")))
+        assert (Fraction(render_digits(x, 50))
+                == sqrt_truncation(Fraction(2), 50))
+        assert x.digit_at(60) == fraction_digit(
+            sqrt_truncation(Fraction(2), 60), 60)
+        assert asked == [50, 60]
+
+    def test_integral_part(self):
+        x, asked = _recorded(add(sqrt(P("2")), P("-1.4142")))
+        assert x.integral_part() == 0
+        assert asked == [0, 6]
+
+    def test_classify(self):
+        x, asked = self.tiny()
+        assert classify(x, 100) is Classification.POSITIVE
+        assert asked == [2, 8]
+
+    def test_reciprocal(self):
+        x, asked = self.tiny()
+        render_digits(reciprocal(x), 30)
+        assert asked == [2, 8, 50, 56]
+
+    def test_sqrt(self):
+        x, asked = self.tiny()
+        render_digits(sqrt(x), 30)
+        assert asked == [2, 8, 37]
+
+    def test_archimedean_witness(self):
+        x, asked = self.tiny()
+        assert archimedean_witness(x, P("1000")) == 434782608696
+        assert asked == [2, 8]
+
+    def test_positive_floor_of_a_stream(self):
+        # a stream's enclosures turn positive at its first nonzero digit,
+        # 5 here; the schedule 1, 3, 7, ... first reaches that at 7
+        x = OracleReal(digit_fn=lambda i: 2 if i == 5 else 0)
+        y, asked = _recorded(sqrt(P("2")))
+        assert archimedean_witness(x, y) == 70711
+        assert asked == [7]
+
+    def test_pin_exhausts_window(self):
+        x, asked = _recorded(mul(sqrt(P("2")), sqrt(P("2"))))
+        with pytest.raises(DigitsUnstable) as info:
+            x.digit_at(3)
+        assert (info.value.digits, info.value.budget) == (3, 64)
+        assert asked == [3, 5, 9, 17, 33, 65, 67]
+
+    @pytest.mark.parametrize("budget,want", [
+        (0, [0]), (1, [1]), (2, [2]), (3, [2, 3]),
+        (40, [2, 4, 8, 16, 32, 40]),
+    ])
+    def test_classify_exhausts_budget(self, budget, want):
+        root = sqrt(P("2"))
+        x, asked = _recorded(add(root, mul(root, P("-1"))))
+        with pytest.raises(SignUndecided):
+            classify(x, budget)
+        assert asked == want
+
+    def test_compare_prefilter(self):
+        x, asked_x = _recorded(mul(sqrt(P("2")), sqrt(P("3"))))
+        y, asked_y = _recorded(sqrt(P("6")))
+        assert compare(x, y, 300) is Comparison.UNDECIDED
+        assert asked_x == asked_y == [8, 64, 300]
 
 
 class TestContractBreach:

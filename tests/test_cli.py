@@ -86,6 +86,12 @@ class TestEval:
         code, _, err = invoke(capsys, "eval", "2++3")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("text", ["007", "1.", "2+01.5"])
+    def test_malformed_literal_exit_1(self, capsys, text):
+        code, out, err = invoke(capsys, "eval", text)
+        assert (code, out) == (1, "")
+        assert "malformed real literal: " in err
+
     def test_zero_division_exit_1(self, capsys):
         code, _, err = invoke(capsys, "eval", "1/0")
         assert code == 1 and "zero" in err

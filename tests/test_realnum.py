@@ -403,6 +403,78 @@ class TestBetween:
         assert lo < w.as_fraction() < hi
 
 
+class TestScanBudgetEdges:
+    """Each digit scan reads positions 1 to budget: a deciding digit at
+    position p is found with budget p and missed with budget p - 1."""
+
+    @staticmethod
+    def stream(digits: dict, **kwargs) -> OracleReal:
+        return OracleReal(digit_fn=lambda i: digits.get(i, 0), **kwargs)
+
+    @pytest.mark.parametrize("p", [1, 7, 40])
+    def test_classify_oracle(self, p):
+        late = self.stream({p: 3}, negative=True)
+        assert classify(late, p) is Classification.NEGATIVE
+        with pytest.raises(SignUndecided):
+            classify(self.stream({p: 3}, negative=True), p - 1)
+
+    @pytest.mark.parametrize("p", [1, 7, 40])
+    def test_compare_oracles(self, p):
+        for budget, want in ((p, Comparison.LT),
+                             (p - 1, Comparison.UNDECIDED)):
+            x = self.stream({p: 1}, int_part=3)
+            y = self.stream({p: 2}, int_part=3)
+            assert compare(x, y, budget) is want
+            assert compare(y, x, budget) is (
+                Comparison.GT if want is Comparison.LT else want)
+
+    @pytest.mark.parametrize("p", [1, 7, 40])
+    def test_compare_oracles_of_opposite_sign(self, p):
+        # the sign flags order the pair only once a nonzero digit is seen
+        for budget, want in ((p, Comparison.LT),
+                             (p - 1, Comparison.UNDECIDED)):
+            neg_zeros = self.stream({}, negative=True)
+            assert compare(neg_zeros, self.stream({p: 1}), budget) is want
+
+    @pytest.mark.parametrize("p", [1, 7, 40])
+    def test_oracle_integral_part(self, p):
+        x = self.stream({p: 4}, negative=True, int_part=2)
+        assert x.integral_part(p) == -3
+        with pytest.raises(DigitsUnstable) as info:
+            self.stream({p: 4}, negative=True, int_part=2).integral_part(p - 1)
+        assert (info.value.digits, info.value.budget) == (0, p - 1)
+
+    @pytest.mark.parametrize("p", [2, 8, 50])
+    def test_between_different_integer_parts(self, p):
+        # a = 0.99...95 with its first sub-nine digit at p, below b = 1.5
+        def a():
+            return OracleReal(digit_fn=lambda i: 9 if i < p else 5 if i == p
+                              else 0)
+        w = between(a(), P("1.5"), p)
+        assert w.as_fraction() == 1 - Fraction(1, 10**p)
+        # past the budget the witness falls back to the next integer
+        assert between(a(), P("1.5"), p - 1).as_fraction() == 1
+
+    @pytest.mark.parametrize("p", [3, 8, 50])
+    def test_between_equal_integer_parts(self, p):
+        # a = 0.1299...95 diverges from b = 0.13 at position 2; its first
+        # later sub-nine digit is at p
+        def a():
+            return OracleReal(digit_fn=lambda i: (1, 2)[i - 1] if i <= 2
+                              else 9 if i < p else 5 if i == p else 0)
+        w = between(a(), P("0.13"), p)
+        assert w.as_fraction() == Fraction(13, 100) - Fraction(1, 10**p)
+        with pytest.raises(OrderUndecided):
+            between(a(), P("0.13"), p - 1)
+
+    @pytest.mark.parametrize("p", [1, 7, 40])
+    def test_between_zero_and_stream(self, p):
+        w = between(P("0"), self.stream({p: 6}), p)
+        assert w.as_fraction() == Fraction(1, 10**(p + 1))
+        with pytest.raises(OrderUndecided):
+            between(P("0"), self.stream({p: 6}), p - 1)
+
+
 class TestOracleReal:
     def test_memo_determinism(self):
         calls = []
