@@ -18,6 +18,13 @@ integer part and fractional digits of the magnitude.  Expansions never
 end in all nines, so lexicographic order on (sign, integer part, digits)
 coincides with numeric order; budgeted comparisons walk digits and
 answer ``UNDECIDED`` when every examined position agrees.
+
+The walks read each value as prefixes of doubling length (8, 16, 32, ...
+positions, cut at the budget) and compare them as strings, so a walk of
+n digits costs O(log n) reads of at most about 2n digits.  A digit that
+cannot be produced stops a prefix short, and the walk raises its error
+only once it needs that position, so verdicts and refusals come at the
+same positions as in a walk that reads one digit at a time.
 """
 
 from __future__ import annotations
@@ -135,7 +142,9 @@ class RealNumber:
 
     def digit_at(self, i: int) -> int:
         """i-th fractional digit (i >= 1) of the canonical expansion of |x|."""
-        raise NotImplementedError
+        if i < 1:
+            raise ValueError("digit positions start at 1")
+        return int(self.prefix(i).digits[-1])
 
     @property
     def int_part(self) -> int:
@@ -157,13 +166,20 @@ class RealNumber:
     def as_fraction(self) -> Fraction:
         raise TypeError(f"{type(self).__name__} has no exact rational value")
 
+    def _read(self, n: int) -> tuple[str, Optional[Exception]]:
+        """The first n fractional digits of |x| as one string, or fewer
+        together with the error that stops the next one (a ComputedReal
+        on a decimal boundary, an oracle callback that raises)."""
+        raise NotImplementedError
+
     def prefix(self, n: int) -> DigitPrefix:
         """First n fractional digits as a confirmed prefix."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        negative = getattr(self, "negative", False)
-        digits = "".join(str(self.digit_at(i)) for i in range(1, n + 1))
-        return DigitPrefix(bool(negative), self.int_part, digits)
+        digits, error = self._read(n)
+        if error is not None:
+            raise error
+        return DigitPrefix(self.negative, self.int_part, digits)
 
 
 @frozen
@@ -188,13 +204,14 @@ class TerminatingReal(RealNumber):
     def integral_part(self) -> int:
         return self.value.floor()
 
-    def prefix(self, n: int) -> DigitPrefix:
-        if n < 0:
-            raise ValueError("prefix length must be non-negative")
+    @cached_property
+    def _fraction_digits(self) -> str:
         scale = self.value.scale
-        int_part, frac = divmod(self.value.mantissa, 10 ** scale)
-        digits = digits_from_int(frac).rjust(scale, "0") if scale else ""
-        return DigitPrefix(self.negative, int_part, digits[:n].ljust(n, "0"))
+        frac = self.value.mantissa % 10 ** scale
+        return digits_from_int(frac).rjust(scale, "0") if scale else ""
+
+    def _read(self, n: int) -> tuple[str, None]:
+        return self._fraction_digits[:n].ljust(n, "0"), None
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
         f = self.value.as_fraction()
@@ -281,11 +298,9 @@ class PeriodicReal(RealNumber):
         _, r, q = self._magnitude
         return r * pow(10, i, 10 * q) % (10 * q) // q
 
-    def prefix(self, n: int) -> DigitPrefix:
-        if n < 0:
-            raise ValueError("prefix length must be non-negative")
+    def _read(self, n: int) -> tuple[str, None]:
         # a division per block of digits, not n calls of digit_at
-        int_part, r, q = self._magnitude
+        _, r, q = self._magnitude
         blocks, got = [], 0
         if n:
             for block in _digit_blocks(r, q, min(n, _DIGIT_BLOCK)):
@@ -293,7 +308,7 @@ class PeriodicReal(RealNumber):
                 got += len(block)
                 if got >= n:
                     break
-        return DigitPrefix(self.negative, int_part, "".join(blocks)[:n])
+        return "".join(blocks)[:n], None
 
     def integral_part(self) -> int:
         return self.fraction.numerator // self.fraction.denominator
@@ -376,8 +391,9 @@ class OracleReal(RealNumber):
     ``promise`` documents why the stream is canonical (never ends in all
     nines, and is not a disguised zero when the sign is set); the library
     trusts it.  Wrap ``digit_fn`` with :func:`with_nine_run_check` to
-    bolt on a runtime check.  Digits are memoised; memoisation is
-    internally synchronised, so instances may be shared across threads.
+    bolt on a runtime check.  Digits are memoised as one string of ASCII
+    digits, extended under one lock acquisition per request, so instances
+    may be shared across threads and a prefix is one slice of the memo.
     """
 
     def __init__(self, digit_fn: Callable[[int], int], *,
@@ -390,51 +406,57 @@ class OracleReal(RealNumber):
         self._int_part = int_part
         self.promise = promise
         self.caveat = caveat
-        self._memo: list[int] = []
+        self._memo = bytearray()
         self._lock = threading.Lock()
 
     @property
     def int_part(self) -> int:
         return self._int_part
 
-    def digit_at(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("digit positions start at 1")
+    def _read(self, n: int) -> tuple[str, Optional[Exception]]:
         with self._lock:
-            while len(self._memo) < i:
-                d = self._digit_fn(len(self._memo) + 1)
-                if not 0 <= d <= 9:
-                    raise ValueError(f"digit stream produced {d!r}")
-                self._memo.append(d)
-            return self._memo[i - 1]
+            memo = self._memo
+            while len(memo) < n:
+                # whatever the callback raises is the refusal of this
+                # digit: handed back, not raised, since a walk that
+                # decides on an earlier digit must not see it
+                try:
+                    d = self._digit_fn(len(memo) + 1)
+                    if not 0 <= d <= 9:
+                        raise ValueError(f"digit stream produced {d!r}")
+                except Exception as exc:
+                    return memo.decode(), exc
+                memo.append(48 + d)  # ASCII "0" + d
+            return memo[:n].decode(), None
 
     def integral_part(self, scan_budget: int = DEFAULT_BUDGET) -> int:
         if not self.negative:
             return self._int_part
         # floor(-(n + 0.ddd...)) is -n for an all-zero tail, else -n - 1;
         # an all-zero tail can only be confirmed up to the scan budget
-        if _view(self).first_not(0, 1, scan_budget) is None:
+        if _view(self).first_not("0", 1, scan_budget) is None:
             raise DigitsUnstable(0, scan_budget)
         return -self._int_part - 1
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
-        t = Fraction(int_from_digits("0" + "".join(str(self.digit_at(i))
-                                                   for i in range(1, m + 1))),
-                     10 ** m)
-        lo = self._int_part + t
+        digits = self.prefix(m).digits
+        lo = self._int_part + Fraction(int_from_digits("0" + digits), 10 ** m)
         hi = lo + Fraction(1, 10 ** m)
         if self.negative:
             return -hi, -lo
         return lo, hi
 
-    def negated(self) -> "OracleReal":
-        other = OracleReal(self._digit_fn, negative=not self.negative,
+    def _alias(self, negative: bool) -> "OracleReal":
+        """A new instance of the same stream that shares the memo and its
+        lock, so the two never disagree on a digit."""
+        other = OracleReal(self._digit_fn, negative=negative,
                            int_part=self._int_part, promise=self.promise,
                            caveat=self.caveat)
-        # share the memo so the two directions never disagree
-        other._memo = self._memo
-        other._lock = self._lock
+        other._memo, other._lock = self._memo, self._lock
         return other
+
+    def negated(self) -> "OracleReal":
+        return self._alias(not self.negative)
 
     def __repr__(self) -> str:
         return (f"OracleReal({'-' if self.negative else ''}{self._int_part}."
@@ -524,10 +546,24 @@ class ComputedReal(RealNumber):
                 self._pinned = pinned
             return pinned
 
-    def digit_at(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("digit positions start at 1")
-        return int(self._pin(i)[2][i - 1])
+    def _read(self, n: int) -> tuple[str, Optional[DigitsUnstable]]:
+        try:
+            return self._pin(n)[2], None
+        except DigitsUnstable:
+            pass
+        # the failed pin left the enclosure 10**-(n + PIN_WINDOW) wide, so
+        # no shorter pin refines it further: the prefixes that pin now are
+        # those up to some k < n, found by bisection, and position k + 1 is
+        # where a digit-by-digit read stops too
+        k, top = len(self._pinned[2]) if self._pinned else 0, n - 1
+        while k < top:
+            mid = (k + top + 1) // 2
+            try:
+                self._pin(mid)
+                k = mid
+            except DigitsUnstable:
+                top = mid - 1
+        return self._pin(k)[2], DigitsUnstable(k + 1, PIN_WINDOW)
 
     @property
     def int_part(self) -> int:
@@ -596,54 +632,86 @@ def parse_real(text: str) -> RealNumber:
 
 
 class _View:
-    """Sign-magnitude digit view used by lexicographic walks."""
+    """Sign-magnitude view of a real, read by the lexicographic walks.
 
-    __slots__ = ("flag", "int_part", "digit", "known_nonzero")
+    ``head(n)`` is the first n fractional digits as one string.  It is
+    shorter when the next digit cannot be produced (a ComputedReal on a
+    decimal boundary, an oracle callback that raises), and ``error`` then
+    holds why; a walk raises it only once it needs a digit past the short
+    head, which is where a walk reading one digit at a time raised it.
+    """
 
-    def __init__(self, flag: int, int_part: int,
-                 digit: Callable[[int], int], known_nonzero: bool):
+    __slots__ = ("flag", "int_part", "known_nonzero", "_read", "error")
+
+    def __init__(self, x: RealNumber, flag: int, int_part: int,
+                 known_nonzero: bool):
         self.flag = flag
         self.int_part = int_part
-        self.digit = digit
         self.known_nonzero = known_nonzero
+        self._read = x._read
+        self.error: Optional[Exception] = None
 
-    def first_not(self, d: int, start: int, budget: int) -> Optional[int]:
+    def head(self, n: int) -> str:
+        digits, self.error = self._read(n)
+        return digits
+
+    def first_not(self, d: str, start: int, budget: int) -> Optional[int]:
         """The first position in [start, budget] whose digit is not d,
         or None."""
-        for i in range(start, budget + 1):
-            if self.digit(i) != d:
-                return i
+        for lo, hi in _blocks(start, budget):
+            block = self.head(hi)[lo:]
+            rest = block.lstrip(d)
+            if rest:
+                return lo + len(block) - len(rest) + 1
+            if len(block) < hi - lo:
+                raise self.error
         return None
 
     def nonzero_within(self, budget: int) -> bool:
         return (self.known_nonzero or self.int_part > 0
-                or self.first_not(0, 1, budget) is not None)
+                or self.first_not("0", 1, budget) is not None)
 
 
-def _first_difference(vx: _View, vy: _View, budget: int) -> Optional[int]:
+def _blocks(start: int, budget: int) -> Iterator[tuple[int, int]]:
+    """The blocks (lo, hi] of positions in which a walk over [start,
+    budget] reads its views: 8 positions wide, then doubling, the last
+    one cut at the budget, so a walk reads O(log budget) heads and at
+    most about twice the digits up to where it stops."""
+    lo, width = start - 1, 8
+    while lo < budget:
+        hi = min(lo + width, budget)
+        yield lo, hi
+        lo, width = hi, 2 * width
+
+
+def _first_difference(vx: _View, vy: _View,
+                      budget: int) -> Optional[tuple[int, str, str]]:
     """The first position in [1, budget] where the two digit streams
-    differ, or None."""
-    for i in range(1, budget + 1):
-        if vx.digit(i) != vy.digit(i):
-            return i
+    differ, with the two digits there, or None."""
+    for lo, hi in _blocks(1, budget):
+        hx, hy = vx.head(hi), vy.head(hi)
+        end = min(len(hx), len(hy))
+        if hx[lo:end] != hy[lo:end]:
+            i = next(i for i in range(lo, end) if hx[i] != hy[i])
+            return i + 1, hx[i], hy[i]
+        if end < hi:
+            # a digit-by-digit walk reads x's digit before y's
+            raise (vx if len(hx) == end else vy).error
     return None
 
 
 def _view(x: RealNumber) -> _View:
     """May raise DigitsUnstable for a ComputedReal near a boundary."""
     if isinstance(x, TerminatingReal):
-        td = x.value
-        return _View(td.sign, x.int_part, td.digit, td.sign != 0)
+        sign = x.value.sign
+        return _View(x, sign, x.int_part, sign != 0)
     if isinstance(x, PeriodicReal):
-        flag = -1 if x.negative else 1
-        return _View(flag, x.int_part, x.digit_at, True)
+        return _View(x, -1 if x.negative else 1, x.int_part, True)
     if isinstance(x, OracleReal):
-        flag = -1 if x.negative else 1
-        return _View(flag, x.int_part, x.digit_at, x.int_part > 0)
+        return _View(x, -1 if x.negative else 1, x.int_part, x.int_part > 0)
     if isinstance(x, ComputedReal):
         neg, ip, _ = x._pin(0)
-        flag = -1 if neg else 1
-        return _View(flag, ip, x.digit_at, ip > 0)
+        return _View(x, -1 if neg else 1, ip, ip > 0)
     raise TypeError(f"not a RealNumber: {x!r}")
 
 
@@ -675,11 +743,11 @@ def _walk(vx: _View, vy: _View, budget: int) -> Comparison:
     if vx.int_part != vy.int_part:
         return verdict(Comparison.LT if vx.int_part < vy.int_part
                        else Comparison.GT)
-    i = _first_difference(vx, vy, budget)
-    if i is None:
+    split = _first_difference(vx, vy, budget)
+    if split is None:
         return Comparison.UNDECIDED
-    return verdict(Comparison.LT if vx.digit(i) < vy.digit(i)
-                   else Comparison.GT)
+    _, dx, dy = split
+    return verdict(Comparison.LT if dx < dy else Comparison.GT)
 
 
 def _digit_compare(x: RealNumber, y: RealNumber, budget: int) -> Comparison:
@@ -698,9 +766,11 @@ def compare(x: RealNumber, y: RealNumber,
     Exactly-representable pairs are compared through their rational
     values and never come back UNDECIDED.  Otherwise enclosures are
     tested for separation and the canonical digit streams are walked up
-    to ``budget`` fractional digits; UNDECIDED means every examined
-    position agreed.  A verdict reached at some budget is returned for
-    every larger budget as well.
+    to ``budget`` fractional digits, in blocks of doubling width compared
+    as strings; UNDECIDED means every examined position agreed.  The
+    verdict, or the refusal of an unpinnable digit, is the one a
+    digit-at-a-time walk reaches at the same position.  A verdict reached
+    at some budget is returned for every larger budget as well.
     """
     if x is y:
         return Comparison.EQ
@@ -799,7 +869,7 @@ def _above_zero_witness(b: RealNumber, budget: int) -> TerminatingDecimal:
         raise OrderUndecided("digits of the upper endpoint are unstable") from exc
     if vb.int_part >= 1:
         return TerminatingDecimal(1, 1)  # 0.1
-    m = vb.first_not(0, 1, budget)
+    m = vb.first_not("0", 1, budget)
     if m is not None:
         return pow10(-(m + 1))
     raise OrderUndecided(
@@ -816,7 +886,7 @@ def _between_positive(a: RealNumber, b: RealNumber,
 
     def bump(last: int) -> TerminatingDecimal:
         # truncate a before position `last` and write a 9 there
-        head = "".join(str(va.digit(i)) for i in range(1, last))
+        head = va.head(last - 1)
         units = va.int_part * 10 ** last + int_from_digits(head + "9")
         return TerminatingDecimal(units, last)
 
@@ -832,11 +902,12 @@ def _between_positive(a: RealNumber, b: RealNumber,
             if split is None:
                 raise OrderUndecided(
                     f"no divergence found within {budget} digits")
-            if va.digit(split) > vb.digit(split):
+            i, da, db = split
+            if da > db:
                 raise OrderUndecided(
                     "digit streams contradict the established order")
-            start = split + 1
-        last = va.first_not(9, start, budget)
+            start = i + 1
+        last = va.first_not("9", start, budget)
         if last is not None:
             return bump(last)
     except DigitsUnstable as exc:

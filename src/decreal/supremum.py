@@ -20,6 +20,7 @@ that produced it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._frozen import frozen
@@ -137,6 +138,12 @@ class Family:
     oracle: PrefixMaxOracle
     upper_bound: TerminatingDecimal
 
+    @cached_property
+    def _selection(self) -> RealNumber:
+        """The supremum selected with the default ``HINT_WINDOW``: made
+        once, however many sups and upper-bound probes ask for it."""
+        return _select_sup(self, HINT_WINDOW)
+
 
 BoundedSet = FiniteSet | Family
 
@@ -191,6 +198,15 @@ def _select(oracle: PrefixMaxOracle, prefix: DigitPrefix) -> DigitPrefix:
 
 
 def _family_sup(family: Family, hint_window: int) -> RealNumber:
+    """The selected supremum.  A stream comes back as a new instance each
+    time, so no two callers hold the same object, but all instances of a
+    family's stream share its selection state, memo and lock."""
+    s = (family._selection if hint_window == HINT_WINDOW
+         else _select_sup(family, hint_window))
+    return s._alias(s.negative) if isinstance(s, OracleReal) else s
+
+
+def _select_sup(family: Family, hint_window: int) -> RealNumber:
     oracle = family.oracle
     int_part = oracle.max_integral()
     if int_part < 0:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from decreal import OracleReal
+from decreal import OracleReal, realnum
 
 SEED = 20260819
 
@@ -154,6 +156,64 @@ def opaque(f: Fraction) -> OracleReal:
         return digits[i - 1]
 
     return OracleReal(digit_fn=digit, negative=f < 0, int_part=int(mag))
+
+
+# ---------------------------------------------------------------------------
+# the digit-at-a-time walk: reference for realnum's block-wise walks
+
+
+class DigitView:
+    """A real as the order walks saw it before they read blocks: one
+    ``digit_at`` call per position, in increasing order, so an error is
+    raised at the first position that cannot be produced."""
+
+    def __init__(self, flag: int, int_part: int, digit, known_nonzero: bool):
+        self.flag = flag
+        self.int_part = int_part
+        self.digit = digit
+        self.known_nonzero = known_nonzero
+
+    def head(self, n: int) -> str:
+        return "".join(str(self.digit(i)) for i in range(1, n + 1))
+
+    def first_not(self, d: str, start: int, budget: int):
+        for i in range(start, budget + 1):
+            if str(self.digit(i)) != d:
+                return i
+        return None
+
+    def nonzero_within(self, budget: int) -> bool:
+        return (self.known_nonzero or self.int_part > 0
+                or self.first_not("0", 1, budget) is not None)
+
+
+def digit_view(x) -> DigitView:
+    if isinstance(x, realnum.TerminatingReal):
+        sign = x.value.sign
+        return DigitView(sign, x.int_part, x.digit_at, sign != 0)
+    if isinstance(x, realnum.ComputedReal):
+        neg, ip, _ = x._pin(0)
+        return DigitView(-1 if neg else 1, ip, x.digit_at, ip > 0)
+    flag = -1 if x.negative else 1
+    exact = isinstance(x, realnum.PeriodicReal)
+    return DigitView(flag, x.int_part, x.digit_at, exact or x.int_part > 0)
+
+
+def digit_first_difference(vx: DigitView, vy: DigitView, budget: int):
+    for i in range(1, budget + 1):
+        dx, dy = vx.digit(i), vy.digit(i)
+        if dx != dy:
+            return i, str(dx), str(dy)
+    return None
+
+
+@contextmanager
+def digit_walk():
+    """Run realnum's order functions over DigitViews instead of blocks."""
+    with mock.patch.object(realnum, "_view", digit_view), \
+            mock.patch.object(realnum, "_first_difference",
+                              digit_first_difference):
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ for radicals, sequential long division for opaque digit streams.  Opaque
 wrappers force the interval refiners even on rational data, so every
 containment check here is a dual-route comparison."""
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -456,6 +458,24 @@ class TestRefineSchedule:
             x.digit_at(3)
         assert (info.value.digits, info.value.budget) == (3, 64)
         assert asked == [3, 5, 9, 17, 33, 65, 67]
+
+    def test_compare_reads_blocks(self, monkeypatch):
+        # an equal pair: the walk reads every digit up to the budget, in
+        # O(log budget) pins, and asks no precision past the budget
+        pins = Counter()
+        pin = ComputedReal._pin
+
+        def counted(self, n, *args):
+            pins[self] += 1
+            return pin(self, n, *args)
+
+        monkeypatch.setattr(ComputedReal, "_pin", counted)
+        x, asked_x = _recorded(mul(sqrt(P("2")), sqrt(P("3"))))
+        y, asked_y = _recorded(sqrt(P("6")))
+        assert compare(x, y, 3000) is Comparison.UNDECIDED
+        assert asked_x == asked_y == [8, 64, 3000]
+        limit = 2 * math.ceil(math.log2(3000))
+        assert 0 < pins[x] <= limit and 0 < pins[y] <= limit, pins
 
     @pytest.mark.parametrize("budget,want", [
         (0, [0]), (1, [1]), (2, [2]), (3, [2, 3]),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    digit_walk,
     expected_period_structure,
     fraction_digit,
     fraction_prefix,
@@ -28,6 +29,7 @@ from decreal.errors import (
     SignUndecided,
 )
 from decreal import realnum
+from decreal.arithmetic import add, mul, sqrt
 from decreal.realnum import (
     MAX_EXPANSION_DIGITS,
     Classification,
@@ -588,3 +590,148 @@ class TestPrefix:
         p = P("0.1(6)").prefix(3)
         assert p.value() == Fraction(166, 1000)
         assert str(p.as_terminating()) == "0.166"
+
+
+# ---------------------------------------------------------------------------
+# block-wise walks against the digit-at-a-time walk
+
+# canonical operands, then streams whose callbacks raise past some digit
+CANONICAL_KINDS = ("terminating", "periodic", "boundary", "irrational",
+                   "stream")
+KINDS = CANONICAL_KINDS + ("nines", "broken")
+
+
+def _stream(digits, tail_digit):
+    def digit(i):
+        return int(digits[i - 1]) if i <= len(digits) else tail_digit(i)
+    return digit
+
+
+def _build(spec):
+    """A fresh real for ``spec = (kind, negative, int_part, digits,
+    tail)``, so that neither walk reads digits or enclosures the other
+    one produced."""
+    kind, negative, ip, digits, tail = spec
+    sign = -1 if negative else 1
+    head = sign * (ip + Fraction(int(digits or "0"), 10 ** len(digits)))
+    if kind == "terminating":
+        return real_from_fraction(head)
+    if kind == "periodic":
+        return P(f"{'-' if negative else ''}{ip}.{digits}({tail})")
+    if kind == "boundary":
+        # an exact decimal behind enclosures that straddle it: its last
+        # digit can never be pinned, e.g. 0.25 = sqrt(2) * sqrt(2) * 0.125
+        two = mul(sqrt(P("2")), sqrt(P("2")))
+        return mul(two, real_from_fraction(head / 2))
+    if kind == "irrational":
+        # agrees with the head, then goes on with the digits of sqrt(2)
+        step = TerminatingDecimal(sign, len(digits) + 1)
+        return add(real_from_fraction(head),
+                   mul(sqrt(P("2")), TerminatingReal(step)))
+    if kind == "stream":
+        fn = _stream(digits,
+                     lambda i: int(tail[(i - len(digits) - 1) % len(tail)]))
+    elif kind == "nines":
+        # raises CanonicalViolation where the final run of nines starts
+        fn = with_nine_run_check(_stream(digits, lambda i: 9),
+                                 window=8)
+    else:  # "broken": not a digit past the head, so digit_at raises
+        fn = _stream(digits, lambda i: 10)
+    return OracleReal(fn, negative=negative, int_part=ip)
+
+
+@st.composite
+def operand_pairs(draw, kinds=KINDS):
+    """Two specs that mostly share their sign, integer part and leading
+    digits, so that the walks, not the enclosures, decide."""
+    negative = draw(st.booleans())
+    ip = draw(st.integers(0, 1))
+    digits = draw(st.text("0123456789", max_size=10))
+
+    def one():
+        ds = digits
+        if draw(st.booleans()):
+            ds = ds[:draw(st.integers(0, len(ds)))] + draw(
+                st.text("0123456789", max_size=6))
+        return (draw(st.sampled_from(kinds)),
+                draw(st.sampled_from((negative, negative, not negative))),
+                draw(st.sampled_from((ip, ip, 1 - ip))), ds,
+                draw(st.text("012345678", min_size=1, max_size=3)))
+
+    return one(), one()
+
+
+def _outcome(run, *specs):
+    try:
+        return "returned", run(*map(_build, specs))
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def _agree(run, *specs):
+    """The block-wise walks and the digit-at-a-time walk return the same
+    value or raise the same type of error."""
+    blocks = _outcome(run, *specs)
+    with digit_walk():
+        digits = _outcome(run, *specs)
+    assert blocks == digits
+
+
+budgets_st = st.integers(min_value=0, max_value=30)
+
+
+class TestBlockWalk:
+    @given(operand_pairs(), budgets_st)
+    @settings(max_examples=300, deadline=None)
+    def test_compare(self, pair, budget):
+        _agree(lambda x, y: compare(x, y, budget), *pair)
+
+    @given(operand_pairs(), budgets_st)
+    @settings(max_examples=300, deadline=None)
+    def test_between(self, pair, budget):
+        _agree(lambda x, y: between(x, y, budget), *pair)
+        _agree(lambda x, y: between(y, x, budget), *pair)
+
+    @given(operand_pairs(), budgets_st)
+    @settings(max_examples=200, deadline=None)
+    def test_classify_and_nonzero_within(self, pair, budget):
+        for spec in pair:
+            _agree(lambda x: classify(x, budget), spec)
+            _agree(lambda x: realnum._view(x).nonzero_within(budget), spec)
+
+    @pytest.mark.parametrize("run", [
+        lambda x, y: realnum._digit_compare(x, y, 30),
+        lambda x, y: realnum._between_positive(y, x, 30),
+        lambda x, y: classify(y, 30),
+    ])
+    def test_short_head_decided_before_its_end(self, run):
+        # 0.25 pins one digit, the stream raises at its fifth; both walks
+        # decide by the second digit and never reach either refusal (the
+        # enclosures that compare and between try first would read the
+        # stream's fifth digit, so the walks are called directly)
+        x = ("boundary", False, 0, "25", "0")
+        y = ("nines", False, 0, "1234", "0")
+        _agree(run, x, y)
+        assert _outcome(run, x, y)[0] == "returned"
+
+    def test_tie_raises_the_first_operands_error(self):
+        # both heads stop at the third digit: a digit-by-digit walk reads
+        # x's third digit first
+        def run(x, y):
+            return realnum._digit_compare(x, y, 30)
+
+        nines = ("nines", False, 0, "12", "0")
+        broken = ("broken", False, 0, "12", "0")
+        _agree(run, nines, broken)
+        assert _outcome(run, nines, broken) == ("raised", CanonicalViolation)
+        assert _outcome(run, broken, nines) == ("raised", ValueError)
+
+    @given(operand_pairs(CANONICAL_KINDS), budgets_st,
+           st.integers(min_value=1, max_value=200))
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_kept_at_larger_budgets(self, pair, budget, extra):
+        x, y = map(_build, pair)
+        verdict = compare(x, y, budget)
+        if verdict is not Comparison.UNDECIDED:
+            assert compare(x, y, budget + extra) is verdict
+            assert compare(*map(_build, pair), budget + extra) is verdict

@@ -4,14 +4,17 @@ cuts, hints, bound checks, and certificates.
 Oracles: Fraction max/arithmetic for finite sets, long-division digit
 prefixes for streams, geometric series for nine-tail repairs."""
 
+import sys
+import threading
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_prefix
+from conftest import fraction_digit, fraction_prefix
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
     DigitPrefix,
@@ -21,6 +24,7 @@ from decreal.realnum import (
     render_digits,
 )
 from decreal.supremum import (
+    HINT_WINDOW,
     AllZerosFrom,
     UNKNOWN,
     Family,
@@ -206,6 +210,73 @@ class TestFamilyMachinery:
         s = sup(Family(alternating, TerminatingDecimal(2)), hint_window=12)
         assert isinstance(s, OracleReal) and s.caveat is None
         assert render_digits(s, 4) == "1.7272"
+
+
+class TestSharedSelection:
+    def test_one_selection_per_family(self):
+        calls = []
+
+        def next_digit(prefix):
+            calls.append(len(prefix))
+            return 2 if len(prefix) % 2 else 7
+
+        fam = Family(PrefixMaxOracle(
+            max_integral=lambda: 1, max_next_digit=next_digit,
+            tail_hint=lambda prefix: UNKNOWN,
+            description="alternating digits"), TerminatingDecimal(2))
+        s, t = sup(fam), sup(fam)
+        assert s is not t
+        assert render_digits(s, 80) == render_digits(t, 80) == "1." + "72" * 40
+        assert isinstance(is_upper_bound(P("2"), fam), Yes)
+        assert isinstance(is_upper_bound(P("1.7"), fam), Undecided)
+        # the eager window once, then each later digit once
+        assert sorted(calls) == list(range(80))
+
+    def test_concurrent_reads_agree(self):
+        # four threads read one stream, its negation and two sups of one
+        # family, each to its own lengths; every read must match a
+        # single-threaded read of fresh objects, and each digit of the
+        # shared memo must be produced once
+        calls = Counter()
+
+        def digit(i):
+            calls[i] += 1
+            time.sleep(0)  # hand over the interpreter mid-fill
+            return fraction_digit(Fraction(22, 7), i)
+
+        def objects(fn):
+            x = OracleReal(fn, int_part=3)
+            fam = finite_family([P("2.(142857)"), P("1.(3)"), P("2.1(4)")])
+            return [x, x.negated(), sup(fam), sup(fam)]
+
+        def read(x, top):
+            return [(render_digits(x, n), x.bounds(n), x.digit_at(n))
+                    for n in range(1, top, 23)]
+
+        tops = [300, 500, 200, 400]
+        want = [read(x, top) for x, top in zip(
+            objects(lambda i: fraction_digit(Fraction(22, 7), i)), tops)]
+        got = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(k, x):
+            start.wait(timeout=30)
+            got[k] = read(x, tops[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k, x))
+                       for k, x in enumerate(objects(digit))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+        assert set(calls.values()) == {1}
 
 
 class TestLowerCut:
