@@ -1,18 +1,18 @@
 """Field operations on decimal reals, realized as rigorous enclosures.
 
-Whenever both operands are exactly representable the operations go
+Whenever every operand is exactly representable the operations go
 through rational arithmetic and stay exact.  Otherwise the result is a
 :class:`~decreal.realnum.ComputedReal` whose enclosures are derived from
-the operands' enclosures by outward-safe interval arithmetic.  The
-product, reciprocal and square-root kernels work on scaled integers: a
-request for width 10**-q reads the operands on a decimal grid 10**-w
-whose guard digits are fixed before the first refinement, computes on
-integers (corner products, floor and ceiling division, ``math.isqrt``)
-and rounds outward to the grid 10**-k, with k one or two digits past
-q.  The precision asked of an operand is therefore the requested one
-plus a constant for each node, linear in the depth of an expression.
-Digits of the result are pinned from those enclosures on demand, and a
-value that sits on an exact decimal boundary surfaces as
+the operands' enclosures by outward-safe interval arithmetic on
+integers: a request for width 10**-q reads each operand as a grid
+triple (lo, hi, k), [lo, hi] * 10**-k, with guard digits fixed before
+the first refinement.  A sum aligns its terms' grids and adds; the
+other kernels compute corner products, floor and ceiling divisions and
+``math.isqrt``, and round outward to the grid 10**-k, k one or two
+digits past q.  The precision asked of an operand is therefore the
+requested one plus a constant for each node, linear in the depth of an
+expression.  Digits of the result are pinned from those enclosures on
+demand, and a value that sits on an exact decimal boundary surfaces as
 ``DigitsUnstable`` at digit-query time while its enclosures stay
 available through :func:`evaluate`.
 """
@@ -33,6 +33,7 @@ from .realnum import (
     TerminatingReal,
     ZERO_REAL,
     _is_exact_zero,
+    _on_scale,
     _precisions,
     _try_classify,
     classify,
@@ -63,16 +64,6 @@ class Enclosure:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _outward(lo: Fraction, hi: Fraction, scale: int) -> Enclosure:
-    """Round a rational interval outward to terminating decimals with
-    the given number of fractional digits."""
-    step = 10 ** scale
-    lo_units = (lo * step).__floor__()
-    hi_units = -((-hi * step).__floor__())
-    return Enclosure(TerminatingDecimal(lo_units, scale),
-                     TerminatingDecimal(hi_units, scale))
-
-
 def evaluate(x: RealNumber, n: int) -> Enclosure:
     """Enclosure of x with width at most 10**-n.
 
@@ -90,7 +81,9 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
         try:
             p = x.prefix(n)
         except DigitsUnstable:
-            return _outward(*x.bounds(n + 1), n + 1)
+            lo, hi = _on_scale(*x._grid(n + 1), n + 1)
+            return Enclosure(TerminatingDecimal(lo, n + 1),
+                             TerminatingDecimal(hi, n + 1))
     else:
         p = x.prefix(n)
     t = p.as_terminating()
@@ -100,25 +93,62 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
     return Enclosure(t, t + ulp)
 
 
-def add(x: RealNumber, y: RealNumber) -> RealNumber:
-    """x + y; exact when both operands are, interval-backed otherwise.
+class _Sum(ComputedReal):
+    """An n-ary sum: terms that are not exact, then at most one exact
+    term.  Each term is read at m + d digits, d the fewest with 10**d >=
+    n, so the n term widths add up to at most 10**-m; a sum of two reads
+    its terms at m + 1."""
 
-    A zero operand returns the other operand itself: the sum of a value
-    with zero is that value, not a new approximation of it.
+    def __init__(self, streams: list[RealNumber], exact: list[RealNumber]):
+        self.streams, self.exact = streams, exact
+        terms = streams + exact
+        guard = _decimal_digits(len(terms))
+
+        def refine(m: int) -> tuple[int, int, int]:
+            grids = [t._grid(m + guard) for t in terms]
+            k = max(g[2] for g in grids)
+            lo = hi = 0
+            for tlo, thi, tk in grids:
+                scale = 10 ** (k - tk)
+                lo += tlo * scale
+                hi += thi * scale
+            return _on_grid(lo, hi, k, m)
+
+        super().__init__(refine)
+
+    @property
+    def description(self) -> str:
+        # built when read, not for each sum of an API chain
+        terms = self.streams + self.exact
+        return "(" + " + ".join(map(_describe, terms)) + ")"
+
+
+def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
+    """x + y + ...; exact when every term is, interval-backed otherwise.
+
+    Sums among the terms are flattened, so a chain of additions is one
+    node whatever its length, and the exact terms are summed exactly.
+    Zero terms are dropped: the sum of a value with zero is that value
+    itself, not a new approximation of it.
     """
-    if _is_exact_zero(x):
-        return y
-    if _is_exact_zero(y):
-        return x
-    if x.is_exact and y.is_exact:
-        return real_from_fraction(x.as_fraction() + y.as_fraction())
-
-    def refine(m: int) -> tuple[Fraction, Fraction]:
-        lx, hx = x.bounds(m + 1)
-        ly, hy = y.bounds(m + 1)
-        return lx + ly, hx + hy
-
-    return ComputedReal(refine, f"({_describe(x)} + {_describe(y)})")
+    streams: list[RealNumber] = []
+    exact: list[RealNumber] = []
+    for t in (x, y, *more):
+        if isinstance(t, _Sum):
+            streams += t.streams
+            exact += t.exact
+        elif not t.is_exact:
+            streams.append(t)
+        elif not _is_exact_zero(t):
+            exact.append(t)
+    if len(exact) > 1:
+        first, *rest = (u.as_fraction() for u in exact)
+        total = real_from_fraction(sum(rest, first))
+        exact = [] if _is_exact_zero(total) else [total]
+    terms = streams + exact
+    if len(terms) > 1:
+        return _Sum(streams, exact)
+    return terms[0] if terms else ZERO_REAL
 
 
 def neg(x: RealNumber) -> RealNumber:
@@ -136,46 +166,46 @@ def _describe(x: RealNumber) -> str:
     return str(x) if x.is_exact else repr(x)
 
 
-def _decimal_digits(bound: Fraction) -> int:
-    """Smallest d >= 0 with bound <= 10**d."""
+def _decimal_digits(num: int, den: int = 1) -> int:
+    """Smallest d >= 0 with num / den <= 10**d, for positive den."""
     d = 0
-    while bound > 10 ** d:
+    while num > den * 10 ** d:
         d += 1
     return d
 
 
-def _positive_floor(x: RealNumber, budget: int) -> tuple[int, Fraction]:
-    """(m, lo): the first precision m of the refine schedule at which
-    the enclosure of x has a positive lower end lo.  Once
+def _positive_floor(x: RealNumber, budget: int) -> tuple[int, int, int]:
+    """(m, lo, k): the first precision m of the refine schedule at which
+    the grid enclosure (lo, _, k) of x has a positive lower end.  Once
     ``classify(x, budget)`` has found x positive, m is at most the
     budget: a computed value's enclosures only tighten, and a stream's
     lower end turns positive at the nonzero digit classify found."""
     for m in _precisions(1, budget):
-        lo, _ = x.bounds(m)
+        lo, _, k = x._grid(m)
         if lo > 0:
-            return m, lo
+            return m, lo, k
     raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
 
 
-def _floor_scaled(f: Fraction, k: int) -> int:
-    """floor(f * 10**k), in integers."""
-    return f.numerator * 10 ** k // f.denominator
+def _above(x: RealNumber, m: int,
+           floor: tuple[int, int]) -> tuple[int, int, int]:
+    """x._grid(m) with its lower end raised to at least the positive
+    floor (lo0, k0) that ``_positive_floor`` found, on the finer grid."""
+    lo, hi, k = x._grid(m)
+    lo0, k0 = floor
+    if k < k0:
+        (lo, hi), k = _on_scale(lo, hi, k, k0), k0
+    return max(lo, lo0 * 10 ** (k - k0)), hi, k
 
 
-def _ceil_scaled(f: Fraction, k: int) -> int:
-    """ceil(f * 10**k), in integers."""
-    return -(-f.numerator * 10 ** k // f.denominator)
-
-
-def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[Fraction, Fraction]:
-    """The enclosure [lo, hi] * 10**-k, checked against the width 10**-q
+def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[int, int, int]:
+    """The enclosure (lo, hi, k), checked against the width 10**-q
     asked for: guard digits chosen up front always pass when operands
     keep their width contract, so a failure means one broke it."""
     if hi - lo > 10 ** (k - q):
         raise AssertionError(
             "an operand enclosure is wider than its precision allows")
-    scale = 10 ** k
-    return Fraction(lo, scale), Fraction(hi, scale)
+    return lo, hi, k
 
 
 def mul(x: RealNumber, y: RealNumber) -> RealNumber:
@@ -208,21 +238,23 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
         return neg(mul(x, neg(y)))
 
     # every enclosure of width <= 1 lies within 1 of the first one, so
-    # mx and my bound the magnitudes of all later enclosures
-    mx = max(abs(b) for b in x.bounds(0)) + 1
-    my = max(abs(b) for b in y.bounds(0)) + 1
+    # mx and my bound the magnitudes of all later enclosures, in units
+    # of 10**-kx and 10**-ky
+    lx, hx, kx = x._grid(0)
+    ly, hy, ky = y._grid(0)
+    mx = max(-lx, hx) + 10 ** kx
+    my = max(-ly, hy) + 10 ** ky
     # an operand read on the grid 10**-w is at most 3 units wide, so the
     # corners spread by at most 3 * (mx + my) units of 10**-w, plus a
     # negligible term; `extra` digits bring that below one unit of 10**-k
-    extra = _decimal_digits(mx + my) + 1
+    extra = _decimal_digits(mx * 10 ** ky + my * 10 ** kx,
+                            10 ** (kx + ky)) + 1
 
-    def refine(q: int) -> tuple[Fraction, Fraction]:
+    def refine(q: int) -> tuple[int, int, int]:
         k = q + 2
         w = k + extra
-        lx, hx = x.bounds(w)
-        ly, hy = y.bounds(w)
-        xs = (_floor_scaled(lx, w), _ceil_scaled(hx, w))
-        ys = (_floor_scaled(ly, w), _ceil_scaled(hy, w))
+        xs = _on_scale(*x._grid(w), w)
+        ys = _on_scale(*y._grid(w), w)
         corners = [a * b for a in xs for b in ys]
         shift = 10 ** (2 * w - k)
         return _on_grid(min(corners) // shift, -(-max(corners) // shift),
@@ -253,19 +285,18 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if sign is Classification.NEGATIVE:
         return neg(reciprocal(neg(x), budget))
 
-    _, lo0 = _positive_floor(x, budget)
-    head = _decimal_digits(1 / (lo0 * lo0))
+    _, lo0, k0 = _positive_floor(x, budget)
+    head = _decimal_digits(10 ** (2 * k0), lo0 * lo0)
 
-    def refine(q: int) -> tuple[Fraction, Fraction]:
+    def refine(q: int) -> tuple[int, int, int]:
         k = q + 2
-        lx, hx = x.bounds(k + head)
-        lx = max(lx, lo0)
-        one = 10 ** k
-        lo = one * hx.denominator // hx.numerator
-        hi = -(-one * lx.denominator // lx.numerator)
+        lx, hx, kx = _above(x, k + head, (lo0, k0))
+        # 10**-k * 10**-kx: one unit of the result times one of x
+        one = 10 ** (k + kx)
+        lo = one // hx
+        hi = -(-one // lx)
         # lo / 10**k <= 1 / hx and hi / 10**k >= 1 / lx
-        assert lo * hx.numerator <= one * hx.denominator
-        assert hi * lx.numerator >= one * lx.denominator
+        assert lo * hx <= one <= hi * lx
         return _on_grid(lo, hi, k, q)
 
     return ComputedReal(refine, f"1/({_describe(x)})")
@@ -303,7 +334,7 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
             return real_from_fraction(exact)
         p, d = f.numerator, f.denominator
 
-        def refine_exact(q: int) -> tuple[Fraction, Fraction]:
+        def refine_exact(q: int) -> tuple[int, int, int]:
             k = q + 1
             scaled = p * 10 ** (2 * k)
             s = math.isqrt(scaled // d)
@@ -319,16 +350,15 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if sign is Classification.ZERO:
         return ZERO_REAL
 
-    _, lr0 = _positive_floor(r, budget)
+    _, lr0, k0 = _positive_floor(r, budget)
     # sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)), and both
     # roots are at least sqrt(lr0) >= 10**-head
-    head = (_decimal_digits(1 / lr0) + 1) // 2
+    head = (_decimal_digits(10 ** k0, lr0) + 1) // 2
 
-    def refine(q: int) -> tuple[Fraction, Fraction]:
+    def refine(q: int) -> tuple[int, int, int]:
         k = q + 2
-        lr, hr = r.bounds(k + head)
-        low = _floor_scaled(max(lr, lr0), 2 * k)
-        high = _ceil_scaled(hr, 2 * k)
+        lr, hr, kr = _above(r, k + head, (lr0, k0))
+        low, high = _on_scale(lr, hr, kr, 2 * k)
         lo = math.isqrt(low)
         hi = math.isqrt(high)
         if hi * hi < high:
@@ -355,6 +385,11 @@ def archimedean_witness(x: RealNumber, y: RealNumber,
     if x.is_exact and y.is_exact:
         ratio = y.as_fraction() / x.as_fraction()
         return max(1, ratio.__floor__() + 1)
-    m, lx = _positive_floor(x, budget)
+    if x.is_exact:
+        # an exact value's bounds are its value, positive at once
+        m, lx = 1, x.as_fraction()
+    else:
+        m, lo, k = _positive_floor(x, budget)
+        lx = Fraction(lo, 10 ** k)
     _, hy = y.bounds(m)
     return max(1, (hy / lx).__floor__() + 1)

@@ -182,9 +182,10 @@ def evaluate_expression(node: Expression) -> RealNumber:
     A chain of operators of one precedence level, such as ``a - b + c``
     or ``a * b / c``, is collected from the tree without recursion, with
     ``a - b`` read as ``a + neg(b)`` and ``a / b`` as ``a * reciprocal(b)``.
-    Its operands are evaluated left to right and then combined in pairs,
-    so a chain of n operands nests ceil(log2 n) deep, in this function
-    and in the enclosure closures of the result alike.
+    Its operands are evaluated left to right.  A sum is then one n-ary
+    ``add`` node; a product is combined in pairs, so a chain of n
+    factors nests ceil(log2 n) deep, in this function and in the
+    enclosure closures of the result alike.
     """
     if isinstance(node, Literal):
         return node.value
@@ -193,9 +194,9 @@ def evaluate_expression(node: Expression) -> RealNumber:
     if isinstance(node, SquareRoot):
         return sqrt(evaluate_expression(node.operand))
     if node.op in "+-":
-        level, combine, invert = "+-", add, neg
+        level, invert = "+-", neg
     else:
-        level, combine, invert = "*/", mul, reciprocal
+        level, invert = "*/", reciprocal
     chain = []  # (operator, right operand), last first
     while isinstance(node, Binary) and node.op in level:
         chain.append((node.op, node.right))
@@ -204,8 +205,10 @@ def evaluate_expression(node: Expression) -> RealNumber:
     for op, right in reversed(chain):
         value = evaluate_expression(right)
         operands.append(value if op in "+*" else invert(value))
+    if level == "+-":
+        return add(*operands)
     while len(operands) > 1:
-        paired = [combine(a, b) for a, b in zip(operands[::2], operands[1::2])]
+        paired = [mul(a, b) for a, b in zip(operands[::2], operands[1::2])]
         operands = paired + operands[len(paired) * 2:]
     return operands[0]
 

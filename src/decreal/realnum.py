@@ -8,10 +8,14 @@ A real is one of four variants:
   materialised on demand;
 * ``OracleReal``       -- a digit stream supplied by a callback, promised
   canonical (no trailing all-nines tail);
-* ``ComputedReal``     -- a value known only through refinable rational
-  enclosures (results of arithmetic on digit streams); digits are pinned
-  from enclosures on demand and may be refused with ``DigitsUnstable``
-  when the value sits on an exact decimal boundary.
+* ``ComputedReal``     -- a value known only through refinable enclosures
+  (results of arithmetic on digit streams); digits are pinned from
+  enclosures on demand and may be refused with ``DigitsUnstable`` when
+  the value sits on an exact decimal boundary.
+
+Every variant encloses its value on a decimal grid (``_grid``).  Nodes
+hand these integer triples to one another, so no rational is normalised
+on the refinement path; ``bounds`` reads one as two Fractions.
 
 Canonical form is sign-magnitude: ``-a.d1 d2 ...`` with a non-negative
 integer part and fractional digits of the magnitude.  Expansions never
@@ -155,9 +159,16 @@ class RealNumber:
         """The unique integer n with n <= x < n + 1."""
         raise NotImplementedError
 
+    def _grid(self, m: int) -> tuple[int, int, int]:
+        """An enclosure on the grid 10**-k: (lo, hi, k) with k >= m,
+        lo * 10**-k <= x <= hi * 10**-k and hi - lo <= 10**(k - m)."""
+        raise NotImplementedError
+
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
         """A rational enclosure [lo, hi] of the value with hi - lo <= 10**-m."""
-        raise NotImplementedError
+        lo, hi, k = self._grid(m)
+        scale = 10 ** k
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def negated(self) -> "RealNumber":
         """Structural negation (no arithmetic, no loss of exactness)."""
@@ -213,9 +224,11 @@ class TerminatingReal(RealNumber):
     def _read(self, n: int) -> tuple[str, None]:
         return self._fraction_digits[:n].ljust(n, "0"), None
 
-    def bounds(self, m: int) -> tuple[Fraction, Fraction]:
-        f = self.value.as_fraction()
-        return f, f
+    def _grid(self, m: int) -> tuple[int, int, int]:
+        units, scale = self.value.units, self.value.scale
+        if m > scale:
+            units, scale = units * 10 ** (m - scale), m
+        return units, units, scale
 
     def negated(self) -> "TerminatingReal":
         return TerminatingReal(-self.value)
@@ -312,6 +325,11 @@ class PeriodicReal(RealNumber):
 
     def integral_part(self) -> int:
         return self.fraction.numerator // self.fraction.denominator
+
+    def _grid(self, m: int) -> tuple[int, int, int]:
+        # the value is never on the grid, so both ends are strict
+        lo = self.fraction.numerator * 10 ** m // self.fraction.denominator
+        return lo, lo + 1, m
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
         return self.fraction, self.fraction
@@ -438,13 +456,12 @@ class OracleReal(RealNumber):
             raise DigitsUnstable(0, scan_budget)
         return -self._int_part - 1
 
-    def bounds(self, m: int) -> tuple[Fraction, Fraction]:
+    def _grid(self, m: int) -> tuple[int, int, int]:
         digits = self.prefix(m).digits
-        lo = self._int_part + Fraction(int_from_digits("0" + digits), 10 ** m)
-        hi = lo + Fraction(1, 10 ** m)
+        lo = self._int_part * 10 ** m + int_from_digits("0" + digits)
         if self.negative:
-            return -hi, -lo
-        return lo, hi
+            return -lo - 1, -lo, m
+        return lo, lo + 1, m
 
     def _alias(self, negative: bool) -> "OracleReal":
         """A new instance of the same stream that shares the memo and its
@@ -488,36 +505,45 @@ def with_nine_run_check(digit_fn: Callable[[int], int],
 
 
 class ComputedReal(RealNumber):
-    """A real known through a refinable rational enclosure.
+    """A real known through a refinable enclosure on a decimal grid.
 
-    ``refine(m)`` must return (lo, hi) with lo <= value <= hi and
-    hi - lo <= 10**-m.  Enclosures are cached and intersected so they
-    only ever tighten.  Digits are pinned from enclosures: the prefix of
-    length n is committed once an enclosure fits strictly inside one
-    10**-n cell, and ``DigitsUnstable`` is raised if that fails with
-    ``PIN_WINDOW`` extra refinement digits (the 0.999/1.000 boundary).
+    ``refine(m)`` must return integers (lo, hi, k) with k >= m,
+    lo * 10**-k <= value <= hi * 10**-k and hi - lo <= 10**(k - m): the
+    contract of ``_grid``.  Enclosures are cached and intersected on the
+    finer of the two grids, so they only ever tighten.  Digits are pinned
+    from enclosures: the prefix of length n is committed once an
+    enclosure fits strictly inside one 10**-n cell, and
+    ``DigitsUnstable`` is raised if that fails with ``PIN_WINDOW`` extra
+    refinement digits (the 0.999/1.000 boundary).
     """
 
-    def __init__(self, refine: Callable[[int], tuple[Fraction, Fraction]],
+    def __init__(self, refine: Callable[[int], tuple[int, int, int]],
                  description: str = ""):
         self._refine = refine
-        self.description = description
-        self._best: Optional[tuple[Fraction, Fraction]] = None
+        self._description = description
+        self._best: Optional[tuple[int, int, int]] = None
         self._pinned: Optional[tuple[bool, int, str]] = None
         self._lock = threading.RLock()
 
-    def bounds(self, m: int) -> tuple[Fraction, Fraction]:
+    def _grid(self, m: int) -> tuple[int, int, int]:
         with self._lock:
-            tol = Fraction(1, 10 ** m)
-            if self._best is not None and self._best[1] - self._best[0] <= tol:
-                return self._best
-            lo, hi = self._refine(m)
-            if self._best is not None:
-                lo = max(lo, self._best[0])
-                hi = min(hi, self._best[1])
+            best = self._best
+            if best is not None:
+                lo, hi, k = best
+                if k >= m and hi - lo <= 10 ** (k - m):
+                    return best
+            lo, hi, k = self._refine(m)
+            if k < m:
+                raise AssertionError("refinement answered on a coarser grid")
+            if best is not None:
+                blo, bhi, bk = best
+                j = max(k, bk)
+                (lo, hi), (blo, bhi) = (_on_scale(lo, hi, k, j),
+                                        _on_scale(blo, bhi, bk, j))
+                lo, hi, k = max(lo, blo), min(hi, bhi), j
             if lo > hi:
                 raise AssertionError("enclosure refinement became inconsistent")
-            self._best = (lo, hi)
+            self._best = (lo, hi, k)
             return self._best
 
     def _pin(self, n: int, window: int = PIN_WINDOW) -> tuple[bool, int, str]:
@@ -527,15 +553,16 @@ class ComputedReal(RealNumber):
                 neg, ip, ds = self._pinned
                 return neg, ip, ds[:n]
             for m in _precisions(n, n + window):
-                lo, hi = self.bounds(m)
+                lo, hi, k = self._grid(m)
                 if lo >= 0:
                     neg, mag_lo, mag_hi = False, lo, hi
                 elif hi <= 0:
                     neg, mag_lo, mag_hi = True, -hi, -lo
                 else:
                     continue  # sign unresolved; refine further
-                a = (mag_lo * 10 ** n).__floor__()
-                if a == (mag_hi * 10 ** n).__floor__():
+                cell = 10 ** (k - n)
+                a = mag_lo // cell
+                if a == mag_hi // cell:
                     break
             else:
                 raise DigitsUnstable(n, window)
@@ -566,6 +593,10 @@ class ComputedReal(RealNumber):
         return self._pin(k)[2], DigitsUnstable(k + 1, PIN_WINDOW)
 
     @property
+    def description(self) -> str:
+        return self._description
+
+    @property
     def int_part(self) -> int:
         return self._pin(0)[1]
 
@@ -576,9 +607,10 @@ class ComputedReal(RealNumber):
     def integral_part(self) -> int:
         # pin floor(value) directly in value space
         for m in _precisions(0, PIN_WINDOW):
-            lo, hi = self.bounds(m)
-            if lo.__floor__() == hi.__floor__():
-                return lo.__floor__()
+            lo, hi, k = self._grid(m)
+            unit = 10 ** k
+            if lo // unit == hi // unit:
+                return lo // unit
         raise DigitsUnstable(0, PIN_WINDOW)
 
     def prefix(self, n: int) -> DigitPrefix:
@@ -588,14 +620,24 @@ class ComputedReal(RealNumber):
     def negated(self) -> "ComputedReal":
         parent = self
 
-        def refine(m: int) -> tuple[Fraction, Fraction]:
-            lo, hi = parent.bounds(m)
-            return -hi, -lo
+        def refine(m: int) -> tuple[int, int, int]:
+            lo, hi, k = parent._grid(m)
+            return -hi, -lo, k
 
         return ComputedReal(refine, f"-({self.description})")
 
     def __repr__(self) -> str:
         return f"ComputedReal({self.description})"
+
+
+def _on_scale(lo: int, hi: int, k: int, j: int) -> tuple[int, int]:
+    """The enclosure [lo, hi] * 10**-k on the grid 10**-j: exact when j
+    >= k, rounded outward otherwise."""
+    if j >= k:
+        s = 10 ** (j - k)
+        return lo * s, hi * s
+    s = 10 ** (k - j)
+    return lo // s, -(-hi // s)
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +824,18 @@ def compare(x: RealNumber, y: RealNumber,
             return Comparison.GT
         return Comparison.EQ
     for m in sorted({min(8, budget), min(64, budget), budget}):
-        lx, hx = x.bounds(m)
-        ly, hy = y.bounds(m)
+        lx, hx, kx = x._grid(m)
+        ly, hy, ky = y._grid(m)
+        if kx < ky:
+            lx, hx = _on_scale(lx, hx, kx, ky)
+        else:
+            ly, hy = _on_scale(ly, hy, ky, kx)
         if hx < ly:
             return Comparison.LT
         if hy < lx:
             return Comparison.GT
         if lx == hx and ly == hy:
-            # both enclosures collapsed to exact rationals
+            # both enclosures collapsed to points
             return (Comparison.EQ if lx == ly
                     else Comparison.LT if lx < ly else Comparison.GT)
     return _digit_compare(x, y, budget)
@@ -809,7 +855,7 @@ def classify(x: RealNumber, budget: int = DEFAULT_BUDGET) -> Classification:
             f"oracle stream is zero through {budget} digits")
     if isinstance(x, ComputedReal):
         for m in _precisions(min(2, budget), budget):
-            lo, hi = x.bounds(m)
+            lo, hi, _ = x._grid(m)
             if lo > 0:
                 return Classification.POSITIVE
             if hi < 0:

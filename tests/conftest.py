@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 
-from decreal import OracleReal, realnum
+from decreal import ComputedReal, OracleReal, realnum
 
 SEED = 20260819
 
@@ -156,6 +156,23 @@ def opaque(f: Fraction) -> OracleReal:
         return digits[i - 1]
 
     return OracleReal(digit_fn=digit, negative=f < 0, int_part=int(mag))
+
+
+def computed(refine, description: str = "test stream") -> ComputedReal:
+    """A ComputedReal from a hand-written rational enclosure.
+
+    ``refine(m)`` returns Fractions (lo, hi) around the value, at most
+    10**-m apart.  The node asks it for m + 1 digits and rounds the ends
+    outward to the grid 10**-(m + 2): the grid triple is then at most 12
+    units wide, inside the 100 units that ``_grid``'s contract allows,
+    and an enclosure that is a point on the grid stays a point.
+    """
+    def grid(m: int) -> tuple[int, int, int]:
+        lo, hi = refine(m + 1)
+        k = m + 2
+        return math.floor(lo * 10**k), math.ceil(hi * 10**k), k
+
+    return ComputedReal(grid, description)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ for radicals, sequential long division for opaque digit streams.  Opaque
 wrappers force the interval refiners even on rational data, so every
 containment check here is a dual-route comparison."""
 
+import fractions
 import math
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    computed,
+    expected_period_structure,
     fraction_digit,
     fraction_prefix,
     longhand_isqrt,
@@ -38,6 +42,7 @@ from decreal.realnum import (
     Classification,
     ComputedReal,
     OracleReal,
+    TerminatingReal,
     classify,
     compare,
     parse_real,
@@ -380,13 +385,90 @@ class TestGridKernels:
         assert _grid_aligned(lo, hi, m)
 
 
+def _holds(value: Fraction):
+    """The value lies in [lo, hi] * 10**-k."""
+    return lambda lo, hi, k: lo <= value * 10**k <= hi
+
+
+def _holds_root(r: Fraction):
+    """sqrt(r) lies in [lo, hi] * 10**-k, decided on integers squared."""
+    def within(lo, hi, k):
+        t = r * 10 ** (2 * k)
+        return 0 <= hi and t <= hi * hi and (lo <= 0 or lo * lo <= t)
+    return within
+
+
+grid_precisions_st = st.integers(min_value=0, max_value=2000)
+periodic_st = fractions_st.filter(
+    lambda f: expected_period_structure(f.denominator)[1] > 0)
+
+
+class TestGridContract:
+    """_grid(m) of every variant and of each kernel node: k >= m, the
+    value lies in [lo, hi] * 10**-k, and hi - lo <= 10**(k - m), read
+    directly and through negation."""
+
+    @staticmethod
+    def check(x, negate: bool, m: int, within) -> None:
+        lo, hi, k = (x.negated() if negate else x)._grid(m)
+        if negate:
+            lo, hi = -hi, -lo
+        assert k >= m
+        assert hi - lo <= 10 ** (k - m)
+        assert within(lo, hi, k)
+
+    @given(st.integers(-10**6, 10**6), st.integers(0, 30), st.booleans(),
+           grid_precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_terminating(self, units, scale, negate, m):
+        x = TerminatingReal(TerminatingDecimal(units, scale))
+        self.check(x, negate, m, _holds(Fraction(units, 10**scale)))
+
+    @given(periodic_st, st.booleans(), grid_precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_periodic(self, f, negate, m):
+        self.check(real_from_fraction(f), negate, m, _holds(f))
+
+    @given(fractions_st, st.booleans(), grid_precisions_st)
+    @settings(max_examples=40, deadline=None)
+    def test_oracle(self, f, negate, m):
+        self.check(opaque(f), negate, m, _holds(f))
+
+    @given(st.lists(fractions_st, min_size=2, max_size=14), st.booleans(),
+           grid_precisions_st)
+    @settings(max_examples=30, deadline=None)
+    def test_add(self, fs, negate, m):
+        # odd positions exact, so sums mix exact and stream terms
+        terms = [real_from_fraction(f) if i % 2 else opaque(f)
+                 for i, f in enumerate(fs)]
+        self.check(add(*terms), negate, m, _holds(sum(fs)))
+
+    @given(nonzero_st, nonzero_st, st.booleans(), st.booleans(),
+           grid_precisions_st)
+    @settings(max_examples=30, deadline=None)
+    def test_mul(self, f, g, exact_left, negate, m):
+        left = real_from_fraction(f) if exact_left else opaque(f)
+        self.check(mul(left, opaque(g)), negate, m, _holds(f * g))
+
+    @given(nonzero_st, st.booleans(), grid_precisions_st)
+    @settings(max_examples=30, deadline=None)
+    def test_reciprocal(self, f, negate, m):
+        self.check(reciprocal(opaque(f)), negate, m, _holds(1 / f))
+
+    @given(radicands_st, st.booleans(), st.booleans(), grid_precisions_st)
+    @settings(max_examples=30, deadline=None)
+    def test_sqrt(self, r, exact, negate, m):
+        x = sqrt(real_from_fraction(r) if exact else opaque(r))
+        self.check(x, negate, m, _holds_root(r))
+
+
 def _recorded(x) -> tuple[ComputedReal, list[int]]:
     """x behind a ComputedReal that records every precision asked of it."""
     asked: list[int] = []
 
-    def refine(m: int) -> tuple[Fraction, Fraction]:
+    def refine(m: int) -> tuple[int, int, int]:
         asked.append(m)
-        return x.bounds(m)
+        return x._grid(m)
 
     return ComputedReal(refine, "recorded"), asked
 
@@ -495,6 +577,59 @@ class TestRefineSchedule:
         assert asked_x == asked_y == [8, 64, 300]
 
 
+class TestSums:
+    @pytest.mark.parametrize("count,guard", [
+        (2, 1), (10, 1), (11, 2), (100, 2), (101, 3),
+    ])
+    def test_terms_read_with_guard_digits(self, count, guard):
+        # each of n terms is read at m + d, 10**d >= n the fewest digits
+        root = sqrt(P("2"))
+        recorded = [_recorded(root) for _ in range(count)]
+        total = add(*(x for x, _ in recorded))
+        total._grid(40)
+        assert all(asked == [40 + guard] for _, asked in recorded)
+
+    def test_sum_of_sums_is_one_node(self):
+        a, b, c = sqrt(P("2")), sqrt(P("3")), sqrt(P("5"))
+        total = add(add(a, P("1")), add(b, add(c, P("-1"))))
+        assert total.streams == [a, b, c] and total.exact == []
+
+    def test_api_chain_renders(self):
+        # a chain through the Python API nests no closure a term
+        x = P("0")
+        for _ in range(600):
+            x = add(x, sqrt(P("2")))
+        assert (Fraction(render_digits(x, 30))
+                == sqrt_truncation(Fraction(720_000), 30))  # 600 * sqrt(2)
+
+
+class TestRefinementWork:
+    def test_rendering_makes_no_fraction_calls(self):
+        x = reciprocal(add(mul(sqrt(P("101")), sqrt(P("103"))),
+                           sqrt(P("107"))))
+        calls: Counter = Counter()
+
+        def profile(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == fractions.__file__):
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            text = render_digits(x, 300)
+        finally:
+            sys.setprofile(None)
+        assert calls == Counter()
+        # 1/(a + b) for a = sqrt(10403), b = sqrt(107): enclose both
+        # roots at 310 digits and bracket the quotient
+        a_lo = sqrt_truncation(Fraction(10403), 310)
+        b_lo = sqrt_truncation(Fraction(107), 310)
+        ulp = Fraction(1, 10**310)
+        low = 1 / (a_lo + b_lo + 2 * ulp)
+        high = 1 / (a_lo + b_lo)
+        assert fraction_prefix(low, 300) == text == fraction_prefix(high, 300)
+
+
 class TestContractBreach:
     """An operand whose enclosures never narrow makes the kernels raise
     instead of retrying forever."""
@@ -502,8 +637,7 @@ class TestContractBreach:
     @pytest.mark.parametrize("op", [mul, reciprocal, sqrt],
                              ids=["mul", "reciprocal", "sqrt"])
     def test_too_wide_operand_raises(self, op):
-        too_wide = ComputedReal(lambda m: (Fraction(1), Fraction(2)),
-                                "too wide")
+        too_wide = computed(lambda m: (Fraction(1), Fraction(2)), "too wide")
         x = op(too_wide, opaque(Fraction(3))) if op is mul else op(too_wide)
         with pytest.raises(AssertionError):
             x.bounds(10)

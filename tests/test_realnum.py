@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    computed,
     digit_walk,
     expected_period_structure,
     fraction_digit,
@@ -276,8 +277,7 @@ class TestCompare:
 
     def test_degenerate_computed_equality(self):
         def pinned(value):
-            return ComputedReal(
-                refine=lambda m: (value, value), description="pinned")
+            return computed(lambda m: (value, value), "pinned")
         a, b = pinned(Fraction(5, 4)), pinned(Fraction(5, 4))
         assert compare(a, b, 20) is Comparison.EQ
         assert compare(pinned(Fraction(5, 4)), pinned(Fraction(4, 5)),
@@ -527,7 +527,7 @@ class TestComputedReal:
             if target < 0:
                 return target - r, target
             return target, target + r
-        return ComputedReal(refine=refine, description="test stream")
+        return computed(refine)
 
     def test_digit_pinning_positive(self):
         x = self.shrinking(Fraction(1, 7))
@@ -541,23 +541,27 @@ class TestComputedReal:
 
     def test_boundary_raises_digits_unstable(self):
         # interval straddles 1.000/0.999... forever
-        x = ComputedReal(
-            refine=lambda m: (1 - Fraction(1, 10**(m + 1)),
-                              1 + Fraction(1, 10**(m + 1))),
-            description="boundary stream")
+        x = computed(lambda m: (1 - Fraction(1, 10**(m + 1)),
+                                1 + Fraction(1, 10**(m + 1))),
+                     "boundary stream")
         with pytest.raises(DigitsUnstable):
             x.digit_at(3)
         lo, hi = x.bounds(10)  # bounds remain available
         assert lo <= 1 <= hi
 
     def test_inconsistent_refinement_asserts(self):
-        flip = ComputedReal(
-            refine=lambda m: (Fraction(2), Fraction(3)) if m < 5
-            else (Fraction(5), Fraction(6)),
-            description="inconsistent")
+        flip = computed(lambda m: (Fraction(2), Fraction(3)) if m < 5
+                        else (Fraction(5), Fraction(6)),
+                        "inconsistent")
         flip.bounds(1)
         with pytest.raises(AssertionError):
             flip.bounds(8)
+
+    def test_coarser_grid_asserts(self):
+        # a refine must answer on the grid 10**-k with k >= m
+        coarse = ComputedReal(lambda m: (1, 2, 0), "coarse")
+        with pytest.raises(AssertionError):
+            coarse.bounds(3)
 
     def test_negated(self):
         x = self.shrinking(Fraction(5, 4))
