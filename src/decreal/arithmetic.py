@@ -54,12 +54,6 @@ class Enclosure:
         if self.hi < self.lo:
             raise ValueError("enclosure bounds are reversed")
 
-    def width(self) -> TerminatingDecimal:
-        return self.hi + (-self.lo)
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo.as_fraction() <= value <= self.hi.as_fraction()
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -216,9 +210,9 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     non-negative-leaning enclosures; operands whose sign cannot be
     settled cheaply fall through to the same interval product, which is
     sound for any signs.  The product is formed from integer corners:
-    both operands are read on the grid 10**-w, with guard digits fixed
-    up front from the operands' magnitudes, and the extreme corners are
-    rounded outward to the grid 10**-(q+2).
+    each operand is read with guard digits past 10**-(q+2), fixed up
+    front from the other operand's magnitude, and the extreme corners
+    are rounded outward to the grid 10**-(q+2).
     """
     if _is_exact_zero(x) or _is_exact_zero(y):
         return ZERO_REAL
@@ -244,19 +238,21 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     ly, hy, ky = y._grid(0)
     mx = max(-lx, hx) + 10 ** kx
     my = max(-ly, hy) + 10 ** ky
-    # an operand read on the grid 10**-w is at most 3 units wide, so the
-    # corners spread by at most 3 * (mx + my) units of 10**-w, plus a
-    # negligible term; `extra` digits bring that below one unit of 10**-k
-    extra = _decimal_digits(mx * 10 ** ky + my * 10 ** kx,
-                            10 ** (kx + ky)) + 1
+    # an operand read at precision w is at most 3 units of 10**-w wide, so x
+    # moves the corners by at most 3 * |y| units of 10**-(k+gx) and y by
+    # at most 3 * |x| units of 10**-(k+gy), plus a negligible term; gx and
+    # gy bring each below 0.3 units of 10**-k.  A guard that depends on
+    # the operand's own magnitude as well would make the demand on the
+    # innermost factor of a nested product grow quadratically in depth
+    gx = _decimal_digits(my, 10 ** ky) + 1
+    gy = _decimal_digits(mx, 10 ** kx) + 1
 
     def refine(q: int) -> tuple[int, int, int]:
         k = q + 2
-        w = k + extra
-        xs = _on_scale(*x._grid(w), w)
-        ys = _on_scale(*y._grid(w), w)
+        xs = _on_scale(*x._grid(k + gx), k + gx)
+        ys = _on_scale(*y._grid(k + gy), k + gy)
         corners = [a * b for a in xs for b in ys]
-        shift = 10 ** (2 * w - k)
+        shift = 10 ** (k + gx + gy)
         return _on_grid(min(corners) // shift, -(-max(corners) // shift),
                         k, q)
 

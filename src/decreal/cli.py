@@ -19,10 +19,24 @@ make the quotient exact.
 Parentheses and ``sqrt(...)`` may nest at most ``MAX_NESTING`` levels
 deep; deeper input is rejected as malformed.
 
-Exit codes: 0 success; 1 malformed input, a negative ``--digits`` or
-``--budget``, or I/O failure; 2 digits could not stabilise (the
-enclosure is still printed); 3 a comparison or construction was
-undecided within its budget.
+``parse_expression`` returns a node, which is one of
+
+* a literal's ``RealNumber`` itself;
+* ``(op, operand)`` with op ``"neg"``, ``"inv"`` (reciprocal) or
+  ``"sqrt"``;
+* ``("+", [operands])`` or ``("*", [operands])``: a whole chain of one
+  precedence level as one list of at least two operands, with ``a - b``
+  stored as ``a`` and ``("neg", b)`` and ``a / b`` as ``a`` and
+  ``("inv", b)``.
+
+Only parentheses and ``sqrt`` nest nodes; ``evaluate_expression`` builds
+the value.
+
+Exit codes: 0 success; 1 malformed input, a usage error, a negative
+``--digits`` or ``--budget``, an expression too deep for the
+interpreter's recursion limit, or I/O failure; 2 digits could not
+stabilise (the enclosure is still printed); 3 a comparison or
+construction was undecided within its budget.
 """
 
 from __future__ import annotations
@@ -33,13 +47,11 @@ import sys
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._frozen import frozen
 from .arithmetic import add, evaluate, mul, neg, reciprocal, sqrt
 from .errors import (
     DecrealError,
     DigitsUnstable,
     MalformedLiteral,
-    NotLess,
     OrderUndecided,
     SignUndecided,
 )
@@ -50,8 +62,9 @@ from .terminating import _LITERAL, Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
 DEFAULT_CMP_BUDGET = 1000
-# the parser recurses four frames per level: 200 levels stay inside the
-# interpreter's default recursion limit of 1000, with room for callers
+# the parser recurses three frames per level (factor, expr, term): 200
+# levels stay inside the interpreter's default recursion limit of 1000,
+# with room for callers
 MAX_NESTING = 200
 
 
@@ -59,29 +72,8 @@ MAX_NESTING = 200
 # expressions
 
 
-@frozen
-class Literal:
-    value: RealNumber
-
-
-@frozen
-class Negate:
-    operand: "Expression"
-
-
-@frozen
-class Binary:
-    op: str  # one of + - * /
-    left: "Expression"
-    right: "Expression"
-
-
-@frozen
-class SquareRoot:
-    operand: "Expression"
-
-
-Expression = Union[Literal, Negate, Binary, SquareRoot]
+Expression = Union[RealNumber, tuple[str, "Expression"],
+                   tuple[str, list["Expression"]]]
 
 # a literal token is checked in full by parse_real
 _TOKEN = re.compile(
@@ -89,36 +81,30 @@ _TOKEN = re.compile(
     rf"(?P<lit>{_LITERAL.pattern})"
     r"|(?P<name>sqrt)"
     r"|(?P<op>[()+\-*/])"
+    r"|(?P<bad>\S)"
     r")")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
+def _tokenize(text: str) -> list[Optional[str]]:
+    """The tokens of ``text``, ending with a ``None`` end marker."""
+    tokens: list[Optional[str]] = []
+    for m in _TOKEN.finditer(text):
+        if m["bad"]:
             raise MalformedLiteral(
-                f"unexpected character {text[pos:].lstrip()[0]!r} "
-                f"in expression")
-        tokens.append(m.group("lit") or m.group("name") or m.group("op"))
-        pos = m.end()
+                f"unexpected character {m['bad']!r} in expression")
+        tokens.append(m["lit"] or m["name"] or m["op"])
+    tokens.append(None)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[Optional[str]]):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise MalformedLiteral("unexpected end of expression")
         self.pos += 1
@@ -130,27 +116,26 @@ class _Parser:
             raise MalformedLiteral(f"expected {tok!r}, found {got!r}")
 
     def expr(self) -> Expression:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = Binary(op, node, self.term())
-        return node
+        terms = [self.term()]
+        while (op := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            term = self.term()
+            terms.append(term if op == "+" else ("neg", term))
+        return terms[0] if len(terms) == 1 else ("+", terms)
 
     def term(self) -> Expression:
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = Binary(op, node, self.factor())
-        return node
+        factors = [self.factor()]
+        while (op := self.tokens[self.pos]) in ("*", "/"):
+            self.pos += 1
+            factor = self.factor()
+            factors.append(factor if op == "*" else ("inv", factor))
+        return factors[0] if len(factors) == 1 else ("*", factors)
 
     def factor(self) -> Expression:
-        if self.peek() == "-":
-            self.take()
-            return Negate(self.factor_tail())
-        return self.factor_tail()
-
-    def factor_tail(self) -> Expression:
         tok = self.take()
+        negate = tok == "-"
+        if negate:
+            tok = self.take()
         if tok in ("sqrt", "("):
             if tok == "sqrt":
                 self.expect("(")
@@ -158,59 +143,51 @@ class _Parser:
             if self.nesting > MAX_NESTING:
                 raise MalformedLiteral(
                     f"expression nests deeper than {MAX_NESTING} levels")
-            inner = self.expr()
+            node = self.expr()
             self.expect(")")
             self.nesting -= 1
-            return SquareRoot(inner) if tok == "sqrt" else inner
-        if tok in ("+", "-", "*", "/", ")"):
+            if tok == "sqrt":
+                node = ("sqrt", node)
+        elif tok in ("+", "-", "*", "/", ")"):
             raise MalformedLiteral(f"expected a value, found {tok!r}")
-        return Literal(parse_real(tok))
+        else:
+            node = parse_real(tok)
+        return ("neg", node) if negate else node
 
 
 def parse_expression(text: str) -> Expression:
     parser = _Parser(_tokenize(text))
     node = parser.expr()
-    if parser.peek() is not None:
-        raise MalformedLiteral(
-            f"trailing input after expression: {parser.peek()!r}")
+    tok = parser.tokens[parser.pos]
+    if tok is not None:
+        raise MalformedLiteral(f"trailing input after expression: {tok!r}")
     return node
 
 
 def evaluate_expression(node: Expression) -> RealNumber:
-    """The value of an expression tree.
+    """The value of an expression node.
 
-    A chain of operators of one precedence level, such as ``a - b + c``
-    or ``a * b / c``, is collected from the tree without recursion, with
-    ``a - b`` read as ``a + neg(b)`` and ``a / b`` as ``a * reciprocal(b)``.
-    Its operands are evaluated left to right.  A sum is then one n-ary
-    ``add`` node; a product is combined in pairs, so a chain of n
-    factors nests ceil(log2 n) deep, in this function and in the
-    enclosure closures of the result alike.
+    Operands are evaluated left to right.  A sum is one n-ary ``add``; a
+    product is combined in pairs, so a chain of n factors nests
+    ceil(log2 n) deep, in this function and in the enclosure closures of
+    the result alike.
     """
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Negate):
-        return neg(evaluate_expression(node.operand))
-    if isinstance(node, SquareRoot):
-        return sqrt(evaluate_expression(node.operand))
-    if node.op in "+-":
-        level, invert = "+-", neg
-    else:
-        level, invert = "*/", reciprocal
-    chain = []  # (operator, right operand), last first
-    while isinstance(node, Binary) and node.op in level:
-        chain.append((node.op, node.right))
-        node = node.left
-    operands = [evaluate_expression(node)]
-    for op, right in reversed(chain):
-        value = evaluate_expression(right)
-        operands.append(value if op in "+*" else invert(value))
-    if level == "+-":
-        return add(*operands)
-    while len(operands) > 1:
-        paired = [mul(a, b) for a, b in zip(operands[::2], operands[1::2])]
-        operands = paired + operands[len(paired) * 2:]
-    return operands[0]
+    if isinstance(node, RealNumber):
+        return node
+    op, arg = node
+    if op == "+":
+        return add(*map(evaluate_expression, arg))
+    if op == "*":
+        operands = list(map(evaluate_expression, arg))
+        while len(operands) > 1:
+            paired = [mul(a, b)
+                      for a, b in zip(operands[::2], operands[1::2])]
+            operands = paired + operands[len(paired) * 2:]
+        return operands[0]
+    value = evaluate_expression(arg)
+    if op == "neg":
+        return neg(value)
+    return reciprocal(value) if op == "inv" else sqrt(value)
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _shield_operands(argv: list[str]) -> list[str]:
-    """Keep argparse from reading ``-1/4`` or ``-2+3`` as option flags.
+    """Keep argparse from reading ``-1/4`` or ``-sqrt(2)`` as option flags.
 
-    A token that starts with ``-`` followed by a digit, ``.`` or ``(`` can
-    only be operand text, never an option; a leading space makes argparse
-    treat it as positional, and the expression tokenizer and fraction
-    parser both skip surrounding whitespace.  ``--`` still works as the
-    conventional end-of-options marker.
+    decreal's only short option is ``-h``, so every other token that
+    starts with a single ``-`` is operand text; a leading space makes
+    argparse treat it as positional, and the expression tokenizer and
+    fraction parser both skip surrounding whitespace.  ``--`` still works
+    as the conventional end-of-options marker.
     """
-    def is_negative_operand(tok: str) -> bool:
-        return (tok.startswith("-") and len(tok) > 1
-                and (tok[1].isdigit() or tok[1] in ".("))
+    def is_operand(tok: str) -> bool:
+        return (tok.startswith("-") and not tok.startswith("--")
+                and tok != "-h")
 
     out: list[str] = []
     shielding = True
     for tok in argv:
         if tok == "--":
             shielding = False
-        out.append(" " + tok if shielding and is_negative_operand(tok)
-                   else tok)
+        out.append(" " + tok if shielding and is_operand(tok) else tok)
     return out
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(
-        _shield_operands(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(
+            _shield_operands(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is
+        # decreal's "digits unstable", so a usage error is 1
+        return 1 if exc.code else 0
     for name in ("digits", "budget"):
         if getattr(args, name, 0) < 0:
             print(f"error: --{name} must be non-negative", file=sys.stderr)
@@ -354,8 +335,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except DigitsUnstable as exc:
         print(f"digits unstable: {exc}", file=sys.stderr)
         return 2
-    except (MalformedLiteral, NotLess, DecrealError, ZeroDivisionError,
-            ValueError, OSError) as exc:
+    # an expression nested MAX_NESTING deep can still outrun the
+    # recursion limit in the enclosure chain of its value
+    except (DecrealError, ZeroDivisionError, ValueError, OSError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -658,15 +658,19 @@ def parse_real(text: str) -> RealNumber:
         raise MalformedLiteral(
             f"{text!r}: an all-nines tail is not canonical; "
             f"write the terminating value instead")
-    value = Fraction(int_from_digits(int_part))
-    if frac:
-        value += Fraction(int_from_digits(frac), 10 ** len(frac))
-    if period is not None and set(period) != {"0"}:
-        k, p = len(frac), len(period)
-        value += Fraction(int_from_digits(period), 10 ** k * (10 ** p - 1))
-    if negative:
-        value = -value
-    return real_from_fraction(value)
+    if period is None or set(period) == {"0"}:
+        # TerminatingDecimal would strip trailing zeros one division of
+        # the whole value at a time, quadratic in their number
+        frac = frac.rstrip("0")
+        units = int_from_digits(int_part + frac)
+        return TerminatingReal(
+            TerminatingDecimal(-units if negative else units, len(frac)))
+    # I.F(P) = (IF * (10^p - 1) + P) / (10^k * (10^p - 1)), k = len(F)
+    nines = 10 ** len(period) - 1
+    value = Fraction(
+        int_from_digits(int_part + frac) * nines + int_from_digits(period),
+        10 ** len(frac) * nines)
+    return PeriodicReal(-value if negative else value)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ class Family:
 
     @cached_property
     def _selection(self) -> RealNumber:
-        """The supremum selected with the default ``HINT_WINDOW``: made
-        once, however many sups and upper-bound probes ask for it."""
-        return _select_sup(self, HINT_WINDOW)
+        """The selected supremum: made once, however many sups and
+        upper-bound probes ask for it."""
+        return _select_sup(self)
 
 
 BoundedSet = FiniteSet | Family
@@ -197,22 +197,21 @@ def _select(oracle: PrefixMaxOracle, prefix: DigitPrefix) -> DigitPrefix:
     return prefix.extend(d)
 
 
-def _family_sup(family: Family, hint_window: int) -> RealNumber:
+def _family_sup(family: Family) -> RealNumber:
     """The selected supremum.  A stream comes back as a new instance each
     time, so no two callers hold the same object, but all instances of a
     family's stream share its selection state, memo and lock."""
-    s = (family._selection if hint_window == HINT_WINDOW
-         else _select_sup(family, hint_window))
+    s = family._selection
     return s._alias(s.negative) if isinstance(s, OracleReal) else s
 
 
-def _select_sup(family: Family, hint_window: int) -> RealNumber:
+def _select_sup(family: Family) -> RealNumber:
     oracle = family.oracle
     int_part = oracle.max_integral()
     if int_part < 0:
         raise ValueError("oracles report magnitude integer parts (>= 0)")
     prefix = DigitPrefix(oracle.negative, int_part, "")
-    for _ in range(hint_window + 1):
+    for _ in range(HINT_WINDOW + 1):
         hint = oracle.tail_hint(prefix)
         if isinstance(hint, AllNinesFrom) and hint.index <= len(prefix) + 1:
             return TerminatingReal(
@@ -225,11 +224,11 @@ def _select_sup(family: Family, hint_window: int) -> RealNumber:
             head = DigitPrefix(prefix.negative, prefix.int_part,
                                prefix.digits[:hint.index - 1])
             return TerminatingReal(head.as_terminating())
-        if len(prefix) >= hint_window:
+        if len(prefix) >= HINT_WINDOW:
             break
         prefix = _select(oracle, prefix)
     # no resolvable tail within the window: hand out the stream lazily
-    run = min(hint_window, len(prefix))
+    run = min(HINT_WINDOW, len(prefix))
     caveat = None
     if run and all(c == "9" for c in prefix.digits[-run:]):
         caveat = (
@@ -248,31 +247,18 @@ def _select_sup(family: Family, hint_window: int) -> RealNumber:
                       caveat=caveat)
 
 
-def sup(S: BoundedSet, *, hint_window: int = HINT_WINDOW,
-        cross_check: bool = False,
-        budget: int = DEFAULT_BUDGET) -> RealNumber:
+def sup(S: BoundedSet, *, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """Least upper bound of a bounded set.
 
-    Finite sets return their maximal member directly; with
-    ``cross_check`` the digit-selection procedure is run as well and any
-    disagreement in the first ``hint_window`` digits raises.  Families
-    run the selection procedure; the result is exact when a tail hint
-    resolves, otherwise a lazy digit stream (with a caveat flag if the
-    confirmed digits end in a long unexplained run of nines).
+    Finite sets return their maximal member directly.  Families run the
+    selection procedure; the result is exact when a tail hint resolves
+    within ``HINT_WINDOW`` digits, otherwise a lazy digit stream (with a
+    caveat flag if the confirmed digits end in a long unexplained run of
+    nines).
     """
     if isinstance(S, FiniteSet):
-        best = _max_member(S.members, budget)
-        if cross_check:
-            mirror = _family_sup(finite_family(S.members), hint_window)
-            depth = min(hint_window, 40)
-            got = mirror.prefix(depth)
-            want = best.prefix(depth)
-            if got != want:
-                raise AssertionError(
-                    f"digit procedure disagrees with the maximum: "
-                    f"{got.render()} vs {want.render()}")
-        return best
-    return _family_sup(S, hint_window)
+        return _max_member(S.members, budget)
+    return _family_sup(S)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +331,7 @@ def is_upper_bound(b: RealNumber | TerminatingDecimal, S: BoundedSet,
             if w is not None:
                 return No(w)
             return Undecided("bound fails but no member witness was found")
-    s = _family_sup(S, HINT_WINDOW)
+    s = _family_sup(S)
     c = compare(s, b, budget)
     if c in (Comparison.LT, Comparison.EQ):
         return Yes()

@@ -1,10 +1,12 @@
 """Command-line surface: grammar, printing, exit codes, determinism."""
 
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_prefix, sqrt_truncation
@@ -45,11 +47,16 @@ class TestGrammar:
 
     @pytest.mark.parametrize("text", [
         "", "2+", "*3", "2**3", "--2", "sqrt 2", "sqrt(2", "(2+3", "2)",
-        "2..3", "1.(9)", "2 3", "sqrt()",
+        "2..3", "1.(9)", "2 3", "sqrt()", "sqrt", "(", "-", "2*/3",
+        "2 @ 3", "sqrt(2))",
     ])
     def test_rejects(self, text):
         with pytest.raises(MalformedLiteral):
             parse_expression(text)
+
+    def test_chain_is_one_flat_node(self):
+        op, operands = parse_expression("+".join(["1"] * 10**4))
+        assert op == "+" and len(operands) == 10**4
 
     @given(fractions_st)
     @settings(max_examples=150)
@@ -259,6 +266,107 @@ class TestRep:
         for bad in ("abc", "1/0", "1.5/2", "2/-3"):
             code, _, err = invoke(capsys, "rep", bad)
             assert code == 1, bad
+
+
+class TestOptions:
+    def test_negative_expression_is_an_operand(self, capsys):
+        code, out, _ = invoke(capsys, "eval", "-sqrt(2)")
+        want = fraction_prefix(sqrt_truncation(Fraction(2), 40), 30)
+        assert (code, out) == (0, "-" + want + "\n")
+        code, out, _ = invoke(capsys, "cmp", "-sqrt(2)", "1")
+        assert (code, out) == (0, "<\n")
+
+    def test_usage_error_exit_1(self, capsys):
+        # exit 2 means "digits unstable"
+        code, out, err = invoke(capsys, "eval", "2", "--digits", "x")
+        assert (code, out) == (1, "") and "--digits" in err
+        code, out, err = invoke(capsys, "eval")
+        assert (code, out) == (1, "") and "required" in err
+
+    def test_help_exit_0(self, capsys):
+        code, out, _ = invoke(capsys, "eval", "--help")
+        assert code == 0 and "--digits" in out
+
+
+# texts for the front-end fuzz: literals with and without groups, unary
+# minus, sqrt and the four operators, plus nesting around MAX_NESTING
+literals_st = st.one_of(
+    st.from_regex(r"(0|[1-9][0-9]{0,6})(\.[0-9]{1,6})?", fullmatch=True),
+    st.from_regex(r"(0|[1-9][0-9]{0,3})\.[0-9]{0,4}\([0-9]{1,5}\)",
+                  fullmatch=True),
+    st.sampled_from(["-0.0", "0.(0)", "2.5(000)", "-0", "1.(3)", "0.(9)"]),
+)
+operators_st = st.sampled_from("+-*/")
+expressions_st = st.recursive(
+    st.one_of(literals_st, st.sampled_from(["sqrt(2)", "sqrt(2)*sqrt(2)"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, operators_st, inner).map("".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"sqrt({e})"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=8)
+# one nesting level: an opener and its closer, with or without a sibling
+# operand on either side; a deep text picks one level per byte
+SIBLINGS = ["2", "0.5", "1.(3)", "-0.0", "6117.992(5)", "sqrt(2)", "sqrt(3)"]
+LEVELS = ([("(", ")"), ("sqrt(", ")"), ("-(", ")")]
+          + [(f"({s}{op}", ")") for s in SIBLINGS for op in "+-*/"]
+          + [("(", f"{op}{s})") for s in SIBLINGS for op in "+-*/"])
+
+
+def nest(levels: bytes, core: str) -> str:
+    chosen = [LEVELS[b % len(LEVELS)] for b in levels]
+    return ("".join(o for o, _ in chosen) + core
+            + "".join(c for _, c in reversed(chosen)))
+
+
+deep_st = st.builds(nest, st.binary(min_size=195, max_size=205),
+                    expressions_st)
+raw_st = st.text(alphabet="0123456789.()+-*/ sqrt", max_size=40)
+
+
+def run_quietly(*argv):
+    """(exit code, stdout, CPU seconds) of one CLI run; any exception,
+    SystemExit included, fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv))
+    except (Exception, SystemExit) as exc:
+        raise AssertionError(f"{argv!r} raised {exc!r}") from exc
+    return code, out.getvalue(), time.process_time() - start
+
+
+class TestFuzz:
+    @given(st.one_of(expressions_st, deep_st, raw_st))
+    @settings(max_examples=300, deadline=None)
+    # a 199-level chain of differences outruns the recursion limit in
+    # the enclosure chain of its value
+    @example("(sqrt(2)-" * 199 + "3" + ")" * 199)
+    def test_eval_ends_with_an_exit_code(self, text):
+        code, _, seconds = run_quietly("eval", text)
+        assert code in (0, 1, 2, 3)
+        assert seconds < 2
+
+    CHAIN = "1" + "+2*3-4/5" * 5000  # 10 001 terms
+
+    @pytest.mark.parametrize("text,code,want", [
+        (CHAIN, 0, "26001"),
+        ("1/99999989", 1, ""),
+        ("9" * 4400, 0, "9" * 4400),
+        ("0." + "3" * 4399 + "(3)", 0, "0.(3)"),
+        # each factor's guard digits come from the other factor alone; a
+        # guard from both made the demand on the innermost factor grow
+        # quadratically in depth, and this text took seconds
+        ("(2*" * 195 + "sqrt(2)" + ")" * 195, 0,
+         fraction_prefix(sqrt_truncation(Fraction(2**391), 40), 30)),
+    ], ids=["chain", "long-period", "4400-digits", "4400-digit-group",
+            "nested-product"])
+    def test_fixed_cases(self, text, code, want):
+        got, out, seconds = run_quietly("eval", text)
+        assert (got, out) == (code, want + "\n" if want else "")
+        assert seconds < 2
 
 
 class TestDeterminism:

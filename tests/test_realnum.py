@@ -97,6 +97,40 @@ class TestParse:
         x = real_from_fraction(f)
         assert P(str(x)).as_fraction() == f
 
+    @given(st.booleans(),
+           st.from_regex(r"0|[1-9][0-9]{0,8}", fullmatch=True),
+           st.text("0123456789", max_size=8), st.integers(0, 3),
+           st.none() | st.text("0", min_size=1, max_size=3)
+           | st.text("0123456789", min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_matches_digit_by_digit_value(self, negative, int_digits,
+                                          frac, zeros, period):
+        frac += "0" * zeros
+        if period is not None and set(period) == {"9"}:
+            period = period[:-1] + "8"
+        if not frac and period is None:
+            text = int_digits
+        else:
+            text = int_digits + "." + frac + (
+                "" if period is None else f"({period})")
+        text = ("-" if negative else "") + text
+        # independent route: each digit times its place value, and the
+        # group as a geometric series of ratio 10**-len(period)
+        value = Fraction(0)
+        for d in int_digits:
+            value = value * 10 + int(d)
+        for i, d in enumerate(frac, 1):
+            value += Fraction(int(d), 10 ** i)
+        if period is not None:
+            series = 1 / (1 - Fraction(1, 10 ** len(period)))
+            for i, d in enumerate(period, len(frac) + 1):
+                value += Fraction(int(d), 10 ** i) * series
+        x = P(text)
+        assert x.as_fraction() == (-value if negative else value)
+        terminating = period is None or set(period) == {"0"}
+        assert isinstance(x, TerminatingReal) == terminating
+        assert isinstance(x, PeriodicReal) != terminating
+
 
 class TestPeriodicStructure:
     def test_minimal_period_known_values(self):

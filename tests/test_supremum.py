@@ -132,8 +132,9 @@ class TestFiniteSets:
     def test_cross_check_agrees(self):
         members = (P("1"), P("2.12"), P("1.(1)"), P("2.120(1)"),
                    P("1.120101(1)"))
-        s = sup(FiniteSet(members), cross_check=True)
+        s = sup(FiniteSet(members))
         assert str(s) == "2.120(1)"
+        assert sup(finite_family(members)).prefix(40) == s.prefix(40)
 
     def test_nonempty_enforced(self):
         with pytest.raises(ValueError):
@@ -149,8 +150,9 @@ class TestFiniteSets:
     @settings(max_examples=75)
     def test_digit_procedure_mirror(self, fs):
         members = tuple(real_from_fraction(f) for f in fs)
-        s = sup(FiniteSet(members), cross_check=True)
+        s = sup(FiniteSet(members))
         assert s.as_fraction() == max(fs)
+        assert sup(finite_family(members)).prefix(40) == s.prefix(40)
 
     @given(st.lists(fractions_st, min_size=1, max_size=6),
            st.lists(fractions_st, min_size=0, max_size=4))
@@ -196,7 +198,7 @@ class TestFamilyMachinery:
             max_next_digit=lambda prefix: 9,
             tail_hint=lambda prefix: UNKNOWN,
             description="nines with no tail knowledge")
-        s = sup(Family(nines, TerminatingDecimal(1)), hint_window=12)
+        s = sup(Family(nines, TerminatingDecimal(1)))
         assert isinstance(s, OracleReal)
         assert s.caveat is not None
         assert render_digits(s, 6) == "0.999999"
@@ -207,7 +209,7 @@ class TestFamilyMachinery:
             max_next_digit=lambda prefix: 2 if len(prefix) % 2 else 7,
             tail_hint=lambda prefix: UNKNOWN,
             description="alternating digits")
-        s = sup(Family(alternating, TerminatingDecimal(2)), hint_window=12)
+        s = sup(Family(alternating, TerminatingDecimal(2)))
         assert isinstance(s, OracleReal) and s.caveat is None
         assert render_digits(s, 4) == "1.7272"
 
