@@ -37,6 +37,7 @@ import threading
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Callable, Iterator, Optional
 
 from ._frozen import frozen
@@ -53,6 +54,7 @@ from .terminating import (
     _CHUNK,
     Comparison,
     TerminatingDecimal,
+    decimal_from_digits,
     digits_from_int,
     int_from_digits,
     pow10,
@@ -73,6 +75,12 @@ MAX_EXPANSION_DIGITS = 10**6
 _DIGIT_BLOCK = 500
 # window scanned past a run of nines by the canonical-form checker
 NINE_CHECK_WINDOW = 64
+# leading digits from which parse_real guesses the value of a long
+# repeating group: two fractions with denominators at most
+# isqrt(10**64 / 2) differ by at least 2 * 10**-64, so the closest one
+# to those digits is the value whenever its denominator is that small
+_GUESS_DIGITS = 64
+_GUESS_DENOMINATOR = isqrt(10 ** _GUESS_DIGITS // 2)
 
 
 def _precisions(start: int, stop: int) -> Iterator[int]:
@@ -652,25 +660,59 @@ def parse_real(text: str) -> RealNumber:
     canonical form; the intended value is the terminating neighbour).
     An all-zero group is dropped.  Values are normalised, so the minimal
     period and preperiod come out regardless of how they were written.
+
+    The period of r/b is shorter than b, and a group of n digits
+    usually comes from a fraction whose denominator has about log10(n)
+    digits, not n.  So when the group is longer than ``_CHUNK`` digits,
+    the fractional part F(P) is first guessed from its first 64 digits,
+    as the closest fraction c = r/b with b at most about 7 * 10**31;
+    write b = 2^i * 5^j * q with q coprime to 10.  c is taken only when
+    max(i, j) <= len(F), 10**len(P) = 1 (mod q), and the first len(F)
+    + len(P) digits of c are F + P.  The first two conditions make c's
+    expansion repeat with period len(P) from digit len(F) + 1 on, as
+    the literal's does, and the third makes the two expansions agree on
+    one whole period past that point, so they agree everywhere and c is
+    the value of F(P).  Any other literal is decoded digit by digit.
     """
     negative, int_part, frac, period = scan_literal(text)
-    if period is not None and set(period) == {"9"}:
+    if period is not None and not period.strip("9"):
         raise MalformedLiteral(
             f"{text!r}: an all-nines tail is not canonical; "
             f"write the terminating value instead")
-    if period is None or set(period) == {"0"}:
-        # TerminatingDecimal would strip trailing zeros one division of
-        # the whole value at a time, quadratic in their number
-        frac = frac.rstrip("0")
-        units = int_from_digits(int_part + frac)
-        return TerminatingReal(
-            TerminatingDecimal(-units if negative else units, len(frac)))
+    if period is None or not period.strip("0"):
+        return TerminatingReal(decimal_from_digits(negative, int_part, frac))
+    if len(period) > _CHUNK:
+        guess = _guess_group_value(frac, period)
+        if guess is not None:
+            value = int_from_digits(int_part) + guess
+            return PeriodicReal(-value if negative else value)
     # I.F(P) = (IF * (10^p - 1) + P) / (10^k * (10^p - 1)), k = len(F)
     nines = 10 ** len(period) - 1
     value = Fraction(
         int_from_digits(int_part + frac) * nines + int_from_digits(period),
         10 ** len(frac) * nines)
     return PeriodicReal(-value if negative else value)
+
+
+def _guess_group_value(frac: str, period: str) -> Optional[Fraction]:
+    """The value of 0.F(P) found from its first ``_GUESS_DIGITS`` digits
+    and checked as ``parse_real`` describes, or None."""
+    head = (frac[:_GUESS_DIGITS] + period[:_GUESS_DIGITS])[:_GUESS_DIGITS]
+    guess = Fraction(int(head), 10 ** _GUESS_DIGITS).limit_denominator(
+        _GUESS_DENOMINATOR)
+    r, b = guess.numerator, guess.denominator
+    q, preperiod = split_denominator(b)
+    # pow(10, p, 1) == 0 turns away the terminating guesses, 0 and 1 too
+    if preperiod > len(frac) or pow(10, len(period), q) != 1:
+        return None
+    want, at = frac + period, 0
+    for block in _digit_blocks(r, b, _DIGIT_BLOCK):
+        block = block[:len(want) - at]
+        if not want.startswith(block, at):
+            return None
+        at += len(block)
+        if at == len(want):
+            return guess
 
 
 # ---------------------------------------------------------------------------

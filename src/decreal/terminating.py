@@ -54,10 +54,8 @@ class TerminatingDecimal:
             raise ValueError("scale must be non-negative")
         if units == 0:
             scale = 0
-        else:
-            while scale > 0 and units % 10 == 0:
-                units //= 10
-                scale -= 1
+        elif scale and units % 10 == 0:
+            units, scale = _strip_zeros(units, scale)
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "scale", scale)
 
@@ -281,6 +279,26 @@ def digits_from_int(value: int) -> str:
         return str(encode(value, leaf << levels))
 
 
+def _strip_zeros(units: int, scale: int) -> tuple[int, int]:
+    """(units, scale) with up to ``scale`` >= 1 trailing zeros cut from
+    units, a multiple of 10.
+
+    The run is no longer than the number of factors 2 in units.  Below
+    that bound, 10**j is tried for j halving from the largest power of
+    two, and divided out when it divides units, so a run costs O(log)
+    big divisions, not one division of the whole value per zero.
+    """
+    bound = min(scale, (units & -units).bit_length() - 1)
+    j = 1 << (bound.bit_length() - 1)
+    while j:
+        if j <= bound:
+            q, r = divmod(units, 10 ** j)
+            if not r:
+                units, scale, bound = q, scale - j, bound - j
+        j >>= 1
+    return units, scale
+
+
 def scan_literal(text: str) -> tuple[bool, str, str, Optional[str]]:
     """Split ``-? digits ('.' digits ('(' digits ')')?)?`` into
     (negative, integer digits, fractional digits, repeating group or
@@ -311,5 +329,16 @@ def parse_terminating(text: str) -> TerminatingDecimal:
     negative, int_digits, frac, period = scan_literal(text)
     if period is not None:
         raise MalformedLiteral(f"malformed terminating decimal: {text!r}")
+    return decimal_from_digits(negative, int_digits, frac)
+
+
+def decimal_from_digits(negative: bool, int_digits: str,
+                        frac: str) -> TerminatingDecimal:
+    """The terminating decimal with these integer and fractional digits.
+
+    Trailing zeros are cut from the digit string before it is decoded,
+    which costs nothing, rather than from the decoded value.
+    """
+    frac = frac.rstrip("0")
     units = int_from_digits(int_digits + frac)
     return TerminatingDecimal(-units if negative else units, len(frac))

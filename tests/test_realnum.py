@@ -1,13 +1,14 @@
 """Canonical real numbers: parsing, ordering, betweenness, digit access.
 
-Oracles: sequential long division and Fraction arithmetic from conftest;
-expected digits and witnesses are frozen from those routes."""
+Oracles: sequential long division and Fraction arithmetic from conftest,
+and literals decoded one digit a step; expected digits and witnesses are
+frozen from those routes."""
 
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -50,7 +51,11 @@ from decreal.realnum import (
     render_digits,
     with_nine_run_check,
 )
-from decreal.terminating import Comparison, TerminatingDecimal
+from decreal.terminating import (
+    Comparison,
+    TerminatingDecimal,
+    int_from_digits,
+)
 
 fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
                             max_denominator=10**4)
@@ -214,6 +219,111 @@ class TestPeriodicStructure:
         assert time.process_time() - start < 0.5
         assert (len(x.preperiod), len(x.period)) == \
             expected_period_structure(f.denominator)
+
+
+def horner(digits: str) -> int:
+    """A digit string's value, one digit a step."""
+    value = 0
+    for ch in digits:
+        value = value * 10 + (ord(ch) - ord("0"))
+    return value
+
+
+def literal_value(negative, int_digits, frac, period) -> tuple[int, int]:
+    """(numerator, denominator) of -?I.F(P), not in lowest terms:
+    (IF * (10^p - 1) + P) / (10^k * (10^p - 1)), k = len(F), p = len(P)."""
+    nines = 10 ** len(period) - 1
+    num = horner(int_digits + frac) * nines + horner(period)
+    return -num if negative else num, 10 ** len(frac) * nines
+
+
+def equals(x, value: tuple[int, int]) -> bool:
+    f = x.as_fraction()
+    return f.numerator * value[1] == value[0] * f.denominator
+
+
+class TestLongGroupParse:
+    """Literals with groups past 4000 digits, whose value parse_real
+    guesses from their first digits and checks digit for digit."""
+
+    # 10 has order q - 1 modulo the first four, (q - 1) / 2, / 3 or / 4
+    # modulo the others: every group is 5004 to 29 988 digits long
+    PRIMES = (5021, 5087, 19979, 29989, 10009, 15121, 20011, 29917)
+
+    @staticmethod
+    def expansion(q, i, j, a):
+        """(F, P, f): the minimal preperiod and period of f = a / (2^i *
+        5^j * q) reduced, 0 < f < 1, by long division."""
+        b = 2**i * 5**j * q
+        f = Fraction(a % (b - 1) + 1, b)
+        assume(f.denominator % q == 0)
+        pre, per = expected_period_structure(f.denominator)
+        digits = long_division_digits(f.numerator, f.denominator, pre + per)
+        return digits[:pre], digits[pre:], f
+
+    literal_st = st.tuples(st.sampled_from(PRIMES), st.integers(0, 3),
+                           st.integers(0, 3), st.integers(1, 10**12),
+                           st.integers(0, 10**6), st.booleans())
+
+    @given(literal_st, st.sampled_from(["minimal", "twice", "rotated"]))
+    @settings(max_examples=30, deadline=None)
+    def test_value_and_minimal_form(self, drawn, form):
+        q, i, j, a, ip, negative = drawn
+        frac, period, f = self.expansion(q, i, j, a)
+        sign = "-" if negative else ""
+        minimal = f"{sign}{ip}.{frac}({period})"
+        if form == "twice":
+            period += period
+        elif form == "rotated":
+            frac, period = frac + period[0], period[1:] + period[0]
+        x = P(f"{sign}{ip}.{frac}({period})")
+        assert x.as_fraction() == (-1 if negative else 1) * (ip + f)
+        assert str(x) == minimal
+
+    # each near miss agrees with the literal of f on its first 64 digits,
+    # so f is the guess, and only the named check turns it away
+    @pytest.mark.parametrize("check", ["digit", "period", "preperiod"])
+    @given(drawn=literal_st)
+    @settings(max_examples=10, deadline=None)
+    def test_near_misses(self, drawn, check):
+        q, i, j, a, ip, negative = drawn
+        frac, period, _ = self.expansion(q, i, j, a)
+        if check == "digit":
+            # differs from f at digit k + p, the last one the check reads
+            period = period[:-1] + str((int(period[-1]) + 1) % 10)
+        elif check == "period":
+            # agrees with f on all k + p - 1 digits the check reads, but
+            # 10**(p - 1) is not 1 mod q
+            period = period[:-1]
+        else:
+            # agrees with f on all k - 1 + p digits the check reads, and
+            # 10**p is 1 mod q, but f's preperiod is k digits long
+            assume(frac)
+            frac, period = frac[:-1], frac[-1] + period[:-1]
+        x = P(f"{'-' if negative else ''}{ip}.{frac}({period})")
+        assert equals(x, literal_value(negative, str(ip), frac, period))
+
+    def test_random_group_is_decoded(self, rng):
+        for _ in range(3):
+            frac = "".join(rng.choices("0123456789", k=rng.randint(0, 5)))
+            period = "".join(rng.choices("0123456789", k=10_000))
+            x = P(f"-7.{frac}({period})")
+            assert equals(x, literal_value(True, "7", frac, period))
+
+    def test_full_reptend_group_is_not_decoded(self, monkeypatch):
+        # 1/99989 has a period of 99 988 digits; only the integer part
+        # goes through the digit decoder
+        period = long_division_digits(1, 99_989, 99_988)
+        lengths = []
+
+        def counting(digits):
+            lengths.append(len(digits))
+            return int_from_digits(digits)
+
+        monkeypatch.setattr(realnum, "int_from_digits", counting)
+        x = P(f"0.({period})")
+        assert x.as_fraction() == Fraction(1, 99_989)
+        assert max(lengths, default=0) <= 1
 
 
 class TestExpansionCap:

@@ -58,6 +58,28 @@ class TestCanonicalForm:
         again = TerminatingDecimal(t.units * 100, t.scale + 2)
         assert again == t and hash(again) == hash(t)
 
+    @given(st.integers(min_value=-10**6, max_value=10**6),
+           st.integers(min_value=0, max_value=300),
+           st.integers(min_value=0, max_value=300))
+    @settings(max_examples=300)
+    def test_long_zero_runs_cut_to_canonical_form(self, base, zeros, scale):
+        t = TerminatingDecimal(base * 10**zeros, scale)
+        assert t.as_fraction() == Fraction(base * 10**zeros, 10**scale)
+        assert t.scale == 0 or t.units % 10 != 0
+
+    @pytest.mark.parametrize("make,want", [
+        (lambda: TerminatingDecimal(10**100_000, 100_000), ONE),
+        (lambda: TerminatingDecimal(-3 * 10**100_000, 99_995),
+         TerminatingDecimal(-300_000)),
+        (lambda: parse_terminating("1." + "0" * 100_000), ONE),
+    ], ids=["constructor", "constructor-past-scale", "parse"])
+    def test_long_zero_runs_cut_quickly(self, make, want):
+        # cut one division of the whole value per zero, quadratic in the
+        # length of the run
+        start = time.process_time()
+        assert make() == want
+        assert time.process_time() - start < 0.5
+
 
 class TestParseAndRender:
     @pytest.mark.parametrize("text,units,scale", [
