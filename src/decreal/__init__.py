@@ -9,6 +9,8 @@ suprema of bounded sets, certified interval evaluation of arithmetic
 expressions, and a command-line calculator over all of it.
 """
 
+from types import ModuleType as _Module
+
 from .arithmetic import (
     Enclosure,
     add,
@@ -79,64 +81,7 @@ from .terminating import Comparison, TerminatingDecimal, parse_terminating
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllNinesFrom",
-    "AllZerosFrom",
-    "CanonicalViolation",
-    "Classification",
-    "Comparison",
-    "ComputedReal",
-    "DecrealError",
-    "DigitPrefix",
-    "DigitsUnstable",
-    "Enclosure",
-    "ExpansionTooLong",
-    "Family",
-    "FiniteSet",
-    "MalformedLiteral",
-    "NegativeRadicand",
-    "NoPeriodFound",
-    "NotLess",
-    "OracleReal",
-    "OrderUndecided",
-    "PeriodFound",
-    "PeriodicReal",
-    "PhiOk",
-    "PhiViolation",
-    "PrefixMaxOracle",
-    "RealNumber",
-    "SignUndecided",
-    "TerminatingDecimal",
-    "TerminatingReal",
-    "add",
-    "archimedean_witness",
-    "assert_no_period",
-    "between",
-    "builtin_family",
-    "canonicalize_trailing_nines",
-    "check_sup_certificate",
-    "classify",
-    "compare",
-    "decimal_representation",
-    "digit_at",
-    "evaluate",
-    "finite_family",
-    "from_periodic",
-    "integral_part",
-    "is_upper_bound",
-    "load_set_file",
-    "lower_cut",
-    "mul",
-    "neg",
-    "parse_real",
-    "parse_terminating",
-    "phi_check",
-    "real_from_fraction",
-    "reciprocal",
-    "render_digits",
-    "set_product",
-    "set_sum",
-    "sqrt",
-    "sup",
-    "to_decimal",
-]
+# every name imported above is public
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _Module))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 from ._frozen import frozen
 from .errors import DigitsUnstable, NegativeRadicand, SignUndecided
@@ -28,14 +29,15 @@ from .realnum import (
     DEFAULT_BUDGET,
     Classification,
     ComputedReal,
-    PeriodicReal,
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
+    _decimal_digits,
+    _describe,
+    _exponent,
     _is_exact_zero,
     _on_scale,
     _precisions,
-    _try_classify,
     classify,
     real_from_fraction,
 )
@@ -71,15 +73,13 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
         raise ValueError("precision must be non-negative")
     if isinstance(x, TerminatingReal):
         return Enclosure(x.value, x.value)
-    if isinstance(x, ComputedReal):
-        try:
-            p = x.prefix(n)
-        except DigitsUnstable:
-            lo, hi = _on_scale(*x._grid(n + 1), n + 1)
-            return Enclosure(TerminatingDecimal(lo, n + 1),
-                             TerminatingDecimal(hi, n + 1))
-    else:
+    try:
         p = x.prefix(n)
+    except DigitsUnstable:
+        # a stream's _grid raises what its prefix did
+        lo, hi = _on_scale(*x._grid(n + 1), n + 1)
+        return Enclosure(TerminatingDecimal(lo, n + 1),
+                         TerminatingDecimal(hi, n + 1))
     t = p.as_terminating()
     ulp = pow10(-n)
     if p.negative:
@@ -93,28 +93,22 @@ class _Sum(ComputedReal):
     n, so the n term widths add up to at most 10**-m; a sum of two reads
     its terms at m + 1."""
 
+    _form = ("(", " + ", ")")
+
     def __init__(self, streams: list[RealNumber], exact: list[RealNumber]):
         self.streams, self.exact = streams, exact
-        terms = streams + exact
-        guard = _decimal_digits(len(terms))
+        self._record(*streams, *exact)
+        self._guards = ((_decimal_digits(len(self._operands)),)
+                        * len(self._operands))
 
-        def refine(m: int) -> tuple[int, int, int]:
-            grids = [t._grid(m + guard) for t in terms]
-            k = max(g[2] for g in grids)
-            lo = hi = 0
-            for tlo, thi, tk in grids:
-                scale = 10 ** (k - tk)
-                lo += tlo * scale
-                hi += thi * scale
-            return _on_grid(lo, hi, k, m)
+    def _bound(self) -> int:
+        return max(map(_exponent, self._operands)) + self._guards[0]
 
-        super().__init__(refine)
-
-    @property
-    def description(self) -> str:
-        # built when read, not for each sum of an API chain
-        terms = self.streams + self.exact
-        return "(" + " + ".join(map(_describe, terms)) + ")"
+    def _step(self, m: int, grids: list) -> tuple[int, int, int]:
+        k = max(g[2] for g in grids)
+        lo = sum(tlo * 10 ** (k - tk) for tlo, _, tk in grids)
+        hi = sum(thi * 10 ** (k - tk) for _, thi, tk in grids)
+        return _on_grid(lo, hi, k, m)
 
 
 def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
@@ -150,46 +144,19 @@ def neg(x: RealNumber) -> RealNumber:
     return x.negated()
 
 
-def _describe(x: RealNumber) -> str:
-    if isinstance(x, ComputedReal):
-        return x.description or "?"
-    if isinstance(x, PeriodicReal):
-        # its literal writes out a whole period, which can run to
-        # millions of digits
-        return str(x.fraction)
-    return str(x) if x.is_exact else repr(x)
-
-
-def _decimal_digits(num: int, den: int = 1) -> int:
-    """Smallest d >= 0 with num / den <= 10**d, for positive den."""
-    d = 0
-    while num > den * 10 ** d:
-        d += 1
-    return d
-
-
 def _positive_floor(x: RealNumber, budget: int) -> tuple[int, int, int]:
     """(m, lo, k): the first precision m of the refine schedule at which
     the grid enclosure (lo, _, k) of x has a positive lower end.  Once
     ``classify(x, budget)`` has found x positive, m is at most the
     budget: a computed value's enclosures only tighten, and a stream's
-    lower end turns positive at the nonzero digit classify found."""
+    lower end turns positive at the nonzero digit classify found.  For
+    the same reasons every enclosure of x at m or more digits has a
+    lower end of at least lo * 10**-k."""
     for m in _precisions(1, budget):
         lo, _, k = x._grid(m)
         if lo > 0:
             return m, lo, k
     raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
-
-
-def _above(x: RealNumber, m: int,
-           floor: tuple[int, int]) -> tuple[int, int, int]:
-    """x._grid(m) with its lower end raised to at least the positive
-    floor (lo0, k0) that ``_positive_floor`` found, on the finer grid."""
-    lo, hi, k = x._grid(m)
-    lo0, k0 = floor
-    if k < k0:
-        (lo, hi), k = _on_scale(lo, hi, k, k0), k0
-    return max(lo, lo0 * 10 ** (k - k0)), hi, k
 
 
 def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[int, int, int]:
@@ -202,17 +169,52 @@ def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[int, int, int]:
     return lo, hi, k
 
 
-def mul(x: RealNumber, y: RealNumber) -> RealNumber:
-    """x * y with the sign handled by negation identities.
+class _Product(ComputedReal):
+    """x * y on the grid 10**-(q+2), from integer corner products.
 
-    A provably zero operand gives exact zero; provably negative operands
-    are factored out through neg so the core interval path multiplies
-    non-negative-leaning enclosures; operands whose sign cannot be
-    settled cheaply fall through to the same interval product, which is
-    sound for any signs.  The product is formed from integer corners:
-    each operand is read with guard digits past 10**-(q+2), fixed up
-    front from the other operand's magnitude, and the extreme corners
-    are rounded outward to the grid 10**-(q+2).
+    With |y| <= 10**ey, x read at w = q + 3 + ey digits and put on the
+    grid 10**-w is at most 3 units of 10**-w wide, which moves the
+    corners by at most about 0.3 units of 10**-(q+2); y is read at q + 3
+    + ex digits alike.  A guard that depends on the operand's own
+    magnitude as well would make the demand on the innermost factor of
+    a nested product grow quadratically in depth.  The guards are fixed
+    at the first refinement, which takes an opaque leaf's bound with one
+    read.
+    """
+
+    _form = ("(", " * ", ")")
+    _fixed: Optional[tuple[int, int]] = None
+
+    def __init__(self, x: RealNumber, y: RealNumber):
+        self._record(x, y)
+
+    @property
+    def _guards(self) -> tuple[int, int]:
+        if self._fixed is None:
+            x, y = self._operands
+            self._fixed = 3 + _exponent(y), 3 + _exponent(x)
+        return self._fixed
+
+    def _bound(self) -> int:
+        return sum(map(_exponent, self._operands))
+
+    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+        gx, gy = self._guards
+        xs = _on_scale(*grids[0], q + gx)
+        ys = _on_scale(*grids[1], q + gy)
+        corners = [a * b for a in xs for b in ys]
+        shift = 10 ** (q + gx + gy - 2)
+        return _on_grid(min(corners) // shift, -(-max(corners) // shift),
+                        q + 2, q)
+
+
+def mul(x: RealNumber, y: RealNumber) -> RealNumber:
+    """x * y.
+
+    A zero operand gives exact zero, a unit factor the other operand,
+    and exact operands an exact product.  Otherwise the product is a
+    node whose integer corner products bound it whatever the signs; it
+    reads nothing when it is built.
     """
     if _is_exact_zero(x) or _is_exact_zero(y):
         return ZERO_REAL
@@ -222,71 +224,28 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
         return x
     if x.is_exact and y.is_exact:
         return real_from_fraction(x.as_fraction() * y.as_fraction())
+    return _Product(x, y)
 
-    sx, sy = _try_classify(x, 64), _try_classify(y, 64)
-    if sx is Classification.ZERO or sy is Classification.ZERO:
-        return ZERO_REAL
-    if sx is Classification.NEGATIVE:
-        return neg(mul(neg(x), y))
-    if sy is Classification.NEGATIVE:
-        return neg(mul(x, neg(y)))
 
-    # every enclosure of width <= 1 lies within 1 of the first one, so
-    # mx and my bound the magnitudes of all later enclosures, in units
-    # of 10**-kx and 10**-ky
-    lx, hx, kx = x._grid(0)
-    ly, hy, ky = y._grid(0)
-    mx = max(-lx, hx) + 10 ** kx
-    my = max(-ly, hy) + 10 ** ky
-    # an operand read at precision w is at most 3 units of 10**-w wide, so x
-    # moves the corners by at most 3 * |y| units of 10**-(k+gx) and y by
-    # at most 3 * |x| units of 10**-(k+gy), plus a negligible term; gx and
-    # gy bring each below 0.3 units of 10**-k.  A guard that depends on
-    # the operand's own magnitude as well would make the demand on the
-    # innermost factor of a nested product grow quadratically in depth
-    gx = _decimal_digits(my, 10 ** ky) + 1
-    gy = _decimal_digits(mx, 10 ** kx) + 1
+class _Reciprocal(ComputedReal):
+    """1 / x for x with a positive floor lo0 * 10**-k0, found at m0
+    digits.  The reciprocal of x's enclosure [lx, hx] is read on the
+    grid 10**-(q+2) by floor and ceiling integer division; its width
+    (hx - lx) / (lx * hx) is at most 10**-w / lo0**2 when x is read at
+    w digits, so x is read at q + 2 + head digits, head from the floor
+    alone, and never at fewer than m0, where lx is at least the floor."""
 
-    def refine(q: int) -> tuple[int, int, int]:
+    _form = ("1/(", "", ")")
+
+    def __init__(self, x: RealNumber, floor: tuple[int, int, int]):
+        m0, lo0, k0 = floor
+        self._record(x)
+        self._guards = (max(2 + _decimal_digits(100 ** k0, lo0 * lo0), m0),)
+        self._e = _decimal_digits(10 ** k0, lo0)
+
+    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+        (lx, hx, kx), = grids
         k = q + 2
-        xs = _on_scale(*x._grid(k + gx), k + gx)
-        ys = _on_scale(*y._grid(k + gy), k + gy)
-        corners = [a * b for a in xs for b in ys]
-        shift = 10 ** (k + gx + gy)
-        return _on_grid(min(corners) // shift, -(-max(corners) // shift),
-                        k, q)
-
-    return ComputedReal(refine, f"({_describe(x)} * {_describe(y)})")
-
-
-def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
-    """1 / x for x provably nonzero.
-
-    Once an enclosure of x has a positive floor lo0, the reciprocal of
-    [lx, hx] is read on the grid 10**-(q+2) by floor and ceiling integer
-    division; since its width (hx - lx) / (lx * hx) is at most
-    10**-w / lo0**2, the guard digits that buy the requested width are
-    known before the first refinement.  Raises ZeroDivisionError for
-    exact zero and SignUndecided when the sign of x cannot be
-    established within the budget.
-    """
-    if x.is_exact:
-        f = x.as_fraction()
-        if f == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        return real_from_fraction(1 / f)
-    sign = classify(x, budget)  # raises SignUndecided on boundary values
-    if sign is Classification.ZERO:
-        raise ZeroDivisionError("reciprocal of zero")
-    if sign is Classification.NEGATIVE:
-        return neg(reciprocal(neg(x), budget))
-
-    _, lo0, k0 = _positive_floor(x, budget)
-    head = _decimal_digits(10 ** (2 * k0), lo0 * lo0)
-
-    def refine(q: int) -> tuple[int, int, int]:
-        k = q + 2
-        lx, hx, kx = _above(x, k + head, (lo0, k0))
         # 10**-k * 10**-kx: one unit of the result times one of x
         one = 10 ** (k + kx)
         lo = one // hx
@@ -295,7 +254,24 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         assert lo * hx <= one <= hi * lx
         return _on_grid(lo, hi, k, q)
 
-    return ComputedReal(refine, f"1/({_describe(x)})")
+
+def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
+    """1 / x for x provably nonzero.
+
+    Raises ZeroDivisionError for exact zero and SignUndecided when the
+    sign of x cannot be established within the budget; both are decided
+    when the node is built.
+    """
+    if _is_exact_zero(x):
+        raise ZeroDivisionError("reciprocal of zero")
+    if x.is_exact:
+        return real_from_fraction(1 / x.as_fraction())
+    sign = classify(x, budget)  # raises SignUndecided on boundary values
+    if sign is Classification.ZERO:
+        raise ZeroDivisionError("reciprocal of zero")
+    if sign is Classification.NEGATIVE:
+        return neg(reciprocal(neg(x), budget))
+    return _Reciprocal(x, _positive_floor(x, budget))
 
 
 def _exact_sqrt(f: Fraction) -> Fraction | None:
@@ -306,18 +282,63 @@ def _exact_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
+class _Root(ComputedReal):
+    """sqrt(r), from integer square roots.
+
+    An exact radicand p/d that is not a rational square leaves the root
+    a leaf: it lies strictly between isqrt(p * 10**(2k) // d) and the
+    next unit, with k = q + 1.  A computed radicand r with a positive
+    floor lr0 * 10**-k0, found at m0 digits, is an operand: the floor
+    root of its lower end and the ceiling root of its upper end bound
+    the root on the grid 10**-(q+2).  sqrt(hr) - sqrt(lr) = (hr - lr) /
+    (sqrt(hr) + sqrt(lr)), and both roots are at least sqrt(lr0) >=
+    10**-head, so r is read at q + 2 + head digits, and never at fewer
+    than m0: the demand of nested roots grows linearly with depth.
+    """
+
+    _form = ("sqrt(", "", ")")
+
+    def __init__(self, r: RealNumber, floor: tuple[int, int, int] = None,
+                 pd: Optional[tuple[int, int]] = None):
+        self.radicand, self._pd = r, pd
+        if pd:
+            return self._record()
+        m0, lr0, k0 = floor
+        self._record(r)
+        self._guards = (max(2 + (_decimal_digits(10 ** k0, lr0) + 1) // 2,
+                            m0),)
+
+    def _bound(self) -> int:
+        return (_exponent(self.radicand) + 1) // 2
+
+    def _text(self, depth: int) -> str:
+        return "sqrt(" + _describe(self.radicand, depth) + ")"
+
+    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+        if not grids:
+            (p, d), k = self._pd, q + 1
+            scaled = p * 10 ** (2 * k)
+            s = math.isqrt(scaled // d)
+            # p/d is not a rational square, so the upper end is strict
+            assert s * s * d <= scaled < (s + 1) * (s + 1) * d
+            return _on_grid(s, s + 1, k, q)
+        k = q + 2
+        low, high = _on_scale(*grids[0], 2 * k)
+        lo = math.isqrt(low)
+        hi = math.isqrt(high)
+        if hi * hi < high:
+            hi += 1
+        assert lo * lo <= low and high <= hi * hi
+        return _on_grid(lo, hi, k, q)
+
+
 def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """The unique non-negative s with s*s = r.
 
-    Enclosures come from integer square roots on the grid 10**-k.  For
-    an exact radicand p/d that is not a rational square, s lies strictly
-    between isqrt(p * 10**(2k) // d) and the next unit, with k = q + 1.
-    For a radicand known only by enclosures [lr, hr], the floor root of
-    lr and the ceiling root of hr bound s on the grid 10**-(q+2); the
-    radicand's width is shrunk by the factor 2 * sqrt(lr0), where lr0
-    is its positive floor, so it is asked for about q + head + 2 digits
-    and the demand of nested roots grows linearly with depth.  Rational
-    perfect squares come back exact.
+    Rational perfect squares come back exact.  A computed radicand is
+    classified when the node is built: NegativeRadicand when it is
+    provably negative, SignUndecided when its sign is not settled within
+    the budget.
     """
     if r.is_exact:
         f = r.as_fraction()
@@ -326,43 +347,15 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         if f < 0:
             raise NegativeRadicand(f"square root of {f}")
         exact = _exact_sqrt(f)
-        if exact is not None:
+        if exact:
             return real_from_fraction(exact)
-        p, d = f.numerator, f.denominator
-
-        def refine_exact(q: int) -> tuple[int, int, int]:
-            k = q + 1
-            scaled = p * 10 ** (2 * k)
-            s = math.isqrt(scaled // d)
-            # f is not a rational square, so the upper end is strict
-            assert s * s * d <= scaled < (s + 1) * (s + 1) * d
-            return _on_grid(s, s + 1, k, q)
-
-        return ComputedReal(refine_exact, f"sqrt({_describe(r)})")
-
+        return _Root(r, pd=(f.numerator, f.denominator))
     sign = classify(r, budget)
     if sign is Classification.NEGATIVE:
         raise NegativeRadicand("square root of a provably negative value")
     if sign is Classification.ZERO:
         return ZERO_REAL
-
-    _, lr0, k0 = _positive_floor(r, budget)
-    # sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)), and both
-    # roots are at least sqrt(lr0) >= 10**-head
-    head = (_decimal_digits(10 ** k0, lr0) + 1) // 2
-
-    def refine(q: int) -> tuple[int, int, int]:
-        k = q + 2
-        lr, hr, kr = _above(r, k + head, (lr0, k0))
-        low, high = _on_scale(lr, hr, kr, 2 * k)
-        lo = math.isqrt(low)
-        hi = math.isqrt(high)
-        if hi * hi < high:
-            hi += 1
-        assert lo * lo <= low and high <= hi * hi
-        return _on_grid(lo, hi, k, q)
-
-    return ComputedReal(refine, f"sqrt({_describe(r)})")
+    return _Root(r, _positive_floor(r, budget))
 
 
 def archimedean_witness(x: RealNumber, y: RealNumber,

@@ -33,8 +33,7 @@ Only parentheses and ``sqrt`` nest nodes; ``evaluate_expression`` builds
 the value.
 
 Exit codes: 0 success; 1 malformed input, a usage error, a negative
-``--digits`` or ``--budget``, an expression too deep for the
-interpreter's recursion limit, or I/O failure; 2 digits could not
+``--digits`` or ``--budget``, or I/O failure; 2 digits could not
 stabilise (the enclosure is still printed); 3 a comparison or
 construction was undecided within its budget.
 """
@@ -62,9 +61,10 @@ from .terminating import _LITERAL, Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
 DEFAULT_CMP_BUDGET = 1000
-# the parser recurses three frames per level (factor, expr, term): 200
-# levels stay inside the interpreter's default recursion limit of 1000,
-# with room for callers
+# the limit guards only the parser, which recurses three frames per
+# level (factor, expr, term): 200 levels stay inside the interpreter's
+# default recursion limit of 1000, with room for callers.  A value is
+# refined on an explicit stack, whatever its depth
 MAX_NESTING = 200
 
 
@@ -169,8 +169,8 @@ def evaluate_expression(node: Expression) -> RealNumber:
 
     Operands are evaluated left to right.  A sum is one n-ary ``add``; a
     product is combined in pairs, so a chain of n factors nests
-    ceil(log2 n) deep, in this function and in the enclosure closures of
-    the result alike.
+    ceil(log2 n) deep, and its factors are asked for guard digits of
+    that many products, not of n.
     """
     if isinstance(node, RealNumber):
         return node
@@ -335,10 +335,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except DigitsUnstable as exc:
         print(f"digits unstable: {exc}", file=sys.stderr)
         return 2
-    # an expression nested MAX_NESTING deep can still outrun the
-    # recursion limit in the enclosure chain of its value
-    except (DecrealError, ZeroDivisionError, ValueError, OSError,
-            RecursionError) as exc:
+    except (DecrealError, ZeroDivisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

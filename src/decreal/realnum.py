@@ -515,15 +515,25 @@ def with_nine_run_check(digit_fn: Callable[[int], int],
 class ComputedReal(RealNumber):
     """A real known through a refinable enclosure on a decimal grid.
 
-    ``refine(m)`` must return integers (lo, hi, k) with k >= m,
-    lo * 10**-k <= value <= hi * 10**-k and hi - lo <= 10**(k - m): the
-    contract of ``_grid``.  Enclosures are cached and intersected on the
+    ``ComputedReal(refine, description)`` is a leaf: ``refine(m)`` must
+    return integers (lo, hi, k) with k >= m, lo * 10**-k <= value <= hi *
+    10**-k and hi - lo <= 10**(k - m), the contract of ``_grid``.  The
+    arithmetic kernels are records instead: for a request q a record asks
+    operand i for q + ``_guards[i]`` digits, and its ``_step`` combines
+    the operands' triples.  Enclosures are cached and intersected on the
     finer of the two grids, so they only ever tighten.  Digits are pinned
     from enclosures: the prefix of length n is committed once an
     enclosure fits strictly inside one 10**-n cell, and
     ``DigitsUnstable`` is raised if that fails with ``PIN_WINDOW`` extra
     refinement digits (the 0.999/1.000 boundary).
     """
+
+    _operands: tuple[RealNumber, ...] = ()
+    _guards: tuple[int, ...] = ()
+    # a record's description: head, separator and tail around operands
+    _form = ("", "", "")
+    # the bound e of _exponent, once known
+    _e: Optional[int] = None
 
     def __init__(self, refine: Callable[[int], tuple[int, int, int]],
                  description: str = ""):
@@ -533,26 +543,77 @@ class ComputedReal(RealNumber):
         self._pinned: Optional[tuple[bool, int, str]] = None
         self._lock = threading.RLock()
 
+    def _record(self, *operands: RealNumber) -> None:
+        """Make this node a record over the operands.  The bounds of
+        operands that are records over operands themselves are taken
+        now, so that no chain of records waits on them; a leaf's is one
+        step, and an opaque leaf's takes a read, so it waits."""
+        ComputedReal.__init__(self, None)
+        self._operands = operands
+        for t in operands:
+            if isinstance(t, ComputedReal) and t._operands:
+                _exponent(t)
+
+    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+        return self._refine(q)
+
+    def _bound(self) -> int:
+        if self._operands:
+            return max(map(_exponent, self._operands))
+        lo, hi, k = self._grid(0)
+        return _decimal_digits(max(-lo, hi), 10 ** k)
+
+    def _fresh(self, m: int) -> bool:
+        best = self._best
+        return (best is not None and best[2] >= m
+                and best[1] - best[0] <= 10 ** (best[2] - m))
+
     def _grid(self, m: int) -> tuple[int, int, int]:
-        with self._lock:
-            best = self._best
-            if best is not None:
-                lo, hi, k = best
-                if k >= m and hi - lo <= 10 ** (k - m):
-                    return best
-            lo, hi, k = self._refine(m)
-            if k < m:
-                raise AssertionError("refinement answered on a coarser grid")
-            if best is not None:
-                blo, bhi, bk = best
-                j = max(k, bk)
-                (lo, hi), (blo, bhi) = (_on_scale(lo, hi, k, j),
-                                        _on_scale(blo, bhi, bk, j))
-                lo, hi, k = max(lo, blo), min(hi, bhi), j
-            if lo > hi:
-                raise AssertionError("enclosure refinement became inconsistent")
-            self._best = (lo, hi, k)
+        """The enclosure at m, refining the expression below on an
+        explicit stack.  A stale node asks its operands first, depth
+        first and left to right; each operand hands the node the triple
+        it holds once it is fresh, as a nested call would return it, and
+        the node then combines once, under its own lock."""
+        if self._fresh(m):
             return self._best
+        # a frame (node, q, grids, out, i) puts the node's triple at
+        # out[i]; grids is None until the node is visited, then it
+        # collects the operands' triples
+        stack = [(self, m, None, [None], 0)]
+        while stack:
+            node, q, grids, out, i = stack.pop()
+            if grids is None:
+                if node is not self and node._fresh(q):
+                    out[i] = node._best
+                    continue
+                grids = []
+                if node._operands:
+                    asks = [q + g for g in node._guards]
+                    grids = [None if isinstance(t, ComputedReal)
+                             else t._grid(p)
+                             for t, p in zip(node._operands, asks)]
+                    waits = [(t, p, None, grids, j) for j, (t, p) in
+                             enumerate(zip(node._operands, asks))
+                             if not grids[j]]
+                    if waits:
+                        stack.append((node, q, grids, out, i))
+                        stack += reversed(waits)
+                        continue
+            lo, hi, k = node._step(q, grids)
+            if k < q:
+                raise AssertionError("refinement answered on a coarser grid")
+            with node._lock:
+                if node._best is not None:
+                    blo, bhi, bk = node._best
+                    j = max(k, bk)
+                    (lo, hi), (blo, bhi) = (_on_scale(lo, hi, k, j),
+                                            _on_scale(blo, bhi, bk, j))
+                    lo, hi, k = max(lo, blo), min(hi, bhi), j
+                if lo > hi:
+                    raise AssertionError(
+                        "enclosure refinement became inconsistent")
+                node._best = out[i] = (lo, hi, k)
+        return self._best
 
     def _pin(self, n: int, window: int = PIN_WINDOW) -> tuple[bool, int, str]:
         """Pin the canonical sign-magnitude prefix of length n."""
@@ -602,7 +663,16 @@ class ComputedReal(RealNumber):
 
     @property
     def description(self) -> str:
-        return self._description
+        # operands nested more than 12 levels below print as "...", so
+        # that describing a long chain does not recurse through it
+        return self._text(12)
+
+    def _text(self, depth: int) -> str:
+        head, sep, tail = self._form
+        if not self._operands:
+            return self._description
+        return head + sep.join(_describe(t, depth)
+                               for t in self._operands) + tail
 
     @property
     def int_part(self) -> int:
@@ -626,16 +696,22 @@ class ComputedReal(RealNumber):
         return DigitPrefix(neg, ip, ds)
 
     def negated(self) -> "ComputedReal":
-        parent = self
-
-        def refine(m: int) -> tuple[int, int, int]:
-            lo, hi, k = parent._grid(m)
-            return -hi, -lo, k
-
-        return ComputedReal(refine, f"-({self.description})")
+        return _Negation(self)
 
     def __repr__(self) -> str:
         return f"ComputedReal({self.description})"
+
+
+class _Negation(ComputedReal):
+    _guards = (0,)
+    _form = ("-(", "", ")")
+
+    def __init__(self, x: ComputedReal):
+        self._record(x)
+
+    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+        (lo, hi, k), = grids
+        return -hi, -lo, k
 
 
 def _on_scale(lo: int, hi: int, k: int, j: int) -> tuple[int, int]:
@@ -646,6 +722,39 @@ def _on_scale(lo: int, hi: int, k: int, j: int) -> tuple[int, int]:
         return lo * s, hi * s
     s = 10 ** (k - j)
     return lo // s, -(-hi // s)
+
+
+def _decimal_digits(num: int, den: int = 1) -> int:
+    """Smallest d >= 0 with num / den <= 10**d, for positive den."""
+    # 0.30102 < log10(2), so the search starts at or below d
+    d = max((num // den).bit_length() - 1, 0) * 30102 // 100000
+    while num > den * 10 ** d:
+        d += 1
+    return d
+
+
+def _exponent(x: RealNumber) -> int:
+    """An e >= 0 with |x| <= 10**e, known without refining x: an exact
+    value's own, an oracle's from its integer part, a record's from its
+    operands' and an opaque leaf's from its enclosure at precision 0."""
+    if x.is_exact:
+        f = x.as_fraction()
+        return _decimal_digits(abs(f.numerator), f.denominator)
+    if isinstance(x, OracleReal):
+        return _decimal_digits(x.int_part + 1)
+    if x._e is None:
+        x._e = x._bound()
+    return x._e
+
+
+def _describe(x: RealNumber, depth: int) -> str:
+    if isinstance(x, ComputedReal):
+        return (x._text(depth - 1) if depth > 0 else "...") or "?"
+    if isinstance(x, PeriodicReal):
+        # its literal writes out a whole period, which can run to
+        # millions of digits
+        return str(x.fraction)
+    return str(x) if x.is_exact else repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -872,10 +981,8 @@ def compare(x: RealNumber, y: RealNumber,
     for m in sorted({min(8, budget), min(64, budget), budget}):
         lx, hx, kx = x._grid(m)
         ly, hy, ky = y._grid(m)
-        if kx < ky:
-            lx, hx = _on_scale(lx, hx, kx, ky)
-        else:
-            ly, hy = _on_scale(ly, hy, ky, kx)
+        k = max(kx, ky)
+        (lx, hx), (ly, hy) = _on_scale(lx, hx, kx, k), _on_scale(ly, hy, ky, k)
         if hx < ly:
             return Comparison.LT
         if hy < lx:

@@ -9,6 +9,7 @@ containment check here is a dual-route comparison."""
 import fractions
 import math
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -559,8 +560,11 @@ class TestRefineSchedule:
         limit = 2 * math.ceil(math.log2(3000))
         assert 0 < pins[x] <= limit and 0 < pins[y] <= limit, pins
 
+    # at budget 3 the read at 2 leaves an enclosure that already serves 3:
+    # sqrt(2) is first read by the sum, at 3 digits, since mul reads
+    # nothing when it is built
     @pytest.mark.parametrize("budget,want", [
-        (0, [0]), (1, [1]), (2, [2]), (3, [2, 3]),
+        (0, [0]), (1, [1]), (2, [2]), (3, [2]),
         (40, [2, 4, 8, 16, 32, 40]),
     ])
     def test_classify_exhausts_budget(self, budget, want):
@@ -601,6 +605,128 @@ class TestSums:
             x = add(x, sqrt(P("2")))
         assert (Fraction(render_digits(x, 30))
                 == sqrt_truncation(Fraction(720_000), 30))  # 600 * sqrt(2)
+
+
+def _chain(kind: str, depth: int):
+    """A chain of ``depth`` calls of the Python API."""
+    if kind == "mul":
+        x = P("1")
+        for _ in range(depth):
+            x = mul(x, sqrt(P("1.001")))
+    elif kind == "sqrt":
+        x = P("0")
+        for _ in range(depth):
+            x = sqrt(add(x, P("3")))
+    else:
+        # from sqrt(2): a rational start would stay exact
+        x = sqrt(P("2"))
+        for _ in range(depth):
+            x = reciprocal(add(x, P("1")))
+    return x
+
+
+def _chain_prefix(kind: str, depth: int, n: int) -> str:
+    """The chain's first n digits, from Fractions and long-hand roots:
+    both ends of an enclosure of the value must give the same text."""
+    ulp = Fraction(1, 10 ** (n + 10))
+    if kind == "mul":
+        # sqrt(1.001)**(2k) = 1.001**k exactly
+        lo = hi = Fraction(1001, 1000) ** (depth // 2)
+    elif kind == "sqrt":
+        lo = hi = Fraction(0)
+        for _ in range(depth):
+            lo = sqrt_truncation(lo + 3, n + 10)
+            hi = sqrt_truncation(hi + 3, n + 10) + ulp
+    else:
+        lo = sqrt_truncation(Fraction(2), n + 10)
+        hi = lo + ulp
+        for _ in range(depth):
+            lo, hi = 1 / (hi + 1), 1 / (lo + 1)
+    want = fraction_prefix(lo, n)
+    assert fraction_prefix(hi, n) == want
+    return want
+
+
+def _counted_render(x, n: int) -> tuple[str, int]:
+    """render_digits(x, n) and the number of node refinements it ran."""
+    steps = 0
+
+    def profile(frame, event, arg):
+        nonlocal steps
+        if event == "call" and frame.f_code.co_name == "_step":
+            steps += 1
+
+    sys.setprofile(profile)
+    try:
+        text = render_digits(x, n)
+    finally:
+        sys.setprofile(None)
+    return text, steps
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+class TestDeepChains:
+    """1000-call API chains build and render at the default recursion
+    limit: the evaluator keeps its own stack, and a product reads
+    nothing when it is built."""
+
+    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
+    def test_api_chain_renders(self, kind, default_recursion_limit):
+        want = _chain_prefix(kind, 1000, 30)
+        start = time.process_time()
+        x = _chain(kind, 1000)
+        built = time.process_time() - start
+        text, steps = _counted_render(x, 30)
+        elapsed = time.process_time() - start
+        assert text == want
+        assert elapsed < 2, f"took {elapsed:.3f} s of CPU time"
+        if kind == "mul":
+            assert built < 0.2, f"built in {built:.3f} s of CPU time"
+        # refinements grow linearly with the depth of the chain
+        _, steps_100 = _counted_render(_chain(kind, 100), 30)
+        assert steps <= 10.5 * steps_100, (steps, steps_100)
+        assert isinstance(repr(x), str)
+
+    def test_mul_reads_nothing_when_built(self):
+        x, asked_x = _recorded(sqrt(P("2")))
+        y, asked_y = _recorded(opaque(Fraction(-22, 7)))
+        product = mul(x, y)
+        assert asked_x == asked_y == []
+        lo = sqrt_truncation(Fraction(2), 40) * Fraction(-22, 7)
+        assert render_digits(product, 25) == fraction_prefix(lo, 25)
+
+
+class TestConcurrency:
+    def test_threads_render_one_shared_dag(self):
+        # sqrt(2) is a subterm of both factors
+        def build():
+            a = sqrt(P("2"))
+            return mul(add(a, sqrt(P("3"))), add(a, sqrt(P("5"))))
+
+        lengths = [50, 200, 400, 800]
+        want = {n: render_digits(build(), n) for n in lengths}
+        shared, got = build(), {}
+        barrier = threading.Barrier(len(lengths))
+
+        def work(n):
+            barrier.wait(timeout=10)
+            got[n] = render_digits(shared, n)
+
+        threads = [threading.Thread(target=work, args=(n,), daemon=True)
+                   for n in lengths]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads), "deadlock"
+        assert got == want
 
 
 class TestRefinementWork:

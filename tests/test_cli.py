@@ -325,6 +325,27 @@ deep_st = st.builds(nest, st.binary(min_size=195, max_size=205),
 raw_st = st.text(alphabet="0123456789.()+-*/ sqrt", max_size=40)
 
 
+def nested_root_prefix(depth: int, n: int) -> str:
+    """sqrt(3 + sqrt(3 + ... sqrt(3 + 1))) with ``depth`` roots, to n
+    digits, from long-hand roots of both ends of an interval."""
+    lo = hi = Fraction(1)
+    ulp = Fraction(1, 10 ** (n + 10))
+    for _ in range(depth):
+        lo = sqrt_truncation(3 + lo, n + 10)
+        hi = sqrt_truncation(3 + hi, n + 10) + ulp
+    want = fraction_prefix(lo, n)
+    assert fraction_prefix(hi, n) == want
+    return want
+
+
+def root_two_minus_three(n: int) -> str:
+    """sqrt(2) - 3 to n digits, from a long-hand root of 2."""
+    lo = sqrt_truncation(Fraction(2), n + 10)
+    want = fraction_prefix(lo - 3, n)
+    assert fraction_prefix(lo + Fraction(1, 10 ** (n + 10)) - 3, n) == want
+    return want
+
+
 def run_quietly(*argv):
     """(exit code, stdout, CPU seconds) of one CLI run; any exception,
     SystemExit included, fails the caller."""
@@ -341,8 +362,8 @@ def run_quietly(*argv):
 class TestFuzz:
     @given(st.one_of(expressions_st, deep_st, raw_st))
     @settings(max_examples=300, deadline=None)
-    # a 199-level chain of differences outruns the recursion limit in
-    # the enclosure chain of its value
+    # a 199-level chain of differences, refined level by level on the
+    # evaluator's explicit stack
     @example("(sqrt(2)-" * 199 + "3" + ")" * 199)
     def test_eval_ends_with_an_exit_code(self, text):
         code, _, seconds = run_quietly("eval", text)
@@ -361,8 +382,11 @@ class TestFuzz:
         # quadratically in depth, and this text took seconds
         ("(2*" * 195 + "sqrt(2)" + ")" * 195, 0,
          fraction_prefix(sqrt_truncation(Fraction(2**391), 40), 30)),
+        # both exited 1 when evaluation recursed a few frames a level
+        ("sqrt(3+" * 199 + "1" + ")" * 199, 0, nested_root_prefix(199, 30)),
+        ("(sqrt(2)-" * 199 + "3" + ")" * 199, 0, root_two_minus_three(30)),
     ], ids=["chain", "long-period", "4400-digits", "4400-digit-group",
-            "nested-product"])
+            "nested-product", "nested-root", "nested-difference"])
     def test_fixed_cases(self, text, code, want):
         got, out, seconds = run_quietly("eval", text)
         assert (got, out) == (code, want + "\n" if want else "")
