@@ -106,8 +106,11 @@ class _Sum(ComputedReal):
 
     def _step(self, m: int, grids: list) -> tuple[int, int, int]:
         k = max(g[2] for g in grids)
-        lo = sum(tlo * 10 ** (k - tk) for tlo, _, tk in grids)
-        hi = sum(thi * 10 ** (k - tk) for _, thi, tk in grids)
+        lo = hi = 0
+        for tlo, thi, tk in grids:
+            scale = 10 ** (k - tk)
+            lo += tlo * scale
+            hi += thi * scale
         return _on_grid(lo, hi, k, m)
 
 
@@ -196,7 +199,7 @@ class _Product(ComputedReal):
         return self._fixed
 
     def _bound(self) -> int:
-        return sum(map(_exponent, self._operands))
+        return sum(self._guards) - 6
 
     def _step(self, q: int, grids: list) -> tuple[int, int, int]:
         gx, gy = self._guards
@@ -298,15 +301,17 @@ class _Root(ComputedReal):
 
     _form = ("sqrt(", "", ")")
 
-    def __init__(self, r: RealNumber, floor: tuple[int, int, int] = None,
+    def __init__(self, r: RealNumber,
+                 floor: Optional[tuple[int, int, int]] = None,
                  pd: Optional[tuple[int, int]] = None):
         self.radicand, self._pd = r, pd
-        if pd:
-            return self._record()
-        m0, lr0, k0 = floor
-        self._record(r)
-        self._guards = (max(2 + (_decimal_digits(10 ** k0, lr0) + 1) // 2,
-                            m0),)
+        if pd:  # p/d: a leaf
+            self._record()
+        else:
+            m0, lr0, k0 = floor
+            self._record(r)
+            self._guards = (max(2 + (_decimal_digits(10 ** k0, lr0) + 1) // 2,
+                                m0),)
 
     def _bound(self) -> int:
         return (_exponent(self.radicand) + 1) // 2

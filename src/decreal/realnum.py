@@ -586,19 +586,17 @@ class ComputedReal(RealNumber):
                 if node is not self and node._fresh(q):
                     out[i] = node._best
                     continue
-                grids = []
-                if node._operands:
-                    asks = [q + g for g in node._guards]
-                    grids = [None if isinstance(t, ComputedReal)
-                             else t._grid(p)
-                             for t, p in zip(node._operands, asks)]
-                    waits = [(t, p, None, grids, j) for j, (t, p) in
-                             enumerate(zip(node._operands, asks))
-                             if not grids[j]]
-                    if waits:
-                        stack.append((node, q, grids, out, i))
-                        stack += reversed(waits)
-                        continue
+                grids = [None] * len(node._operands)
+                stack.append((node, q, grids, out, i))
+                for j in reversed(range(len(grids))):
+                    t, p = node._operands[j], q + node._guards[j]
+                    if isinstance(t, ComputedReal):
+                        stack.append((t, p, None, grids, j))
+                    else:
+                        grids[j] = t._grid(p)
+                if stack[-1][2] is not grids:
+                    continue  # computed operands are refined first
+                stack.pop()  # nothing to wait for: combine now
             lo, hi, k = node._step(q, grids)
             if k < q:
                 raise AssertionError("refinement answered on a coarser grid")
@@ -703,6 +701,8 @@ class ComputedReal(RealNumber):
 
 
 class _Negation(ComputedReal):
+    """-x: x is read at the precision asked of -x."""
+
     _guards = (0,)
     _form = ("-(", "", ")")
 
@@ -735,12 +735,9 @@ def _decimal_digits(num: int, den: int = 1) -> int:
 
 def _exponent(x: RealNumber) -> int:
     """An e >= 0 with |x| <= 10**e, known without refining x: an exact
-    value's own, an oracle's from its integer part, a record's from its
+    value's or an oracle's from its integer part, a record's from its
     operands' and an opaque leaf's from its enclosure at precision 0."""
-    if x.is_exact:
-        f = x.as_fraction()
-        return _decimal_digits(abs(f.numerator), f.denominator)
-    if isinstance(x, OracleReal):
+    if not isinstance(x, ComputedReal):
         return _decimal_digits(x.int_part + 1)
     if x._e is None:
         x._e = x._bound()

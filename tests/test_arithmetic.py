@@ -721,10 +721,15 @@ class TestConcurrency:
 
         threads = [threading.Thread(target=work, args=(n,), daemon=True)
                    for n in lengths]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), "deadlock"
         assert got == want
 
