@@ -586,17 +586,18 @@ class ComputedReal(RealNumber):
                 if node is not self and node._fresh(q):
                     out[i] = node._best
                     continue
-                grids = [None] * len(node._operands)
-                stack.append((node, q, grids, out, i))
+                # operands pushed last to first, so the first is on top
+                grids, waits = [None] * len(node._operands), []
                 for j in reversed(range(len(grids))):
                     t, p = node._operands[j], q + node._guards[j]
                     if isinstance(t, ComputedReal):
-                        stack.append((t, p, None, grids, j))
+                        waits.append((t, p, None, grids, j))
                     else:
                         grids[j] = t._grid(p)
-                if stack[-1][2] is not grids:
-                    continue  # computed operands are refined first
-                stack.pop()  # nothing to wait for: combine now
+                if waits:  # combine once they are done
+                    stack.append((node, q, grids, out, i))
+                    stack += waits
+                    continue
             lo, hi, k = node._step(q, grids)
             if k < q:
                 raise AssertionError("refinement answered on a coarser grid")
