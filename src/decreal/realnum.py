@@ -573,7 +573,8 @@ class ComputedReal(RealNumber):
         explicit stack.  A stale node asks its operands first, depth
         first and left to right; each operand hands the node the triple
         it holds once it is fresh, as a nested call would return it, and
-        the node then combines once, under its own lock."""
+        the node then steps once, under its own lock, which is not held
+        while its operands are refined."""
         if self._fresh(m):
             return self._best
         # a frame (node, q, grids, out, i) puts the node's triple at
@@ -598,10 +599,10 @@ class ComputedReal(RealNumber):
                     stack.append((node, q, grids, out, i))
                     stack += waits
                     continue
-            lo, hi, k = node._step(q, grids)
-            if k < q:
-                raise AssertionError("refinement answered on a coarser grid")
-            with node._lock:
+            with node._lock:  # a leaf's refine runs under it too
+                lo, hi, k = node._step(q, grids)
+                if k < q:
+                    raise AssertionError("refine answered on a coarser grid")
                 if node._best is not None:
                     blo, bhi, bk = node._best
                     j = max(k, bk)
