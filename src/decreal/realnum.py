@@ -959,17 +959,23 @@ def compare(x: RealNumber, y: RealNumber,
             budget: int = DEFAULT_BUDGET) -> Comparison:
     """Budgeted order comparison.
 
-    Exactly-representable pairs are compared through their rational
-    values and never come back UNDECIDED.  Otherwise enclosures are
-    tested for separation and the canonical digit streams are walked up
-    to ``budget`` fractional digits, in blocks of doubling width compared
-    as strings; UNDECIDED means every examined position agreed.  The
-    verdict, or the refusal of an unpinnable digit, is the one a
-    digit-at-a-time walk reaches at the same position.  A verdict reached
-    at some budget is returned for every larger budget as well.
+    Exactly-representable pairs are compared exactly, two terminating
+    decimals on aligned integer units and other pairs through their
+    rational values, and never come back UNDECIDED.  Otherwise
+    enclosures are tested for separation and the canonical digit streams
+    are walked up to ``budget`` fractional digits, in blocks of doubling
+    width compared as strings; UNDECIDED means every examined position
+    agreed.  The verdict, or the refusal of an unpinnable digit, is the
+    one a digit-at-a-time walk reaches at the same position.  A verdict
+    reached at some budget is returned for every larger budget as well.
     """
     if x is y:
         return Comparison.EQ
+    if isinstance(x, TerminatingReal) and isinstance(y, TerminatingReal):
+        # aligned integer units: no Fraction is built
+        c = x.value._cmp(y.value)
+        return (Comparison.LT if c < 0 else Comparison.GT if c > 0
+                else Comparison.EQ)
     if x.is_exact and y.is_exact:
         fx, fy = x.as_fraction(), y.as_fraction()
         if fx < fy:
@@ -1063,11 +1069,11 @@ def _above_zero_witness(b: RealNumber, budget: int) -> TerminatingDecimal:
     """A terminating decimal strictly between 0 and positive b."""
     try:
         vb = _view(b)
+        if vb.int_part >= 1:
+            return TerminatingDecimal(1, 1)  # 0.1
+        m = vb.first_not("0", 1, budget)
     except DigitsUnstable as exc:
         raise OrderUndecided("digits of the upper endpoint are unstable") from exc
-    if vb.int_part >= 1:
-        return TerminatingDecimal(1, 1)  # 0.1
-    m = vb.first_not("0", 1, budget)
     if m is not None:
         return pow10(-(m + 1))
     raise OrderUndecided(

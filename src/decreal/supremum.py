@@ -32,6 +32,7 @@ from .realnum import (
     OracleReal,
     RealNumber,
     TerminatingReal,
+    _decimal_digits,
     between,
     canonicalize_trailing_nines,
     compare,
@@ -40,13 +41,12 @@ from .realnum import (
 from .terminating import (
     Comparison,
     TerminatingDecimal,
+    digits_from_int,
     int_from_digits,
 )
 
 # digits confirmed eagerly before sup falls back to a lazy stream
 HINT_WINDOW = 64
-# members scanned when an enumerable family searches for a witness
-ENUMERATION_SCAN = 200
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +104,19 @@ class PrefixMaxOracle:
     ``tail_hint`` only announces a tail that the selection truly has
     from the given position on.
 
+    ``next_digits(p, n)`` optionally returns, as one string, the n
+    digits that n successive ``max_next_digit`` choices after p select;
+    a selection stream then reads blocks of doubling width.  Without it
+    the stream asks ``max_next_digit`` for one digit at a time, each
+    with a new prefix.
+
     ``member_above(b, budget)`` optionally produces a member strictly
-    above b (or None when it cannot); ``bound_hint(b, budget)``
-    optionally decides "b bounds every member" directly.  Both exist
-    because those questions are only semi-decidable through digits.
+    above b, or None when it cannot: for a member list and the built-in
+    enumerable families, the first member above b in enumeration order,
+    verified by ``compare``, found with no cap on how far along it is.
+    ``bound_hint(b, budget)`` optionally decides "b bounds every member"
+    directly.  Both exist because those questions are only
+    semi-decidable through digits.
     """
 
     max_integral: Callable[[], int]
@@ -118,6 +127,7 @@ class PrefixMaxOracle:
         Callable[[RealNumber, int], Optional[RealNumber]]] = None
     bound_hint: Optional[Callable[[RealNumber, int], Optional[bool]]] = None
     description: str = ""
+    next_digits: Optional[Callable[[DigitPrefix, int], str]] = None
 
 
 @frozen
@@ -190,11 +200,11 @@ def _max_member(members: Iterable[RealNumber],
     return best
 
 
-def _select(oracle: PrefixMaxOracle, prefix: DigitPrefix) -> DigitPrefix:
+def _digit(oracle: PrefixMaxOracle, prefix: DigitPrefix) -> int:
     d = oracle.max_next_digit(prefix)
     if not 0 <= d <= 9:
         raise ValueError(f"oracle selected a non-digit: {d!r}")
-    return prefix.extend(d)
+    return d
 
 
 def _family_sup(family: Family) -> RealNumber:
@@ -226,7 +236,7 @@ def _select_sup(family: Family) -> RealNumber:
             return TerminatingReal(head.as_terminating())
         if len(prefix) >= HINT_WINDOW:
             break
-        prefix = _select(oracle, prefix)
+        prefix = prefix.extend(_digit(oracle, prefix))
     # no resolvable tail within the window: hand out the stream lazily
     run = min(HINT_WINDOW, len(prefix))
     caveat = None
@@ -235,12 +245,22 @@ def _select_sup(family: Family) -> RealNumber:
             f"the final {run} confirmed digits are all 9 and the oracle "
             f"gave no tail hint; if the true selection tail is all nines "
             f"this stream is the non-canonical spelling of its repair")
-    state = {"prefix": prefix}
+    selection = bytearray(prefix.digits, "ascii")
 
     def digit_fn(i: int) -> int:
-        while len(state["prefix"]) < i:
-            state["prefix"] = _select(oracle, state["prefix"])
-        return int(state["prefix"].digits[i - 1])
+        # the stream's lock is held: one caller extends the selection
+        while len(selection) < i:
+            head = DigitPrefix(oracle.negative, int_part, selection.decode())
+            if oracle.next_digits is None:
+                selection.append(48 + _digit(oracle, head))  # ASCII "0" + d
+            else:
+                # blocks of doubling width: one new prefix a block
+                n = max(i - len(selection), len(selection))
+                block = oracle.next_digits(head, n)
+                if len(block) != n or not block.isdigit():
+                    raise ValueError(f"oracle selected non-digits: {block!r}")
+                selection.extend(block.encode())
+        return selection[i - 1] - 48
 
     return OracleReal(digit_fn, negative=oracle.negative, int_part=int_part,
                       promise="digit-selection stream of a bounded family",
@@ -454,8 +474,10 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
     ``HINT_WINDOW`` digits that sup confirms eagerly and then twice as
     many as held whenever a longer prefix is asked about, and kept for
     the life of the family.
-    A digit selection is then one ``startswith`` on the digits held for
-    each member: no digit is recomputed, and no rational arithmetic runs.
+    A selection of n digits is then one ``startswith`` and one slice on
+    the digits held for each member: the largest slice (the smallest for
+    a negative pool) is what n digit-by-digit choices pick.  No digit is
+    recomputed, and no rational arithmetic runs.
     """
     members = tuple(members)
     if not members:
@@ -477,18 +499,18 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
 
     reads = [m.prefix(0) for m in pool]
 
-    def max_next_digit(prefix: DigitPrefix) -> int:
-        n = len(prefix)
-        nexts = []
+    def next_digits(prefix: DigitPrefix, n: int) -> str:
+        end = len(prefix) + n
+        blocks = []
         for i, read in enumerate(reads):
             if read.int_part != prefix.int_part:
                 continue
-            if len(read) <= n:
+            if len(read) < end:
                 read = reads[i] = pool[i].prefix(
-                    max(n + 1, 2 * len(read), HINT_WINDOW))
+                    max(end, 2 * len(read), HINT_WINDOW))
             if read.digits.startswith(prefix.digits):
-                nexts.append(read.digits[n])
-        return int(pick(nexts))
+                blocks.append(read.digits[len(prefix):end])
+        return pick(blocks)
 
     def tail_hint(prefix: DigitPrefix) -> TailHint:
         if isinstance(best, TerminatingReal):
@@ -503,61 +525,66 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
 
     bound = TerminatingDecimal(best.as_fraction().__floor__() + 1)
     return Family(PrefixMaxOracle(
-        max_integral, max_next_digit, tail_hint, negative=negative,
-        member_above=member_above,
-        description=f"finite family of {len(members)} members"), bound)
+        max_integral, lambda prefix: int(next_digits(prefix, 1)), tail_hint,
+        negative=negative, member_above=member_above,
+        description=f"finite family of {len(members)} members",
+        next_digits=next_digits), bound)
 
 
 # ---------------------------------------------------------------------------
 # built-in families
 
 
-def _scan_above(enumerate_members: Callable[[], Iterator[TerminatingDecimal]],
-                b: RealNumber, budget: int,
-                scan: int = ENUMERATION_SCAN) -> Optional[RealNumber]:
-    for i, m in enumerate(enumerate_members()):
-        if i >= scan:
-            return None
-        if compare(TerminatingReal(m), b, budget) is Comparison.GT:
-            return TerminatingReal(m)
-    return None
+def _first_above(head: tuple[TerminatingDecimal, ...],
+                 tail: Optional[tuple[int, int, int]] = None
+                 ) -> Callable[[RealNumber, int], Optional[RealNumber]]:
+    """``member_above`` for a family enumerated as the head members, then,
+    when tail = (top, c, s) is given, top - c * 10**-(j + s) for j = 0, 1,
+    ..., which increase to top.  It returns the first member above b in
+    that order, each candidate checked by ``compare``.  The tail member
+    is named from b's upper enclosure at the budget, with no walk and no
+    cap on j: it is the first above that end, so for a b known only
+    through enclosures it is the first above b unless a member lies less
+    than 10**-budget above b, where the budget cannot tell them apart."""
+    head = tuple(map(TerminatingReal, head))
+
+    def candidates(b: RealNumber, budget: int) -> Iterator[RealNumber]:
+        yield from head
+        if tail is None:
+            return
+        top, c, s = tail
+        _, hi, k = b._grid(budget)
+        gap = top * 10 ** k - hi
+        if gap > 0:
+            # the least j with c * 10**k < gap * 10**(j + s): the first
+            # tail member above hi * 10**-k, which is at least b
+            j = max(_decimal_digits(c * 10 ** k + 1, gap) - s, 0)
+            yield TerminatingReal(
+                TerminatingDecimal(top * 10 ** (j + s) - c, j + s))
+
+    def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
+        return next((w for w in candidates(b, budget)
+                     if compare(w, b, budget) is Comparison.GT), None)
+
+    return member_above
 
 
 def _nine_family() -> Family:
     """0.9, 0.99, 0.19, 0.991, 0.9991, ... — supremum 1, never attained."""
-
-    def enumerate_members() -> Iterator[TerminatingDecimal]:
-        yield TerminatingDecimal(9, 1)
-        yield TerminatingDecimal(99, 2)
-        yield TerminatingDecimal(19, 2)
-        j = 2
-        while True:
-            # j nines then a one: 0.99...91
-            yield TerminatingDecimal(10 ** (j + 1) - 9, j + 1)
-            j += 1
-
     oracle = PrefixMaxOracle(
         max_integral=lambda: 0,
         max_next_digit=lambda prefix: 9,
         tail_hint=lambda prefix: AllNinesFrom(1),
-        member_above=lambda b, budget: _scan_above(enumerate_members, b,
-                                                   budget),
+        # after the head, j nines then a one: 1 - 9 * 10**-(j + 1), j >= 2
+        member_above=_first_above(
+            (TerminatingDecimal(9, 1), TerminatingDecimal(99, 2),
+             TerminatingDecimal(19, 2)), tail=(1, 9, 3)),
         description="terminating decimals crowding up to 1")
     return Family(oracle, TerminatingDecimal(1))
 
 
 def _negated_nine_family() -> Family:
     """-1, -0.9, -0.99, -0.19, -0.991, ... — supremum -0.19, attained."""
-
-    def enumerate_members() -> Iterator[TerminatingDecimal]:
-        yield TerminatingDecimal(-1)
-        yield TerminatingDecimal(-9, 1)
-        yield TerminatingDecimal(-99, 2)
-        yield TerminatingDecimal(-19, 2)
-        j = 2
-        while True:
-            yield TerminatingDecimal(-(10 ** (j + 1) - 9), j + 1)
-            j += 1
 
     def min_next_digit(prefix: DigitPrefix) -> int:
         # minimal magnitudes: 0.19 wins the first digit, then stays
@@ -568,28 +595,23 @@ def _negated_nine_family() -> Family:
         max_next_digit=min_next_digit,
         tail_hint=lambda prefix: AllZerosFrom(3),
         negative=True,
-        member_above=lambda b, budget: _scan_above(enumerate_members, b,
-                                                   budget),
+        # the rest, -0.991, -0.9991, ..., lie below -0.9, which comes
+        # before them: the first member above any b is in the head
+        member_above=_first_above(
+            (TerminatingDecimal(-1), TerminatingDecimal(-9, 1),
+             TerminatingDecimal(-99, 2), TerminatingDecimal(-19, 2))),
         description="negated crowding family plus -1")
     return Family(oracle, TerminatingDecimal(0))
 
 
 def _vanishing_family() -> Family:
     """-0.1, -0.01, -0.001, ... — supremum 0, never attained."""
-
-    def enumerate_members() -> Iterator[TerminatingDecimal]:
-        j = 1
-        while True:
-            yield TerminatingDecimal(-1, j)
-            j += 1
-
     oracle = PrefixMaxOracle(
         max_integral=lambda: 0,
         max_next_digit=lambda prefix: 0,
         tail_hint=lambda prefix: AllZerosFrom(1),
         negative=True,
-        member_above=lambda b, budget: _scan_above(enumerate_members, b,
-                                                   budget),
+        member_above=_first_above((), tail=(0, 1, 1)),
         description="negative powers of ten approaching zero")
     return Family(oracle, TerminatingDecimal(0))
 
@@ -612,10 +634,11 @@ def lower_cut(c: RealNumber) -> Family:
     identical digit stream).  Witnesses come from betweenness: any
     bound b < c is exceeded by a member strictly between b and c.
 
-    A digit after a prefix of n digits is read on the grid 10**-(n+1):
-    with U the prefix's units (its n digits, trailing zeros included,
-    as one integer) and |c| = num/den, the next digit is one floor
-    division of num * 10**(n+1) by den, less 10 * U.
+    The w digits after a prefix of n digits are read on the grid
+    10**-(n+w): with U the prefix's units (its n digits, trailing zeros
+    included, as one integer) and |c| = num/den, they are one floor
+    division of num * 10**(n+w) by den, less U * 10**w, held to w
+    digits.  Picked one at a time, the same digits come out.
     """
     if not c.is_exact:
         raise ValueError("lower cuts are supported for exact reals")
@@ -623,35 +646,24 @@ def lower_cut(c: RealNumber) -> Family:
     num, den = abs(f.numerator), f.denominator
     negative = f <= 0
 
-    def on_grid(prefix: DigitPrefix) -> tuple[int, int]:
-        """(10 * U, num * 10**(n+1)) for a prefix of n digits."""
+    top = -((-f).__floor__())  # ceil(c)
+    # integer parts of members below c reach exactly ceil(c) - 1, and
+    # magnitudes above |c| start at floor(|c|)
+    start = num // den if negative else top - 1
+
+    def next_digits(prefix: DigitPrefix, w: int) -> str:
         n = len(prefix)
         units = prefix.int_part * 10 ** n + int_from_digits(prefix.digits)
-        return 10 * units, num * 10 ** (n + 1)
-
-    if not negative:
-        # integer parts of members below c reach exactly ceil(c) - 1
-        top = -((-f).__floor__())  # ceil
-        start = top - 1
-
-        def max_next_digit(prefix: DigitPrefix) -> int:
-            # the largest d with 10 * U + d < num * 10**(n+1) / den
-            base, scaled = on_grid(prefix)
-            d = min(9, (scaled - 1) // den - base)
-            if d < 0:
-                raise AssertionError("no digit keeps the prefix below the cut")
-            return d
-    else:
-        start = num // den  # floor(|c|)
-
-        def max_next_digit(prefix: DigitPrefix) -> int:
-            # the smallest d with 10 * U + d + 1 > num * 10**(n+1) / den
-            base, scaled = on_grid(prefix)
-            d = max(0, scaled // den - base)
-            if d > 9:
-                raise AssertionError(
-                    "no digit pushes the magnitude past the cut")
-            return d
+        base, scaled = units * 10 ** w, num * 10 ** (n + w)
+        if negative:
+            # the least D with base + D + 1 > num * 10**(n+w) / den
+            block = max(0, scaled // den - base)
+        else:
+            # the largest D < 10**w with base + D < num * 10**(n+w) / den
+            block = min(10 ** w - 1, (scaled - 1) // den - base)
+        if not 0 <= block < 10 ** w:
+            raise AssertionError("the prefix has left the cut")
+        return digits_from_int(block).rjust(w, "0")
 
     def tail_hint(prefix: DigitPrefix) -> TailHint:
         if isinstance(c, TerminatingReal):
@@ -674,11 +686,11 @@ def lower_cut(c: RealNumber) -> Family:
             return None
         return verdict is not Comparison.LT
 
-    bound = TerminatingDecimal(-((-f).__floor__()))  # ceil(c)
     return Family(PrefixMaxOracle(
-        lambda: start, max_next_digit, tail_hint, negative=negative,
-        member_above=member_above, bound_hint=bound_hint,
-        description=f"terminating decimals below {c}"), bound)
+        lambda: start, lambda prefix: int(next_digits(prefix, 1)), tail_hint,
+        negative=negative, member_above=member_above, bound_hint=bound_hint,
+        description=f"terminating decimals below {c}",
+        next_digits=next_digits), TerminatingDecimal(top))
 
 
 _BUILTINS: dict[str, Callable[[], Family]] = {

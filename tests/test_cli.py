@@ -218,6 +218,12 @@ class TestBetween:
         code, _, err = invoke(capsys, "between", "sqrt(2)*sqrt(2)", "2")
         assert code == 3 and "undecided" in err
 
+    def test_unstable_endpoint_exit_3(self, capsys):
+        # a computed zero below a value that sits on 10**-9
+        code, out, err = invoke(capsys, "between", "sqrt(2)-sqrt(2)",
+                                "sqrt(2)-sqrt(2)+0.000000001")
+        assert (code, out) == (3, "") and "undecided" in err
+
 
 class TestSup:
     def test_family_file(self, capsys, tmp_path):

@@ -6,9 +6,10 @@ frozen from those routes."""
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -31,7 +32,7 @@ from decreal.errors import (
     SignUndecided,
 )
 from decreal import realnum
-from decreal.arithmetic import add, mul, sqrt
+from decreal.arithmetic import add, mul, neg, sqrt
 from decreal.realnum import (
     MAX_EXPANSION_DIGITS,
     Classification,
@@ -63,6 +64,23 @@ fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
 
 def P(text):
     return parse_real(text)
+
+
+@st.composite
+def terminating_pairs(draw):
+    """Two terminating decimals as (units, scale) pairs: independent, or
+    the second within a few units of the first rewritten at another
+    scale, so that equal values with different scales, neighbours, zero
+    and both signs all come up."""
+    u = draw(st.integers(min_value=-10**12, max_value=10**12))
+    s = draw(st.integers(min_value=0, max_value=12))
+    t = draw(st.integers(min_value=0, max_value=12))
+    if draw(st.booleans()):
+        v = draw(st.integers(min_value=-10**12, max_value=10**12))
+    else:
+        v = (u * 10**t // 10**s
+             + draw(st.integers(min_value=-2, max_value=2)))
+    return (u, s), (v, t)
 
 
 class TestParse:
@@ -406,6 +424,24 @@ class TestCompare:
             (f > g) - (f < g)]
         assert compare(real_from_fraction(f), real_from_fraction(g)) is want
 
+    @given(terminating_pairs(), st.integers(min_value=0, max_value=20))
+    @example(((5, 1), (50, 2)), 0)
+    @example(((0, 3), (0, 0)), 0)
+    @example(((-1, 1), (1, 1)), 0)
+    @example(((-10**12, 12), (-1, 0)), 1)
+    @settings(max_examples=300)
+    def test_terminating_pairs_match_fraction_order(self, pair, budget):
+        # on integer units: no Fraction of a terminating value is asked for
+        (u, s), (v, t) = pair
+        f, g = Fraction(u, 10**s), Fraction(v, 10**t)
+        want = {-1: Comparison.LT, 0: Comparison.EQ, 1: Comparison.GT}
+        x = TerminatingReal(TerminatingDecimal(u, s))
+        y = TerminatingReal(TerminatingDecimal(v, t))
+        with mock.patch.object(TerminatingDecimal, "as_fraction",
+                               side_effect=AssertionError):
+            assert compare(x, y, budget) is want[(f > g) - (f < g)]
+            assert compare(y, x, budget) is want[(g > f) - (g < f)]
+
     @given(fractions_st, fractions_st,
            st.integers(min_value=1, max_value=50))
     @settings(max_examples=100)
@@ -525,6 +561,14 @@ class TestBetween:
         x, y = opaque(Fraction(1, 3)), opaque(Fraction(1, 3))
         with pytest.raises(OrderUndecided):
             between(x, y, 10)
+
+    def test_unstable_upper_endpoint_is_undecided(self):
+        # the lower end is a computed zero whose sign never settles, and
+        # the upper one sits on 10**-9, so its ninth digit cannot be
+        # pinned while the witness looks for its first nonzero digit
+        r = sqrt(P("2"))
+        with pytest.raises(OrderUndecided):
+            between(add(r, neg(r)), add(r, neg(r), P("0.000000001")), 14)
 
     @given(fractions_st, fractions_st)
     @settings(max_examples=300)

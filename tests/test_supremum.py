@@ -2,19 +2,27 @@
 cuts, hints, bound checks, and certificates.
 
 Oracles: Fraction max/arithmetic for finite sets, long-division digit
-prefixes for streams, geometric series for nine-tail repairs."""
+prefixes for streams, geometric series for nine-tail repairs, and the
+built-in families enumerated from their definitions as Fractions."""
 
 import sys
 import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_digit, fraction_prefix
+from conftest import (
+    computed,
+    fraction_digit,
+    fraction_prefix,
+    long_division_digits,
+    sqrt_truncation,
+)
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
     DigitPrefix,
@@ -578,3 +586,194 @@ class TestSupDefinitionEquivalence:
             grid_y = {TerminatingDecimal(top_y - j, k) for j in range(3)}
             best = max(set_sum(grid_x, grid_y))
             assert abs(best.as_fraction() - 1) <= 2 * step
+
+
+# ---------------------------------------------------------------------------
+# witnesses of the enumerable built-in families
+
+
+def family_members(name: str):
+    """The members of paper-B, paper-C or paper-D in enumeration order,
+    as Fractions from the families' definitions."""
+    def crowding():  # 0.991, 0.9991, ...: j nines, then a one
+        return (1 - Fraction(9, 10 ** (j + 1)) for j in count(2))
+
+    if name == "paper-B":
+        yield from (Fraction(9, 10), Fraction(99, 100), Fraction(19, 100))
+        yield from crowding()
+    elif name == "paper-C":
+        yield from (Fraction(-1), Fraction(-9, 10), Fraction(-99, 100),
+                    Fraction(-19, 100))
+        yield from (-m for m in crowding())
+    else:
+        yield from (-Fraction(1, 10 ** j) for j in count(1))
+
+
+# no member exceeds these; paper-C attains its supremum
+FAMILY_SUPREMA = {"paper-B": Fraction(1), "paper-C": Fraction(-19, 100),
+                  "paper-D": Fraction(0)}
+
+
+class Open(Exception):
+    """The enclosure of a bound is too wide to tell the first member."""
+
+
+def first_member_above(name: str, lo: Fraction, hi: Fraction):
+    """The first member, in enumeration order, above a value known to lie
+    in [lo, hi], or None when it is at least the supremum.  Raises Open
+    when the supremum or a member lies inside the enclosure."""
+    if lo >= FAMILY_SUPREMA[name]:
+        return None
+    if hi >= FAMILY_SUPREMA[name]:
+        raise Open
+    for m in family_members(name):
+        if lo < m <= hi:
+            raise Open
+        if m > hi:
+            return m
+
+
+def shifted_root(q: Fraction, sign: int, p: int, e: int):
+    """q + sign * sqrt(p) * 10**-e as a computed real, with enclosures
+    from the long-hand square root; with it, [lo, hi] at 10**-(e + 40)."""
+    def refine(m):
+        r = sqrt_truncation(Fraction(p), m + e)
+        ends = (q + sign * r / 10**e,
+                q + sign * (r + Fraction(1, 10 ** (m + e))) / 10**e)
+        return min(ends), max(ends)
+
+    return computed(refine, f"shifted sqrt({p})"), refine(e + 40)
+
+
+WITNESS_BUDGET = 400
+
+
+@st.composite
+def witness_probes(draw):
+    """(family, b, lo, hi): a bound b near or far from the family's
+    supremum, exact (terminating, periodic, a member itself) or computed,
+    with an enclosure [lo, hi] of its value made without decreal."""
+    name = draw(st.sampled_from(sorted(FAMILY_SUPREMA)))
+    top = FAMILY_SUPREMA[name]
+    k = draw(st.integers(min_value=0, max_value=300))
+    kind = draw(st.sampled_from(["member", "near", "above", "far",
+                                 "computed"]))
+    if kind == "computed":
+        p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+        sign = draw(st.sampled_from([-1, 1]))
+        q = top - draw(st.integers(min_value=0, max_value=2))
+        b, (lo, hi) = shifted_root(q, sign, p, k)
+        return name, b, lo, hi
+    if kind == "member":
+        f = next(islice(family_members(name), k, None))
+    else:
+        t = draw(st.fractions(min_value=Fraction(1, 999), max_value=10,
+                              max_denominator=999))
+        f = {"near": top - t / 10**k, "above": top + t / 10**k,
+             "far": top - t}[kind]
+    return name, real_from_fraction(f), f, f
+
+
+class TestFamilyWitnesses:
+    """``member_above`` of paper-B, paper-C and paper-D against the
+    families enumerated test-side."""
+
+    @given(witness_probes())
+    @example(("paper-B", P("0.999"), Fraction(999, 1000),
+              Fraction(999, 1000)))
+    @example(("paper-B", P("1"), Fraction(1), Fraction(1)))
+    @example(("paper-C", P("-0.99"), Fraction(-99, 100),
+              Fraction(-99, 100)))
+    @example(("paper-D", P("-0.001"), Fraction(-1, 1000),
+              Fraction(-1, 1000)))
+    @settings(max_examples=150, deadline=None)
+    def test_first_member_above(self, probe):
+        name, b, lo, hi = probe
+        try:
+            want = first_member_above(name, lo, hi)
+        except Open:
+            assume(False)
+        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.as_fraction() == want
+
+    @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
+    @pytest.mark.parametrize("e", [0, 3, 64, 199, 250, 300])
+    def test_computed_bound_below_the_supremum(self, name, e):
+        # the first member above sits e or so places into the tail
+        top = FAMILY_SUPREMA[name]
+        for p in (2, 3):
+            b, (lo, hi) = shifted_root(top, -1, p, e)
+            want = first_member_above(name, lo, hi)
+            got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+            assert got is not None and got.as_fraction() == want
+
+    @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
+    @pytest.mark.parametrize("i", [0, 7, 150])
+    def test_bound_just_below_a_member(self, name, i):
+        # b lies below the tail member w by far less than 10**-budget, so
+        # no enclosure at the budget tells b from w, and the witness is
+        # the member after w: the first one known to be above b
+        members = islice(family_members(name), i + (name == "paper-B") * 3,
+                         None)
+        w, after = next(members), next(members)
+        b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + 5)
+        assert hi < w == first_member_above(name, lo, hi)
+        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        assert got is not None and got.as_fraction() == after
+
+    def test_witness_past_two_hundred_members(self):
+        # the 253rd member, 250 nines and then a one: a scan of the
+        # first 200 members left this bound undecided
+        b = P("0." + "9" * 250)
+        verdict = is_upper_bound(b, builtin_family("paper-B"), 400)
+        assert isinstance(verdict, No)
+        want = next(m for m in family_members("paper-B")
+                    if m > Fraction(10**250 - 1, 10**250))
+        assert verdict.witness.as_fraction() == want
+        assert str(verdict.witness) == "0." + "9" * 250 + "1"
+
+
+class TestLinearSelection:
+    """Selection streams read in blocks: the digits a block selects are
+    those picked one at a time, and long streams render in linear work."""
+
+    @given(pools(), st.integers(min_value=0, max_value=120),
+           st.integers(min_value=1, max_value=200))
+    @settings(max_examples=80, deadline=None)
+    def test_member_block_follows_the_maximum(self, fs, start, width):
+        oracle = finite_family([real_from_fraction(f) for f in fs]).oracle
+        top = max(fs) if oracle.negative else max(f for f in fs if f >= 0)
+        ip, digits = fraction_prefix(top, start + width).lstrip("-").split(".")
+        head = DigitPrefix(oracle.negative, int(ip), digits[:start])
+        assert oracle.next_digits(head, width) == digits[start:]
+
+    @given(fractions_st, st.integers(min_value=0, max_value=60),
+           st.integers(min_value=1, max_value=120))
+    @settings(max_examples=80, deadline=None)
+    def test_cut_block_matches_fraction_route(self, f, start, width):
+        oracle = lower_cut(real_from_fraction(f)).oracle
+        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        for _ in range(start + width):
+            prefix = prefix.extend(TestSelectionKernels.cut_digit(f, prefix))
+        head = DigitPrefix(prefix.negative, prefix.int_part,
+                           prefix.digits[:start])
+        assert oracle.next_digits(head, width) == prefix.digits[start:]
+
+    def test_long_cut_stream(self):
+        # 2.3 s for 8000 digits when every digit rebuilt the prefix and
+        # decoded its units again
+        start = time.process_time()
+        got = render_digits(sup(builtin_family("lower-cut 0.(142857)")),
+                            16000)
+        assert time.process_time() - start < 0.5
+        assert got == "0." + long_division_digits(1, 7, 16000)
+
+    def test_long_member_stream(self):
+        start = time.process_time()
+        got = render_digits(sup(builtin_family("paper-A")), 16000)
+        assert time.process_time() - start < 0.5
+        want = Fraction(212, 100) + Fraction(1, 9000)  # 2.120(1)
+        assert got == fraction_prefix(want, 16000)
