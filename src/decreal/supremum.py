@@ -1,16 +1,18 @@
 """Digit-by-digit suprema of bounded sets of reals.
 
 A bounded set is presented either as a finite list of members or as a
-*prefix-max oracle*: a description of an infinite family by the largest
-next digit any member achieves beyond a confirmed digit prefix.  The
-supremum procedure selects the maximal integer part, then repeatedly the
-maximal next digit; a selection stream that falls into an all-nines tail
-is not canonical, so the oracle is required to volunteer such tails
-through a hint, and the procedure repairs them by truncating and adding
-one unit in the last confirmed place.  Families of negative values are
-handled by the mirror procedure (minimal magnitude digits, negated at
-the end), where the analogous volunteered tail is all zeros and the
-repair is plain truncation.
+*prefix-max oracle*: a description of an infinite family by the block of
+digits that picking, one place at a time, the largest next digit any
+member achieves beyond a confirmed digit prefix would select.  The
+supremum procedure takes the maximal integer part, then reads that
+selection in blocks of doubling width.  A selection that falls into an
+all-nines tail is not canonical, so the oracle volunteers a fixed tail
+(all nines or all zeros from a position on); the procedure checks the
+claim over ``HINT_WINDOW`` selected digits from that position and
+returns the exact repaired value: truncation plus one unit in the last
+kept place for nines, plain truncation for zeros.  Families of negative
+values are handled by the mirror procedure (minimal magnitude digits,
+negated at the end).
 
 Certification runs the other way: ``is_upper_bound`` and
 ``check_sup_certificate`` test a claimed supremum against members and
@@ -45,17 +47,13 @@ from .terminating import (
     int_from_digits,
 )
 
-# digits confirmed eagerly before sup falls back to a lazy stream
+# digits a tail hint is checked over, and that sup reads before it hands
+# out a stream without one
 HINT_WINDOW = 64
 
 
 # ---------------------------------------------------------------------------
 # tail hints
-
-
-@frozen
-class Unknown:
-    """The oracle has no information about the tail of the stream."""
 
 
 @frozen
@@ -80,8 +78,7 @@ class AllZerosFrom:
             raise ValueError("tail positions start at 1")
 
 
-TailHint = Unknown | AllNinesFrom | AllZerosFrom
-UNKNOWN = Unknown()
+TailHint = AllNinesFrom | AllZerosFrom
 
 
 # ---------------------------------------------------------------------------
@@ -93,41 +90,39 @@ class PrefixMaxOracle:
     """Presentation of an infinite bounded family by digit selection.
 
     For a family with a non-negative supremum, ``max_integral`` is the
-    largest integer part attained by members and ``max_next_digit(p)``
+    largest integer part attained by members, and ``next_digits(p, n)``
+    returns, as one string, the n digits that n successive choices of
     the largest next digit among members extending the confirmed prefix
-    p.  For an all-negative family (``negative`` set), the same two
-    callbacks instead report the smallest magnitude integer part and the
-    smallest next magnitude digit: the procedure minimises and negates.
+    select after p.  For an all-negative family (``negative`` set), the
+    same two callbacks instead report the smallest magnitude integer
+    part and the smallest next magnitude digits: the procedure minimises
+    and negates.
+
+    ``tail`` is None, or a fixed ``AllNinesFrom(i)`` / ``AllZerosFrom(i)``:
+    every digit the selection makes from fractional position i on is 9
+    (or 0).  ``sup`` then returns the exact value, for any i, once the
+    selected digits from i to ``i - 1 + HINT_WINDOW`` bear the claim out.
 
     Soundness contract (trusted, spot-checked for built-ins): every
-    digit returned is achieved by some member extending the prefix, and
-    ``tail_hint`` only announces a tail that the selection truly has
-    from the given position on.
+    digit returned is achieved by some member extending the prefix.
 
-    ``next_digits(p, n)`` optionally returns, as one string, the n
-    digits that n successive ``max_next_digit`` choices after p select;
-    a selection stream then reads blocks of doubling width.  Without it
-    the stream asks ``max_next_digit`` for one digit at a time, each
-    with a new prefix.
-
-    ``member_above(b, budget)`` optionally produces a member strictly
-    above b, or None when it cannot: for a member list and the built-in
-    enumerable families, the first member above b in enumeration order,
-    verified by ``compare``, found with no cap on how far along it is.
-    ``bound_hint(b, budget)`` optionally decides "b bounds every member"
-    directly.  Both exist because those questions are only
-    semi-decidable through digits.
+    ``member_above(b, budget)`` produces a member strictly above b, or
+    None when it cannot; by default it finds none.  For a member list
+    and the built-in enumerable families it is the first member above b
+    in enumeration order, verified by ``compare``, found with no cap on
+    how far along it is.  ``bound_hint(b, budget)`` optionally decides
+    "b bounds every member" directly.  Both exist because those
+    questions are only semi-decidable through digits.
     """
 
     max_integral: Callable[[], int]
-    max_next_digit: Callable[[DigitPrefix], int]
-    tail_hint: Callable[[DigitPrefix], TailHint]
+    next_digits: Callable[[DigitPrefix, int], str]
+    tail: Optional[TailHint] = None
     negative: bool = False
-    member_above: Optional[
-        Callable[[RealNumber, int], Optional[RealNumber]]] = None
+    member_above: Callable[[RealNumber, int], Optional[RealNumber]] = (
+        lambda b, budget: None)
     bound_hint: Optional[Callable[[RealNumber, int], Optional[bool]]] = None
     description: str = ""
-    next_digits: Optional[Callable[[DigitPrefix, int], str]] = None
 
 
 @frozen
@@ -200,13 +195,6 @@ def _max_member(members: Iterable[RealNumber],
     return best
 
 
-def _digit(oracle: PrefixMaxOracle, prefix: DigitPrefix) -> int:
-    d = oracle.max_next_digit(prefix)
-    if not 0 <= d <= 9:
-        raise ValueError(f"oracle selected a non-digit: {d!r}")
-    return d
-
-
 def _family_sup(family: Family) -> RealNumber:
     """The selected supremum.  A stream comes back as a new instance each
     time, so no two callers hold the same object, but all instances of a
@@ -217,52 +205,47 @@ def _family_sup(family: Family) -> RealNumber:
 
 def _select_sup(family: Family) -> RealNumber:
     oracle = family.oracle
-    int_part = oracle.max_integral()
+    negative, int_part = oracle.negative, oracle.max_integral()
     if int_part < 0:
         raise ValueError("oracles report magnitude integer parts (>= 0)")
-    prefix = DigitPrefix(oracle.negative, int_part, "")
-    for _ in range(HINT_WINDOW + 1):
-        hint = oracle.tail_hint(prefix)
-        if isinstance(hint, AllNinesFrom) and hint.index <= len(prefix) + 1:
-            return TerminatingReal(
-                canonicalize_trailing_nines(prefix, hint.index))
-        if isinstance(hint, AllZerosFrom) and hint.index <= len(prefix) + 1:
-            dropped = prefix.digits[hint.index - 1:]
-            if any(c != "0" for c in dropped):
-                raise CanonicalViolation(
-                    "oracle announced an all-zeros tail over nonzero digits")
-            head = DigitPrefix(prefix.negative, prefix.int_part,
-                               prefix.digits[:hint.index - 1])
-            return TerminatingReal(head.as_terminating())
-        if len(prefix) >= HINT_WINDOW:
-            break
-        prefix = prefix.extend(_digit(oracle, prefix))
-    # no resolvable tail within the window: hand out the stream lazily
-    run = min(HINT_WINDOW, len(prefix))
+    selection = bytearray()
+
+    def select(n: int) -> None:
+        # blocks of doubling width: one new prefix a block
+        if len(selection) < n:
+            w = max(n - len(selection), len(selection))
+            head = DigitPrefix(negative, int_part, selection.decode())
+            block = oracle.next_digits(head, w)
+            if len(block) != w or not block.isdigit():
+                raise ValueError(f"oracle selected non-digits: {block!r}")
+            selection.extend(block.encode())
+
+    tail = oracle.tail
+    if tail is not None:
+        i = tail.index
+        fill = b"9" if isinstance(tail, AllNinesFrom) else b"0"
+        select(i - 1 + HINT_WINDOW)
+        if selection[i - 1:].lstrip(fill):
+            raise CanonicalViolation(
+                f"oracle announced an all-{fill.decode()} tail from "
+                f"position {i} over other digits")
+        head = DigitPrefix(negative, int_part, selection[:i - 1].decode())
+        return TerminatingReal(canonicalize_trailing_nines(head, i)
+                               if fill == b"9" else head.as_terminating())
+    select(HINT_WINDOW)
     caveat = None
-    if run and all(c == "9" for c in prefix.digits[-run:]):
+    if selection == b"9" * HINT_WINDOW:
         caveat = (
-            f"the final {run} confirmed digits are all 9 and the oracle "
-            f"gave no tail hint; if the true selection tail is all nines "
-            f"this stream is the non-canonical spelling of its repair")
-    selection = bytearray(prefix.digits, "ascii")
+            f"the first {HINT_WINDOW} selected digits are all 9 and the "
+            f"oracle gave no tail hint; if the true selection tail is all "
+            f"nines this stream is the non-canonical spelling of its repair")
 
     def digit_fn(i: int) -> int:
         # the stream's lock is held: one caller extends the selection
-        while len(selection) < i:
-            head = DigitPrefix(oracle.negative, int_part, selection.decode())
-            if oracle.next_digits is None:
-                selection.append(48 + _digit(oracle, head))  # ASCII "0" + d
-            else:
-                # blocks of doubling width: one new prefix a block
-                n = max(i - len(selection), len(selection))
-                block = oracle.next_digits(head, n)
-                if len(block) != n or not block.isdigit():
-                    raise ValueError(f"oracle selected non-digits: {block!r}")
-                selection.extend(block.encode())
-        return selection[i - 1] - 48
+        select(i)
+        return selection[i - 1] - 48  # ASCII "0" is 48
 
-    return OracleReal(digit_fn, negative=oracle.negative, int_part=int_part,
+    return OracleReal(digit_fn, negative=negative, int_part=int_part,
                       promise="digit-selection stream of a bounded family",
                       caveat=caveat)
 
@@ -271,10 +254,12 @@ def sup(S: BoundedSet, *, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """Least upper bound of a bounded set.
 
     Finite sets return their maximal member directly.  Families run the
-    selection procedure; the result is exact when a tail hint resolves
-    within ``HINT_WINDOW`` digits, otherwise a lazy digit stream (with a
-    caveat flag if the confirmed digits end in a long unexplained run of
-    nines).
+    selection procedure.  With a tail hint at any position i the result is
+    exact, after one block read of the first ``i - 1 + HINT_WINDOW``
+    selected digits (``CanonicalViolation`` if those from i on belie the
+    hint).  Without one it is a lazy digit stream over the same
+    selection, first read ``HINT_WINDOW`` digits deep, with a caveat flag
+    if those are all nines.
     """
     if isinstance(S, FiniteSet):
         return _max_member(S.members, budget)
@@ -346,26 +331,20 @@ def is_upper_bound(b: RealNumber | TerminatingDecimal, S: BoundedSet,
         if verdict is True:
             return Yes()
         if verdict is False:
-            w = (oracle.member_above(b, budget)
-                 if oracle.member_above else None)
+            w = oracle.member_above(b, budget)
             if w is not None:
                 return No(w)
             return Undecided("bound fails but no member witness was found")
-    s = _family_sup(S)
-    c = compare(s, b, budget)
+    c = compare(_family_sup(S), b, budget)
     if c in (Comparison.LT, Comparison.EQ):
         return Yes()
+    w = oracle.member_above(b, budget)
+    if w is not None:
+        return No(w)
     if c is Comparison.GT:
-        w = oracle.member_above(b, budget) if oracle.member_above else None
-        if w is not None:
-            return No(w)
         return Undecided(
             "the supremum stream exceeds the bound but the family "
             "exposes no member witness")
-    if oracle.member_above is not None:
-        w = oracle.member_above(b, budget)
-        if w is not None:
-            return No(w)
     return Undecided("comparison against the supremum ran out of budget")
 
 
@@ -376,9 +355,7 @@ def _member_above(S: BoundedSet, p: RealNumber,
             if compare(m, p, budget) is Comparison.GT:
                 return m
         return None
-    if S.oracle.member_above is not None:
-        return S.oracle.member_above(p, budget)
-    return None
+    return S.oracle.member_above(p, budget)
 
 
 def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
@@ -411,8 +388,7 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
         # family bound side by member sampling: comparing s against the
         # selection stream it may have come from is never decidable, so
         # the obligation is refuted by a member witness or stands
-        w = (S.oracle.member_above(s, budget)
-             if S.oracle.member_above is not None else None)
+        w = S.oracle.member_above(s, budget)
         if w is not None:
             return FailBound(w)
 
@@ -467,13 +443,13 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
 
     The selection stream provably follows the digits of the maximal
     member (lexicographic and numeric order agree on canonical
-    expansions), so the tail hint comes straight from that member when
-    it terminates.  Exists for cross-checking sup against plain max.
+    expansions), so when that member terminates the fixed tail hint is
+    all zeros after its last digit, and sup returns it exactly, however
+    long it is.  Exists for cross-checking sup against plain max.
 
-    Member digits are read in blocks through ``prefix``, first the
-    ``HINT_WINDOW`` digits that sup confirms eagerly and then twice as
-    many as held whenever a longer prefix is asked about, and kept for
-    the life of the family.
+    Member digits are read in blocks through ``prefix``, at least
+    ``HINT_WINDOW`` digits and then twice as many as held whenever a
+    longer prefix is asked about, and kept for the life of the family.
     A selection of n digits is then one ``startswith`` and one slice on
     the digits held for each member: the largest slice (the smallest for
     a negative pool) is what n digit-by-digit choices pick.  No digit is
@@ -512,23 +488,19 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
                 blocks.append(read.digits[len(prefix):end])
         return pick(blocks)
 
-    def tail_hint(prefix: DigitPrefix) -> TailHint:
-        if isinstance(best, TerminatingReal):
-            return AllZerosFrom(best.value.scale + 1)
-        return UNKNOWN
-
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
         for m in members:
             if compare(m, b, budget) is Comparison.GT:
                 return m
         return None
 
+    tail = (AllZerosFrom(best.value.scale + 1)
+            if isinstance(best, TerminatingReal) else None)
     bound = TerminatingDecimal(best.as_fraction().__floor__() + 1)
     return Family(PrefixMaxOracle(
-        max_integral, lambda prefix: int(next_digits(prefix, 1)), tail_hint,
-        negative=negative, member_above=member_above,
-        description=f"finite family of {len(members)} members",
-        next_digits=next_digits), bound)
+        max_integral, next_digits, tail, negative=negative,
+        member_above=member_above,
+        description=f"finite family of {len(members)} members"), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +545,8 @@ def _nine_family() -> Family:
     """0.9, 0.99, 0.19, 0.991, 0.9991, ... — supremum 1, never attained."""
     oracle = PrefixMaxOracle(
         max_integral=lambda: 0,
-        max_next_digit=lambda prefix: 9,
-        tail_hint=lambda prefix: AllNinesFrom(1),
+        next_digits=lambda prefix, n: "9" * n,
+        tail=AllNinesFrom(1),
         # after the head, j nines then a one: 1 - 9 * 10**-(j + 1), j >= 2
         member_above=_first_above(
             (TerminatingDecimal(9, 1), TerminatingDecimal(99, 2),
@@ -585,15 +557,12 @@ def _nine_family() -> Family:
 
 def _negated_nine_family() -> Family:
     """-1, -0.9, -0.99, -0.19, -0.991, ... — supremum -0.19, attained."""
-
-    def min_next_digit(prefix: DigitPrefix) -> int:
-        # minimal magnitudes: 0.19 wins the first digit, then stays
-        return {0: 1, 1: 9}.get(len(prefix), 0)
-
     oracle = PrefixMaxOracle(
         max_integral=lambda: 0,
-        max_next_digit=min_next_digit,
-        tail_hint=lambda prefix: AllZerosFrom(3),
+        # minimal magnitudes: 0.19 wins the first digit, then stays
+        next_digits=lambda prefix, n: "19".ljust(
+            len(prefix) + n, "0")[len(prefix):][:n],
+        tail=AllZerosFrom(3),
         negative=True,
         # the rest, -0.991, -0.9991, ..., lie below -0.9, which comes
         # before them: the first member above any b is in the head
@@ -608,8 +577,8 @@ def _vanishing_family() -> Family:
     """-0.1, -0.01, -0.001, ... — supremum 0, never attained."""
     oracle = PrefixMaxOracle(
         max_integral=lambda: 0,
-        max_next_digit=lambda prefix: 0,
-        tail_hint=lambda prefix: AllZerosFrom(1),
+        next_digits=lambda prefix, n: "0" * n,
+        tail=AllZerosFrom(1),
         negative=True,
         member_above=_first_above((), tail=(0, 1, 1)),
         description="negative powers of ten approaching zero")
@@ -665,13 +634,6 @@ def lower_cut(c: RealNumber) -> Family:
             raise AssertionError("the prefix has left the cut")
         return digits_from_int(block).rjust(w, "0")
 
-    def tail_hint(prefix: DigitPrefix) -> TailHint:
-        if isinstance(c, TerminatingReal):
-            scale = c.value.scale
-            return (AllZerosFrom(scale + 1) if negative
-                    else AllNinesFrom(scale + 1))
-        return UNKNOWN
-
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
         if compare(b, c, budget) is Comparison.LT:
             try:
@@ -686,11 +648,13 @@ def lower_cut(c: RealNumber) -> Family:
             return None
         return verdict is not Comparison.LT
 
+    tail = None
+    if isinstance(c, TerminatingReal):
+        tail = (AllZerosFrom if negative else AllNinesFrom)(c.value.scale + 1)
     return Family(PrefixMaxOracle(
-        lambda: start, lambda prefix: int(next_digits(prefix, 1)), tail_hint,
-        negative=negative, member_above=member_above, bound_hint=bound_hint,
-        description=f"terminating decimals below {c}",
-        next_digits=next_digits), TerminatingDecimal(top))
+        lambda: start, next_digits, tail, negative=negative,
+        member_above=member_above, bound_hint=bound_hint,
+        description=f"terminating decimals below {c}"), TerminatingDecimal(top))
 
 
 _BUILTINS: dict[str, Callable[[], Family]] = {

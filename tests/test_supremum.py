@@ -27,14 +27,16 @@ from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
     DigitPrefix,
     OracleReal,
+    TerminatingReal,
+    compare,
     parse_real,
     real_from_fraction,
     render_digits,
 )
 from decreal.supremum import (
     HINT_WINDOW,
+    AllNinesFrom,
     AllZerosFrom,
-    UNKNOWN,
     Family,
     FiniteSet,
     No,
@@ -54,7 +56,11 @@ from decreal.supremum import (
     set_sum,
     sup,
 )
-from decreal.terminating import TerminatingDecimal, parse_terminating
+from decreal.terminating import (
+    Comparison,
+    TerminatingDecimal,
+    parse_terminating,
+)
 
 P = parse_real
 T = parse_terminating
@@ -178,14 +184,22 @@ class TestFamilyMachinery:
         assert sup(fam).as_fraction() == Fraction(-1, 8)
 
     def test_all_zeros_hint_must_be_honest(self):
-        # the oracle first selects nonzero digits, then announces a tail
-        # of zeros that contradicts them
+        # the oracle selects sevens and announces a tail of zeros that
+        # contradicts them
         dishonest = PrefixMaxOracle(
             max_integral=lambda: 0,
-            max_next_digit=lambda prefix: 7,
-            tail_hint=lambda prefix: (AllZerosFrom(2) if len(prefix) >= 3
-                                      else UNKNOWN),
+            next_digits=lambda prefix, n: "7" * n,
+            tail=AllZerosFrom(2),
             description="claims zeros over sevens")
+        with pytest.raises(CanonicalViolation):
+            sup(Family(dishonest, TerminatingDecimal(1)))
+
+    def test_all_nines_hint_must_be_honest(self):
+        dishonest = PrefixMaxOracle(
+            max_integral=lambda: 0,
+            next_digits=lambda prefix, n: "7" * n,
+            tail=AllNinesFrom(2),
+            description="claims nines over sevens")
         with pytest.raises(CanonicalViolation):
             sup(Family(dishonest, TerminatingDecimal(1)))
 
@@ -194,8 +208,8 @@ class TestFamilyMachinery:
         # claim that the supremum is the integral part itself
         fam = Family(PrefixMaxOracle(
             max_integral=lambda: 3,
-            max_next_digit=lambda prefix: 0,
-            tail_hint=lambda prefix: AllZerosFrom(1),
+            next_digits=lambda prefix, n: "0" * n,
+            tail=AllZerosFrom(1),
             description="exactly three"), TerminatingDecimal(3))
         s = sup(fam)
         assert s.is_exact and s.as_fraction() == 3
@@ -203,8 +217,7 @@ class TestFamilyMachinery:
     def test_unhinted_nine_stream_carries_caveat(self):
         nines = PrefixMaxOracle(
             max_integral=lambda: 0,
-            max_next_digit=lambda prefix: 9,
-            tail_hint=lambda prefix: UNKNOWN,
+            next_digits=lambda prefix, n: "9" * n,
             description="nines with no tail knowledge")
         s = sup(Family(nines, TerminatingDecimal(1)))
         assert isinstance(s, OracleReal)
@@ -214,33 +227,89 @@ class TestFamilyMachinery:
     def test_plain_stream_no_caveat(self):
         alternating = PrefixMaxOracle(
             max_integral=lambda: 1,
-            max_next_digit=lambda prefix: 2 if len(prefix) % 2 else 7,
-            tail_hint=lambda prefix: UNKNOWN,
+            next_digits=lambda prefix, n: alternating_digits(len(prefix), n),
             description="alternating digits")
         s = sup(Family(alternating, TerminatingDecimal(2)))
         assert isinstance(s, OracleReal) and s.caveat is None
         assert render_digits(s, 4) == "1.7272"
 
+    @pytest.mark.parametrize("start", [1, 40, 64, 65, 300])
+    @pytest.mark.parametrize("fill", ["9", "0"])
+    def test_tail_honoured_at_any_position(self, start, fill):
+        # 0.(sevens) up to start - 1, then the announced tail; the exact
+        # value is the truncation, plus one unit in its last place for
+        # nines
+        def next_digits(prefix, n):
+            return ("7" * (start - 1)).ljust(
+                len(prefix) + n, fill)[len(prefix):][:n]
+
+        hint = (AllNinesFrom if fill == "9" else AllZerosFrom)(start)
+        s = sup(Family(PrefixMaxOracle(lambda: 0, next_digits, hint),
+                       TerminatingDecimal(1)))
+        head = Fraction(int("7" * (start - 1) or "0"), 10 ** (start - 1))
+        want = head + Fraction(fill == "9", 10 ** (start - 1))
+        assert isinstance(s, TerminatingReal) and s.as_fraction() == want
+
+
+def alternating_digits(start: int, n: int) -> str:
+    """Digits start + 1 .. start + n of 0.727272..."""
+    return ("72" * (start + n))[start:start + n]
+
+
+def counting(next_digits, calls):
+    """next_digits that logs the width of each call in calls."""
+    def logged(prefix, n):
+        calls.append(n)
+        return next_digits(prefix, n)
+    return logged
+
+
+class TestSelectionCalls:
+    """How often sup asks its oracle: one block read before it returns,
+    then blocks of doubling width."""
+
+    @pytest.mark.parametrize("name", [
+        "paper-A", "paper-B", "paper-C", "paper-D", "lower-cut 0.(142857)",
+        "lower-cut 2.5", "lower-cut -0." + "0" * 200 + "1"])
+    def test_one_call_before_sup_returns(self, name):
+        family = builtin_family(name)
+        calls = []
+        oracle = PrefixMaxOracle(
+            family.oracle.max_integral,
+            counting(family.oracle.next_digits, calls), family.oracle.tail,
+            negative=family.oracle.negative)
+        sup(Family(oracle, family.upper_bound))
+        assert len(calls) == 1
+
+    def test_render_makes_logarithmically_many_calls(self):
+        calls = []
+        fam = Family(PrefixMaxOracle(
+            lambda: 1, counting(lambda p, n: alternating_digits(len(p), n),
+                                calls)), TerminatingDecimal(2))
+        assert render_digits(sup(fam), 1000) == "1." + "72" * 500
+        # 64, then 64, 128, 256, 512 more: 1024 digits in five calls
+        assert calls == [HINT_WINDOW, 64, 128, 256, 512]
+
 
 class TestSharedSelection:
     def test_one_selection_per_family(self):
-        calls = []
+        selected = []
 
-        def next_digit(prefix):
-            calls.append(len(prefix))
-            return 2 if len(prefix) % 2 else 7
+        def next_digits(prefix, n):
+            selected.extend(range(len(prefix), len(prefix) + n))
+            return alternating_digits(len(prefix), n)
 
         fam = Family(PrefixMaxOracle(
-            max_integral=lambda: 1, max_next_digit=next_digit,
-            tail_hint=lambda prefix: UNKNOWN,
+            max_integral=lambda: 1, next_digits=next_digits,
             description="alternating digits"), TerminatingDecimal(2))
         s, t = sup(fam), sup(fam)
         assert s is not t
         assert render_digits(s, 80) == render_digits(t, 80) == "1." + "72" * 40
         assert isinstance(is_upper_bound(P("2"), fam), Yes)
         assert isinstance(is_upper_bound(P("1.7"), fam), Undecided)
-        # the eager window once, then each later digit once
-        assert sorted(calls) == list(range(80))
+        # each digit is selected once: the first block, then one more
+        # block of the same width
+        assert sorted(selected) == list(range(2 * HINT_WINDOW))
 
     def test_concurrent_reads_agree(self):
         # four threads read one stream, its negation and two sups of one
@@ -306,14 +375,28 @@ class TestLowerCut:
         s = sup(lower_cut(P("0")))
         assert s.is_exact and s.as_fraction() == 0
 
+    @pytest.mark.parametrize("zeros", [64, 200])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_cut_past_the_hint_window_is_exact(self, sign, zeros):
+        # the tail of nines (zeros for a negative cut) starts past
+        # HINT_WINDOW: the hint is still honoured, so the supremum is c
+        # itself, not a stream that reads c - 0 then nines
+        literal = sign + "0." + "0" * zeros + "1"
+        family = builtin_family("lower-cut " + literal)
+        s = sup(family)
+        assert isinstance(s, TerminatingReal) and str(s) == literal
+        assert compare(s, P(literal), 200) is Comparison.EQ
+        assert isinstance(check_sup_certificate(s, family), Pass)
+
 
 def selection_stream(family: Family, n: int) -> DigitPrefix:
-    """The first n digits a family's oracle selects, with no tail hint
-    consulted: the kernel itself, not the exact result sup returns."""
+    """The first n digits a family's oracle selects one at a time, with
+    no tail hint consulted: the kernel itself, not the exact result sup
+    returns."""
     oracle = family.oracle
     prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
     for _ in range(n):
-        prefix = prefix.extend(oracle.max_next_digit(prefix))
+        prefix = prefix.extend(int(oracle.next_digits(prefix, 1)))
     return prefix
 
 
@@ -401,7 +484,7 @@ class TestSelectionKernels:
         ends_in_zero = 0
         for _ in range(80):
             want = self.cut_digit(f, prefix)
-            assert oracle.max_next_digit(prefix) == want
+            assert oracle.next_digits(prefix, 1) == str(want)
             prefix = prefix.extend(want)
             ends_in_zero += prefix.digits.endswith("0")
         assert ends_in_zero
@@ -414,7 +497,7 @@ class TestSelectionKernels:
         prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
         for _ in range(40):
             want = self.cut_digit(f, prefix)
-            assert oracle.max_next_digit(prefix) == want
+            assert oracle.next_digits(prefix, 1) == str(want)
             prefix = prefix.extend(want)
 
     def test_certificate_time_bound(self):
