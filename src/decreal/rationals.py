@@ -17,6 +17,7 @@ from .arithmetic import add, mul
 from .realnum import (
     DigitPrefix,
     RealNumber,
+    _decimal_digits,
     _digit_compare,
     real_from_fraction,
 )
@@ -45,7 +46,8 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
     so each step is one ``divmod(10 * p, q)``.  Negative values are
     expanded on the magnitude and the sign reattached.  For an exact
     source this is a genuinely independent route to the same digits as
-    the block long division behind ``PeriodicReal``.  An all-nines tail
+    the decimal-module division behind ``PeriodicReal``, which makes a
+    whole block of digits at once.  An all-nines tail
     would require some remainder to reach q, which the invariant
     0 <= p < q rules out, so the trailing replacement can never fire
     here; digit-stream sources are read off as already-canonical digits
@@ -126,12 +128,17 @@ def _structurally_equal(u: RealNumber, v: RealNumber) -> bool:
 
 
 def _divergence_budget(x: Fraction, y: Fraction) -> int:
-    """Digit positions needed to see x != y in canonical expansions."""
+    """Digit positions needed to see x != y in canonical expansions:
+    k + 2 for the least k >= 1 with 10**-k < |x - y|.
+
+    With d the least d >= 0 with 1/gap <= 10**d, k is d, or d + 1 when
+    1/gap is exactly 10**d, and at least 1: a few big-integer
+    operations, where trying each k in turn is quadratic in k.
+    """
     gap = abs(x - y)
-    k = 1
-    while Fraction(1, 10 ** k) >= gap:
-        k += 1
-    return k + 2
+    d = _decimal_digits(gap.denominator, gap.numerator)
+    exact = gap.numerator == 1 and gap.denominator == 10 ** d
+    return max(d + exact, 1) + 2
 
 
 def phi_check(x: Rational, y: Rational) -> PhiOk | PhiViolation:

@@ -34,6 +34,7 @@ same positions as in a walk that reads one digit at a time.
 from __future__ import annotations
 
 import threading
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -52,9 +53,11 @@ from .errors import (
 )
 from .terminating import (
     _CHUNK,
+    EXACT_CONTEXT,
     Comparison,
     TerminatingDecimal,
     decimal_from_digits,
+    decimal_from_int,
     digits_from_int,
     int_from_digits,
     pow10,
@@ -68,11 +71,6 @@ PIN_WINDOW = 64
 # longest exact expansion (preperiod plus period) that is materialised;
 # longer ones raise ExpansionTooLong
 MAX_EXPANSION_DIGITS = 10**6
-# widest block of exact digits made at once: str() of an int is
-# quadratic in its length, so the conversions cost in proportion to the
-# block width, while the divisions do not depend on it; 200-600 digits
-# measured alike
-_DIGIT_BLOCK = 500
 # window scanned past a run of nines by the canonical-form checker
 NINE_CHECK_WINDOW = 64
 # leading digits from which parse_real guesses the value of a long
@@ -254,10 +252,11 @@ class PeriodicReal(RealNumber):
 
     The structural fields (int_part, preperiod, period) are materialised
     on demand: the preperiod length comes from the factors 2 and 5 of the
-    denominator, and the period from block long division, which yields
-    the minimal period, so two instances are structurally equal exactly
-    when their values are equal.  Expansions longer than
-    ``MAX_EXPANSION_DIGITS`` raise ``ExpansionTooLong``.
+    denominator, and the period from digit blocks of doubling width, each
+    one decimal division (``_digit_block``), read until the leading
+    digits recur, which yields the minimal period, so two instances are
+    structurally equal exactly when their values are equal.  Expansions
+    longer than ``MAX_EXPANSION_DIGITS`` raise ``ExpansionTooLong``.
     """
 
     fraction: Fraction
@@ -320,16 +319,11 @@ class PeriodicReal(RealNumber):
         return r * pow(10, i, 10 * q) % (10 * q) // q
 
     def _read(self, n: int) -> tuple[str, None]:
-        # a division per block of digits, not n calls of digit_at
+        # one division of n digits, not n calls of digit_at; a block of
+        # width 0 reads as "0", hence the cut
         _, r, q = self._magnitude
-        blocks, got = [], 0
-        if n:
-            for block in _digit_blocks(r, q, min(n, _DIGIT_BLOCK)):
-                blocks.append(block)
-                got += len(block)
-                if got >= n:
-                    break
-        return "".join(blocks)[:n], None
+        digits, _ = _digit_block(decimal_from_int(r), decimal_from_int(q), n)
+        return digits[:n], None
 
     def integral_part(self) -> int:
         return self.fraction.numerator // self.fraction.denominator
@@ -354,17 +348,19 @@ class PeriodicReal(RealNumber):
         return ("-" if self.negative else "") + body
 
 
-def _digit_blocks(s: int, q: int, first: int) -> Iterator[str]:
-    """The digits of s/q (0 <= s < q) after the point, in blocks: the
-    first ``first`` >= 1 digits wide, doubling up to ``_DIGIT_BLOCK``
-    digits, or ``first`` when that is wider, but never past the
-    int<->str cap.  Each block is one divmod and one zero-padded str()."""
-    top = min(max(first, _DIGIT_BLOCK), _CHUNK)
-    width = min(first, top)
-    while True:
-        block, s = divmod(s * 10 ** width, q)
-        yield str(block).rjust(width, "0")
-        width = min(2 * width, top)
+def _digit_block(s: Decimal, q: Decimal, width: int) -> tuple[str, Decimal]:
+    """The first ``width`` digits of s/q (0 <= s < q) after the point,
+    and the remainder after them.
+
+    The block is one division and one zero-padded ``str()`` in
+    :mod:`decimal`, exact under ``EXACT_CONTEXT``.  For a short q both
+    are linear in the block's width, where ``str()`` of an int is
+    quadratic, so a block can be as wide as the digits asked for.
+    Callers bring s and q into :mod:`decimal` with ``decimal_from_int``,
+    which is subquadratic where ``Decimal(int)`` is not.
+    """
+    block, s = EXACT_CONTEXT.divmod(EXACT_CONTEXT.scaleb(s, width), q)
+    return str(block).rjust(width, "0"), s
 
 
 def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
@@ -376,13 +372,18 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
     digits after them are, so the period is the first p >= 1 at which
     the leading w digits recur, and no table of remainders is needed.
     Only the new digits of each block, with the w - 1 before them, are
-    searched.
+    searched.  The blocks double in width from w + 8 digits, and a
+    period of at most limit digits shows within limit + w digits, so no
+    more are made.
     """
     w = q.bit_length() * 30103 // 100_000 + 1  # 10**w > 2**bits > q
+    s, q = decimal_from_int(s), decimal_from_int(q)
     blocks: list[str] = []
     head = tail = ""  # the first w digits; the last w - 1 digits
-    n = 0  # digits generated
-    for block in _digit_blocks(s, q, w + 8):
+    n, width = 0, w + 8  # digits generated; the next block's width
+    while n < limit + w:
+        block, s = _digit_block(s, q, min(width, limit + w - n))
+        width *= 2
         blocks.append(block)
         if len(head) < w:
             head = (head + block)[:w]
@@ -391,11 +392,9 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
         if len(head) == w:
             i = window.find(head, max(1 - base, 0))
             if i >= 0:
-                p = base + i
-                return "".join(blocks)[:p] if p <= limit else None
-        if n >= limit + w:
-            return None  # a period of at most limit digits shows by now
+                return "".join(blocks)[:base + i]
         tail = window[max(len(window) - w + 1, 0):]
+    return None
 
 
 def real_from_fraction(value: Fraction) -> RealNumber:
@@ -780,7 +779,10 @@ def parse_real(text: str) -> RealNumber:
     expansion repeat with period len(P) from digit len(F) + 1 on, as
     the literal's does, and the third makes the two expansions agree on
     one whole period past that point, so they agree everywhere and c is
-    the value of F(P).  Any other literal is decoded digit by digit.
+    the value of F(P).  That last check makes c's digits in two decimal
+    divisions (``_digit_block``), a short block and then the rest, so it
+    is linear in the literal's length.  Any other literal is decoded
+    digit by digit.
     """
     negative, int_part, frac, period = scan_literal(text)
     if period is not None and not period.strip("9"):
@@ -813,14 +815,15 @@ def _guess_group_value(frac: str, period: str) -> Optional[Fraction]:
     # pow(10, p, 1) == 0 turns away the terminating guesses, 0 and 1 too
     if preperiod > len(frac) or pow(10, len(period), q) != 1:
         return None
-    want, at = frac + period, 0
-    for block in _digit_blocks(r, b, _DIGIT_BLOCK):
-        block = block[:len(want) - at]
-        if not want.startswith(block, at):
-            return None
-        at += len(block)
-        if at == len(want):
-            return guess
+    # a short block turns most wrong guesses away; a second one reads
+    # the rest of the literal
+    want, short = frac + period, 2 * _GUESS_DIGITS
+    b = decimal_from_int(b)
+    first, s = _digit_block(decimal_from_int(r), b, short)
+    if not want.startswith(first):
+        return None
+    rest, _ = _digit_block(s, b, len(want) - short)
+    return guess if want.endswith(rest) else None
 
 
 # ---------------------------------------------------------------------------

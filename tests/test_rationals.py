@@ -7,6 +7,7 @@ structure, and Fraction arithmetic — all from conftest.  Production's
 checked against the Fraction route, not against conftest's long
 division."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from decreal.rationals import (
     NoPeriodFound,
     PeriodFound,
     PhiOk,
+    _divergence_budget,
     assert_no_period,
     decimal_representation,
     from_periodic,
@@ -154,3 +156,46 @@ class TestPhiCheck:
             x, y = rand_fraction(rng), rand_fraction(rng)
             out = phi_check(x, y)
             assert isinstance(out, PhiOk), (x, y, out)
+
+
+def budget_by_trial(x: Fraction, y: Fraction) -> int:
+    """k + 2 for the least k >= 1 with 10**-k < |x - y|, by trying each k
+    in turn: quadratic in k, so for short gaps only."""
+    gap = abs(x - y)
+    k = 1
+    while Fraction(1, 10 ** k) >= gap:
+        k += 1
+    return k + 2
+
+
+class TestDivergenceBudget:
+    @given(fractions_st, fractions_st)
+    @settings(max_examples=300)
+    def test_matches_trial(self, x, y):
+        if x != y:
+            assert _divergence_budget(x, y) == budget_by_trial(x, y)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 17, 300])
+    @pytest.mark.parametrize("scale", [
+        Fraction(1), Fraction(9, 10), Fraction(11, 10), Fraction(1, 3),
+        Fraction(99, 10), Fraction(10), Fraction(101, 10), Fraction(1000),
+        1 - Fraction(1, 10**40), 1 + Fraction(1, 10**40)])
+    def test_gaps_at_powers_of_ten(self, k, scale):
+        x = Fraction(-2, 7)
+        y = x + scale / 10**k
+        assert _divergence_budget(x, y) == budget_by_trial(x, y)
+        assert _divergence_budget(y, x) == budget_by_trial(x, y)
+
+    @pytest.mark.parametrize("gap,k", [
+        (Fraction(1, 10**100_000), 100_001),
+        (Fraction(3, 7 * 10**100_000), 100_001),
+        (Fraction(1, 10**100_000) + Fraction(1, 10**100_050), 100_000),
+        (Fraction(1, 10**100_000) - Fraction(1, 10**100_050), 100_001),
+    ])
+    def test_hundred_thousand_digit_gap(self, gap, k):
+        # 10**-k < gap <= 10**-(k - 1), read off the literals; trying
+        # each k in turn would take about a minute at this size
+        x = Fraction(1, 3)
+        start = time.process_time()
+        assert _divergence_budget(x, x + gap) == k + 2
+        assert time.process_time() - start < 1

@@ -205,10 +205,10 @@ class TestPeriodicStructure:
         self._check_structure(Fraction(-p if negative else p,
                                        q * 2**a * 5**b))
 
-    # the period search reads blocks of w + 8 digits, doubling up to
-    # 500, and finds a period L once L + w digits are read, where 10**w
-    # exceeds the denominator; for each of these, L + w is one digit
-    # before, on or one digit past the end of a block
+    # the period search finds a period L once L + w digits are read,
+    # where 10**w exceeds the denominator; for each of these, L + w is
+    # one digit before, on or one digit past the end of a block when the
+    # blocks are w + 8 digits wide and double up to 500
     BLOCK_EDGE_DENOMINATORS = (
         239, 73, 81, 717, 657, 2997, 2791, 641, 603, 951, 697, 729, 1173,
         3187, 3671, 799, 6723, 4507, 4519, 8341, 13151, 2753, 5507, 16879,
@@ -219,6 +219,18 @@ class TestPeriodicStructure:
         for p in (1, q - 1, -2 * q - 1):
             self._check_structure(Fraction(p, q))
         self._check_structure(Fraction(7, 40 * q))
+
+    # the same when the blocks double with no cap, as they do now: L + w
+    # is w + 8 times 2**j - 1, give or take one, for j from 5 to 11, so
+    # the last blocks are 400 to 28 000 digits wide
+    DOUBLING_EDGE_DENOMINATORS = (
+        4507, 4519, 60199, 78849, 3247, 89587, 95769, 6511, 101549, 19867,
+        59743, 26557, 85893, 53821, 114649)
+
+    @pytest.mark.parametrize("q", DOUBLING_EDGE_DENOMINATORS)
+    def test_structure_at_doubling_edges(self, q):
+        self._check_structure(Fraction(q - 1, q))
+        self._check_structure(Fraction(-7, 40 * q))
 
     def test_structure_with_denominator_past_int_str_cap(self):
         # 10**w > q needs w > 4000 digits here, more than one block
@@ -345,6 +357,33 @@ class TestLongGroupParse:
 
 
 class TestExpansionCap:
+    # 10 has order q - 1 modulo the prime q = 999 983, so 1/q repeats with
+    # a period of 999 982 digits, and 2**18 adds a preperiod of 18
+    CAP_PRIME = 999_983
+
+    def test_period_near_the_cap_round_trips(self):
+        q = self.CAP_PRIME
+        x = real_from_fraction(Fraction(1, q))
+        text = str(x)
+        assert text == "0.(" + long_division_digits(1, q, q - 1) + ")"
+        assert P(text) == x
+
+    def test_expansion_of_exactly_the_cap_renders(self):
+        f = Fraction(1, self.CAP_PRIME * 2**18)
+        x = real_from_fraction(f)
+        assert MAX_EXPANSION_DIGITS == 10**6
+        assert (len(x.preperiod), len(x.period)) == \
+            expected_period_structure(f.denominator) == (18, 999_982)
+        assert str(x) == f"0.{x.preperiod}({x.period})"
+        assert x.preperiod + x.period[:40] == \
+            long_division_digits(1, f.denominator, 58)
+
+    def test_one_digit_past_the_cap_raises(self):
+        x = real_from_fraction(Fraction(1, self.CAP_PRIME * 2**19))
+        with pytest.raises(ExpansionTooLong) as info:
+            str(x)
+        assert info.value.limit == MAX_EXPANSION_DIGITS
+
     def test_long_period_raises_quickly(self):
         x = real_from_fraction(Fraction(1, 99_999_989))
         start = time.process_time()
@@ -782,6 +821,110 @@ class TestPrefix:
         p = P("0.1(6)").prefix(3)
         assert p.value() == Fraction(166, 1000)
         assert str(p.as_terminating()) == "0.166"
+
+
+# primes modulo which the order of 10 divides 720: a product of distinct
+# ones has a period of at most 720 digits, and all of them make 42 digits
+SHORT_ORDER_PRIMES = (
+    3, 7, 11, 13, 17, 31, 37, 41, 73, 101, 137, 271, 9091, 333667,
+    5882353, 99990001)
+
+
+class TestDigitKernel:
+    """Digits, prefixes and text of s/q against sequential long division,
+    periods against the multiplicative order of 10 and preperiods against
+    the larger power of 2 or 5 (``expected_period_structure``)."""
+
+    # the widest blocks of the earlier schedule were 500 and 4000 digits
+    # wide; the rest lie on either side of powers of two
+    LENGTHS = (1, 2, 3, 63, 64, 65, 499, 500, 501, 1023, 1024, 1025, 3999,
+               4000, 4001, 8191, 8192, 8193)
+
+    @staticmethod
+    def short_period_denominator(rng, digits: int) -> int:
+        """A product of distinct SHORT_ORDER_PRIMES of at most ``digits``
+        digits, taken greedily in a random order."""
+        q, primes = 1, list(SHORT_ORDER_PRIMES)
+        rng.shuffle(primes)
+        for p in primes:
+            if len(str(q * p)) <= digits:
+                q *= p
+        return q
+
+    def check_reads(self, f: Fraction, lengths=LENGTHS):
+        x = real_from_fraction(f)
+        mag = abs(f)
+        want = long_division_digits(mag.numerator, mag.denominator,
+                                    max(lengths))
+        for n in lengths:
+            assert x._read(n) == (want[:n], None)
+            assert x.prefix(n).render() == fraction_prefix(f, n)
+
+    def check_text(self, f: Fraction):
+        x = real_from_fraction(f)
+        pre, per = expected_period_structure(f.denominator)
+        mag = abs(f)
+        digits = long_division_digits(mag.numerator, mag.denominator,
+                                      pre + per)
+        assert (x.preperiod, x.period) == (digits[:pre], digits[pre:])
+        sign = "-" if f < 0 else ""
+        assert str(x) == \
+            f"{sign}{int(mag)}.{digits[:pre]}({digits[pre:]})"
+
+    @pytest.mark.parametrize("digits", range(1, 41))
+    def test_reads_for_denominators_of_1_to_40_digits(self, rng, digits):
+        q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        s = rng.randrange(-10 * q, 10 * q)
+        self.check_reads(Fraction(s, q * 3))
+
+    @pytest.mark.parametrize("digits", range(1, 41))
+    def test_text_for_denominators_of_1_to_40_digits(self, rng, digits):
+        q = self.short_period_denominator(rng, digits)
+        for _ in range(3):
+            a, b = rng.randrange(13), rng.randrange(13)
+            s = rng.randrange(-10 * q, 10 * q)
+            f = Fraction(s, q * 2**a * 5**b)
+            if isinstance(real_from_fraction(f), PeriodicReal):
+                self.check_text(f)
+            self.check_reads(f, (1, 64, 500, 1025))
+
+    def test_denominator_of_ten_thousand_digits(self, rng):
+        # 10 has order 10 000 modulo (10**10000 - 1) / 9999 and 6 modulo
+        # 7, so the period is 30 000 digits long
+        q = 7 * (10**10_000 - 1) // 9999
+        f = Fraction(rng.randrange(q), q * 2**3 * 5**7)
+        self.check_reads(f)
+        self.check_text(f)
+
+    def test_reads_take_logarithmically_many_blocks(self, monkeypatch):
+        widths = []
+        block = realnum._digit_block
+
+        def counting(s, q, width):
+            widths.append(width)
+            return block(s, q, width)
+
+        monkeypatch.setattr(realnum, "_digit_block", counting)
+        q = 999_983  # period 999 982
+        x = real_from_fraction(Fraction(1, q))
+        for n in (1, 1000, 10**5, 10**6):
+            widths.clear()
+            x.prefix(n)
+            assert widths == [n]
+        widths.clear()
+        text = str(x)
+        # blocks of 15, 30, 60, ... digits, never past the cap and the 7
+        # digits that show a period there
+        assert sum(widths) <= MAX_EXPANSION_DIGITS + 7
+        assert len(widths) <= (q // 15).bit_length() + 1
+        widths.clear()
+        assert P(text) == x
+        assert len(widths) == 2 and sum(widths) == q - 1
+        # a walk reads prefixes of doubling length, one block each
+        y = real_from_fraction(Fraction(1, q) + Fraction(1, 2**150_000))
+        widths.clear()
+        assert realnum._digit_compare(x, y, 10**5) is Comparison.LT
+        assert len(widths) <= 2 * (10**5).bit_length()
 
 
 # ---------------------------------------------------------------------------
