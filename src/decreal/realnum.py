@@ -964,13 +964,22 @@ def compare(x: RealNumber, y: RealNumber,
 
     Exactly-representable pairs are compared exactly, two terminating
     decimals on aligned integer units and other pairs through their
-    rational values, and never come back UNDECIDED.  Otherwise
-    enclosures are tested for separation and the canonical digit streams
-    are walked up to ``budget`` fractional digits, in blocks of doubling
-    width compared as strings; UNDECIDED means every examined position
-    agreed.  The verdict, or the refusal of an unpinnable digit, is the
-    one a digit-at-a-time walk reaches at the same position.  A verdict
-    reached at some budget is returned for every larger budget as well.
+    rational values, and never come back UNDECIDED.  Otherwise the
+    canonical digit streams are walked up to ``budget`` fractional
+    digits, in blocks of doubling width compared as strings; UNDECIDED
+    means every examined position agreed.  The verdict, or the refusal
+    of an unpinnable digit, is the one a digit-at-a-time walk reaches at
+    the same position.  A verdict reached at some budget is returned for
+    every larger budget as well.
+
+    Only a pair with a ComputedReal first tests enclosures at 8, 64 and
+    ``budget`` digits for separation: they also separate a computed
+    value on a decimal boundary, whose digits never pin.  A pair without
+    one goes straight to the walk, since its enclosures are its digit
+    prefixes and decide nothing the walk does not.  An oracle stream
+    that refuses a digit within the precision tried ends the pass after
+    one test at the digits it gave, and the walk decides, so a refusal
+    past the first difference is never raised.
     """
     if x is y:
         return Comparison.EQ
@@ -986,7 +995,13 @@ def compare(x: RealNumber, y: RealNumber,
         if fx > fy:
             return Comparison.GT
         return Comparison.EQ
-    for m in sorted({min(8, budget), min(64, budget), budget}):
+    if not (isinstance(x, ComputedReal) or isinstance(y, ComputedReal)):
+        return _digit_compare(x, y, budget)
+    stream = x if isinstance(x, OracleReal) else y
+    for n in sorted({min(8, budget), min(64, budget), budget}):
+        # a stream refusing a digit by n is tested at the m digits it
+        # gave, and then the walk decides, maybe before the refusal
+        m = len(stream._read(n)[0]) if isinstance(stream, OracleReal) else n
         lx, hx, kx = x._grid(m)
         ly, hy, ky = y._grid(m)
         k = max(kx, ky)
@@ -999,6 +1014,8 @@ def compare(x: RealNumber, y: RealNumber,
             # both enclosures collapsed to points
             return (Comparison.EQ if lx == ly
                     else Comparison.LT if lx < ly else Comparison.GT)
+        if m < n:
+            break
     return _digit_compare(x, y, budget)
 
 

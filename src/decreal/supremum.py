@@ -30,6 +30,7 @@ from .arithmetic import add
 from .errors import CanonicalViolation, MalformedLiteral, OrderUndecided
 from .realnum import (
     DEFAULT_BUDGET,
+    ComputedReal,
     DigitPrefix,
     OracleReal,
     RealNumber,
@@ -372,6 +373,14 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
     (FailLeastness with witness p).  Sanity samples above s must stay
     upper bounds.  Raises OrderUndecided if a probe can settle neither
     way within the budget.
+
+    When s is a stream (an OracleReal), the member a probe finds above p
+    is ordered against s once per member: unless the member is a
+    ComputedReal, the verdict depends on their digits alone, so later
+    probes that find the same member reuse it.  An exact s orders an
+    exact member exactly, which costs less than the lookup.  The bound
+    side of a family asks its oracle's ``member_above(s)``, which orders
+    the members on its own.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -392,12 +401,17 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
         if w is not None:
             return FailBound(w)
 
+    verdicts: Optional[dict[RealNumber, Comparison]] = (
+        {} if isinstance(s, OracleReal) else None)
+
     def leastness_probe(p: RealNumber) -> Optional[FailBound | FailLeastness]:
         q = _member_above(S, p, budget)
         if q is not None:
-            if compare(q, s, budget) is Comparison.GT:
-                return FailBound(q)
-            return None
+            if verdicts is None or isinstance(q, ComputedReal):
+                c = compare(q, s, budget)
+            else:
+                c = verdicts[q] = verdicts.get(q) or compare(q, s, budget)
+            return FailBound(q) if c is Comparison.GT else None
         inner = is_upper_bound(p, S, budget)
         if isinstance(inner, Yes):
             if compare(p, s, budget) is Comparison.LT:

@@ -187,15 +187,23 @@ def split_denominator(den: int) -> tuple[int, int]:
     For p/den in lowest terms, k is the length of the preperiod of the
     decimal expansion and q the denominator of its purely periodic
     rest; the expansion terminates exactly when q == 1.
+
+    The factors 5 are divided out as 5**(2**j): the powers are squared
+    up while they divide den, then tried from the largest down, so b
+    factors cost O(log b) big divisions, not one division each.
     """
     if den < 1:
         raise ValueError("denominator must be positive")
     twos = (den & -den).bit_length() - 1
     den >>= twos
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+    fives, powers, power = 0, [], 5
+    while den % power == 0:
+        powers.append(power)
+        power *= power
+    while powers:
+        q, r = divmod(den, powers.pop())
+        if not r:
+            den, fives = q, fives + (1 << len(powers))
     return den, max(twos, fives)
 
 

@@ -157,6 +157,14 @@ class TestPhiCheck:
             out = phi_check(x, y)
             assert isinstance(out, PhiOk), (x, y, out)
 
+    def test_twenty_thousand_digit_gap(self):
+        # 1/3 + 10**-20000 has 20 000 factors 5 in its denominator: 2.4 s
+        # when split_denominator took them off one division at a time
+        x = Fraction(1, 3)
+        start = time.process_time()
+        assert isinstance(phi_check(x, x + Fraction(1, 10**20000)), PhiOk)
+        assert time.process_time() - start < 0.5
+
 
 def budget_by_trial(x: Fraction, y: Fraction) -> int:
     """k + 2 for the least k >= 1 with 10**-k < |x - y|, by trying each k

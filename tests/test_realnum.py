@@ -632,6 +632,63 @@ class TestBetween:
         assert lo < w.as_fraction() < hi
 
 
+class TestRefusalPastTheDifference:
+    """A stream that refuses from digit 50 against values below it that
+    differ from it at digit 20: the walk decides at digit 20, so compare
+    and between answer without asking for the refused digit."""
+
+    # 0.1...1 (19 ones) 05, and 0.1...1 (19 ones) + sqrt(2) * 10**-21,
+    # with an upper end of each value
+    LOWER = {
+        "literal": (lambda: P("0." + "1" * 19 + "05"),
+                    Fraction(int("1" * 19 + "05"), 10**21)),
+        "computed": (lambda: add(P("0." + "1" * 19),
+                                 mul(sqrt(P("2")), P("0." + "0" * 20 + "1"))),
+                     Fraction(int("1" * 19), 10**19)
+                     + Fraction(142, 100 * 10**21)),
+    }
+
+    @staticmethod
+    def stream():
+        def digit(i):
+            if i >= 50:
+                raise RuntimeError(f"digit {i} refused")
+            return 1
+        return OracleReal(digit)
+
+    @pytest.mark.parametrize("kind", sorted(LOWER))
+    def test_compare(self, kind):
+        lower, _ = self.LOWER[kind]
+        assert compare(self.stream(), lower(), 100) is Comparison.GT
+        assert compare(lower(), self.stream(), 100) is Comparison.LT
+
+    @pytest.mark.parametrize("kind", sorted(LOWER))
+    def test_between(self, kind):
+        lower, top = self.LOWER[kind]
+        w = between(lower(), self.stream(), 100).as_fraction()
+        # below the stream's 49 known digits, hence below the stream
+        assert top < w < Fraction(int("1" * 49), 10**49)
+
+    def test_the_walk_needs_the_refused_digit(self):
+        # agreeing through digit 49, the walk does reach the refusal
+        with pytest.raises(RuntimeError):
+            compare(self.stream(), P("0.(1)"), 100)
+
+    def test_refusal_before_a_boundary_value(self):
+        # 0.2000 refusing digit 5, against 0.3 behind enclosures that
+        # straddle it: the walk cannot pin digit 1 of 0.3, the enclosure
+        # at the four digits the stream gave separates the two
+        def digit(i):
+            if i >= 5:
+                raise RuntimeError(f"digit {i} refused")
+            return 2 if i == 1 else 0
+        tenth = Fraction(1, 10)
+        near = computed(lambda m: (3 * tenth - tenth ** (m + 1),
+                                   3 * tenth + tenth ** (m + 1)))
+        assert compare(OracleReal(digit), near, 100) is Comparison.LT
+        assert compare(near, OracleReal(digit), 100) is Comparison.GT
+
+
 class TestScanBudgetEdges:
     """Each digit scan reads positions 1 to budget: a deciding digit at
     position p is found with budget p and missed with budget p - 1."""
@@ -934,6 +991,8 @@ class TestDigitKernel:
 CANONICAL_KINDS = ("terminating", "periodic", "boundary", "irrational",
                    "stream")
 KINDS = CANONICAL_KINDS + ("nines", "broken")
+# the kinds that are not ComputedReals
+DIGIT_KINDS = ("terminating", "periodic", "stream", "nines", "broken")
 
 
 def _stream(digits, tail_digit):
@@ -1038,12 +1097,14 @@ class TestBlockWalk:
         lambda x, y: realnum._digit_compare(x, y, 30),
         lambda x, y: realnum._between_positive(y, x, 30),
         lambda x, y: classify(y, 30),
+        lambda x, y: compare(x, y, 30),
+        lambda x, y: between(y, x, 30),
     ])
     def test_short_head_decided_before_its_end(self, run):
         # 0.25 pins one digit, the stream raises at its fifth; both walks
-        # decide by the second digit and never reach either refusal (the
-        # enclosures that compare and between try first would read the
-        # stream's fifth digit, so the walks are called directly)
+        # decide by the second digit and never reach either refusal, and
+        # so do compare and between: the stream refuses within the 8
+        # digits of their first enclosure, which ends the enclosure pass
         x = ("boundary", False, 0, "25", "0")
         y = ("nines", False, 0, "1234", "0")
         _agree(run, x, y)
@@ -1060,6 +1121,18 @@ class TestBlockWalk:
         _agree(run, nines, broken)
         assert _outcome(run, nines, broken) == ("raised", CanonicalViolation)
         assert _outcome(run, broken, nines) == ("raised", ValueError)
+
+    @given(operand_pairs(DIGIT_KINDS), st.integers(min_value=0,
+                                                   max_value=100))
+    @settings(max_examples=300, deadline=None)
+    def test_compare_without_computed_is_the_walk(self, pair, budget):
+        # no enclosure is tried: the same verdict, or the same refusal,
+        # as the walk alone, for streams that refuse within 64 digits too
+        assume(not all(kind in ("terminating", "periodic")
+                       for kind, *_ in pair))
+        assert (_outcome(lambda x, y: compare(x, y, budget), *pair)
+                == _outcome(lambda x, y: realnum._digit_compare(x, y, budget),
+                            *pair))
 
     @given(operand_pairs(CANONICAL_KINDS), budgets_st,
            st.integers(min_value=1, max_value=200))

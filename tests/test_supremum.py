@@ -5,6 +5,7 @@ Oracles: Fraction max/arithmetic for finite sets, long-division digit
 prefixes for streams, geometric series for nine-tail repairs, and the
 built-in families enumerated from their definitions as Fractions."""
 
+import random
 import sys
 import threading
 import time
@@ -23,6 +24,7 @@ from conftest import (
     long_division_digits,
     sqrt_truncation,
 )
+from decreal import realnum
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
     DigitPrefix,
@@ -817,6 +819,95 @@ class TestFamilyWitnesses:
                     if m > Fraction(10**250 - 1, 10**250))
         assert verdict.witness.as_fraction() == want
         assert str(verdict.witness) == "0." + "9" * 250 + "1"
+
+
+class TestVerdictReuse:
+    """A leastness probe orders the member it finds against s once per
+    member, and later probes reuse the verdict; the verdicts and
+    witnesses of whole certificates are checked against Fractions."""
+
+    BUDGET = 100
+    PAPER_A = (Fraction(1), Fraction(212, 100), Fraction(10, 9),
+               Fraction(212, 100) + Fraction(1, 9000),
+               Fraction(1120101, 10**6) + Fraction(1, 9 * 10**6))
+
+    def test_each_member_walked_once_by_the_probes(self, monkeypatch):
+        # the maximum is periodic, so s is a stream that the maximum
+        # agrees with through the whole budget: each walk of the pair
+        # reads all 100 digits and ends UNDECIDED
+        members = [P(t) for t in ("12.5", "3.(3)", "60.(142857)",
+                                  "60.(428571)", "41.25", "0.(09)")]
+        family = finite_family(members)
+        s = sup(family)
+        assert isinstance(s, OracleReal)
+        walks = Counter()
+        first_difference = realnum._first_difference
+
+        def counting(vx, vy, budget):
+            owners = (vx._read.__self__, vy._read.__self__)
+            if any(isinstance(o, OracleReal) for o in owners):
+                walks.update(i for i, m in enumerate(members)
+                             if any(o is m for o in owners))
+            return first_difference(vx, vy, budget)
+
+        monkeypatch.setattr(realnum, "_first_difference", counting)
+        # the bound side asks the family's member_above(s), which orders
+        # every member against s on its own
+        family.oracle.member_above(s, self.BUDGET)
+        bound_side = Counter(walks)
+        walks.clear()
+        verdict = check_sup_certificate(s, family, samples=20,
+                                        budget=self.BUDGET)
+        assert isinstance(verdict, Pass)
+        probes = {i: walks[i] - bound_side[i] for i in walks}
+        assert bound_side == {2: 1, 3: 1}
+        # 40 probes, each finding the maximum or 60.(142857) above it
+        assert probes == {2: 1, 3: 1}
+
+    def check(self, S, top, eps, first_above):
+        """Pass at the supremum top, FailLeastness above it and FailBound
+        below it, with witnesses that the Fractions bear out.  The 8
+        probes below a candidate reach 2**-8 under it, so a candidate
+        less than that above top could pass."""
+        def certify(s):
+            return check_sup_certificate(s, S, samples=8, budget=self.BUDGET)
+
+        assert isinstance(certify(sup(S)), Pass)
+        high = certify(real_from_fraction(top + eps))
+        assert isinstance(high, FailLeastness)
+        assert top <= high.witness.as_fraction() < top + eps
+        low = certify(real_from_fraction(top - eps))
+        assert isinstance(low, FailBound)
+        w = low.witness.as_fraction()
+        if first_above is None:  # a lower cut: any decimal below top
+            assert top - eps < w < top
+        else:
+            assert w == first_above(top - eps)
+
+    @pytest.mark.parametrize("name", ["paper-A", "paper-B", "paper-C",
+                                      "paper-D"])
+    def test_builtins(self, name):
+        if name == "paper-A":
+            values = self.PAPER_A
+            top = max(values)
+            first_above = lambda b: next(v for v in values if v > b)
+        else:
+            top = FAMILY_SUPREMA[name]
+            first_above = lambda b: first_member_above(name, b, b)
+        self.check(builtin_family(name), top, Fraction(1, 70), first_above)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_seeded_families_and_cuts(self, seed):
+        rng = random.Random(seed)
+        values = [Fraction(rng.randint(-999, 999),
+                           rng.choice((1, 3, 4, 7, 9, 12, 40, 625)))
+                  for _ in range(rng.randint(1, 6))]
+        top = max(values)
+        eps = Fraction(1, rng.choice((7, 30, 200)))
+        family = finite_family(map(real_from_fraction, values))
+        self.check(family, top, eps,
+                   lambda b: next(v for v in values if v > b))
+        self.check(lower_cut(real_from_fraction(top)), top, eps, None)
 
 
 class TestLinearSelection:

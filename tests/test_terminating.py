@@ -233,16 +233,30 @@ class TestStructure:
            st.integers(min_value=0, max_value=60),
            st.integers(min_value=0, max_value=60))
     def test_split_denominator(self, q, a, b):
-        # oracle: strip the factors one at a time
-        den = rest = q * 2**a * 5**b
-        twos = fives = 0
-        while rest % 2 == 0:
-            rest //= 2
-            twos += 1
-        while rest % 5 == 0:
-            rest //= 5
-            fives += 1
-        assert split_denominator(den) == (rest, max(twos, fives))
+        den = q * 2**a * 5**b
+        assert split_denominator(den) == split_one_at_a_time(den)
+
+    @given(st.integers(min_value=1, max_value=10**40),
+           st.integers(min_value=0, max_value=3000),
+           st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=100, deadline=None)
+    def test_split_denominator_long_runs(self, q, a, b):
+        # runs of factors 5 past every power 5**(2**j) that is tried
+        den = q * 2**a * 5**b
+        assert split_denominator(den) == split_one_at_a_time(den)
+
+
+def split_one_at_a_time(den):
+    """(q, k) of split_denominator, stripping the factors 2 and 5 one
+    division at a time."""
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    return den, max(twos, fives)
 
 
 class TestArithmetic:
