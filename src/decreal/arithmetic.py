@@ -2,19 +2,20 @@
 
 Whenever every operand is exactly representable the operations go
 through rational arithmetic and stay exact.  Otherwise the result is a
-:class:`~decreal.realnum.ComputedReal` whose enclosures are derived from
-the operands' enclosures by outward-safe interval arithmetic on
-integers: a request for width 10**-q reads each operand as a grid
-triple (lo, hi, k), [lo, hi] * 10**-k, with guard digits fixed before
-the first refinement.  A sum aligns its terms' grids and adds; the
-other kernels compute corner products, floor and ceiling divisions and
-``math.isqrt``, and round outward to the grid 10**-k, k one or two
-digits past q.  The precision asked of an operand is therefore the
-requested one plus a constant for each node, linear in the depth of an
-expression.  Digits of the result are pinned from those enclosures on
-demand, and a value that sits on an exact decimal boundary surfaces as
-``DigitsUnstable`` at digit-query time while its enclosures stay
-available through :func:`evaluate`.
+:class:`~decreal.realnum.ComputedReal` record whose enclosures are
+derived from the operands' enclosures by outward-safe interval
+arithmetic on integers.  A pass at the working precision p reads each
+operand as a grid triple (lo, hi, k), [lo, hi] * 10**-k with k >= p; a
+sum aligns its terms' grids and adds, the other kernels compute corner
+products, floor and ceiling divisions and ``math.isqrt``, and each
+rounds outward to the grid 10**-(p+1).  No node adds digits of its own
+to what it asks of its operands: the root checks the width it was
+asked for and runs another pass when it missed, so the precision asked
+of the bottom of an expression does not grow with its depth.  Digits of
+the result are pinned from those enclosures on demand, and a value that
+sits on an exact decimal boundary surfaces as ``DigitsUnstable`` at
+digit-query time while its enclosures stay available through
+:func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .realnum import (
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
-    _decimal_digits,
     _describe,
-    _exponent,
     _is_exact_zero,
     _on_scale,
     _precisions,
@@ -89,29 +88,24 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
 
 class _Sum(ComputedReal):
     """An n-ary sum: terms that are not exact, then at most one exact
-    term.  Each term is read at m + d digits, d the fewest with 10**d >=
-    n, so the n term widths add up to at most 10**-m; a sum of two reads
-    its terms at m + 1."""
+    term.  The terms are aligned on the finest of their grids and added,
+    so the widths of n terms read at p add up to n * 10**-p, plus the
+    rounding to the grid 10**-(p+1)."""
 
     _form = ("(", " + ", ")")
 
     def __init__(self, streams: list[RealNumber], exact: list[RealNumber]):
         self.streams, self.exact = streams, exact
         self._record(*streams, *exact)
-        self._guards = ((_decimal_digits(len(self._operands)),)
-                        * len(self._operands))
 
-    def _bound(self) -> int:
-        return max(map(_exponent, self._operands)) + self._guards[0]
-
-    def _step(self, m: int, grids: list) -> tuple[int, int, int]:
+    def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         k = max(g[2] for g in grids)
         lo = hi = 0
         for tlo, thi, tk in grids:
             scale = 10 ** (k - tk)
             lo += tlo * scale
             hi += thi * scale
-        return _on_grid(lo, hi, k, m)
+        return (*_on_scale(lo, hi, k, p + 1), p + 1)
 
 
 def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
@@ -162,53 +156,23 @@ def _positive_floor(x: RealNumber, budget: int) -> tuple[int, int, int]:
     raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
 
 
-def _on_grid(lo: int, hi: int, k: int, q: int) -> tuple[int, int, int]:
-    """The enclosure (lo, hi, k), checked against the width 10**-q
-    asked for: guard digits chosen up front always pass when operands
-    keep their width contract, so a failure means one broke it."""
-    if hi - lo > 10 ** (k - q):
-        raise AssertionError(
-            "an operand enclosure is wider than its precision allows")
-    return lo, hi, k
-
-
 class _Product(ComputedReal):
-    """x * y on the grid 10**-(q+2), from integer corner products.
-
-    With |y| <= 10**ey, x read at w = q + 3 + ey digits and put on the
-    grid 10**-w is at most 3 units of 10**-w wide, which moves the
-    corners by at most about 0.3 units of 10**-(q+2); y is read at q + 3
-    + ex digits alike.  A guard that depends on the operand's own
-    magnitude as well would make the demand on the innermost factor of
-    a nested product grow quadratically in depth.  The guards are fixed
-    at the first refinement, which takes an opaque leaf's bound with one
-    read.
-    """
+    """x * y from integer corner products, which bound it whatever the
+    signs, rounded outward to the grid 10**-(p+1).  Its width is about
+    |x| * wy + |y| * wx for operand widths wx and wy, so a large factor
+    makes the root of the pass miss digits, and the next pass reads both
+    operands at as many more digits."""
 
     _form = ("(", " * ", ")")
-    _fixed: Optional[tuple[int, int]] = None
 
     def __init__(self, x: RealNumber, y: RealNumber):
         self._record(x, y)
 
-    @property
-    def _guards(self) -> tuple[int, int]:
-        if self._fixed is None:
-            x, y = self._operands
-            self._fixed = 3 + _exponent(y), 3 + _exponent(x)
-        return self._fixed
-
-    def _bound(self) -> int:
-        return sum(self._guards) - 6
-
-    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
-        gx, gy = self._guards
-        xs = _on_scale(*grids[0], q + gx)
-        ys = _on_scale(*grids[1], q + gy)
-        corners = [a * b for a in xs for b in ys]
-        shift = 10 ** (q + gx + gy - 2)
-        return _on_grid(min(corners) // shift, -(-max(corners) // shift),
-                        q + 2, q)
+    def _step(self, p: int, grids: list) -> tuple[int, int, int]:
+        (lx, hx, kx), (ly, hy, ky) = grids
+        corners = (lx * ly, lx * hy, hx * ly, hx * hy)
+        return (*_on_scale(min(corners), max(corners), kx + ky, p + 1),
+                p + 1)
 
 
 def mul(x: RealNumber, y: RealNumber) -> RealNumber:
@@ -231,31 +195,26 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
 
 
 class _Reciprocal(ComputedReal):
-    """1 / x for x with a positive floor lo0 * 10**-k0, found at m0
-    digits.  The reciprocal of x's enclosure [lx, hx] is read on the
-    grid 10**-(q+2) by floor and ceiling integer division; its width
-    (hx - lx) / (lx * hx) is at most 10**-w / lo0**2 when x is read at
-    w digits, so x is read at q + 2 + head digits, head from the floor
-    alone, and never at fewer than m0, where lx is at least the floor."""
+    """1 / x for x with a positive floor, found at m0 digits.  The
+    reciprocal of x's enclosure [lx, hx] is read on the grid 10**-(p+1)
+    by floor and ceiling integer division.  An x that is not a
+    ComputedReal is never read at fewer than m0 digits, so lx is always
+    positive; a computed x keeps the floor in its cached enclosure.  The
+    width (hx - lx) / (lx * hx) grows as x nears zero, and the root's
+    check then asks for more digits."""
 
     _form = ("1/(", "", ")")
 
-    def __init__(self, x: RealNumber, floor: tuple[int, int, int]):
-        m0, lo0, k0 = floor
+    def __init__(self, x: RealNumber, m0: int):
         self._record(x)
-        self._guards = (max(2 + _decimal_digits(100 ** k0, lo0 * lo0), m0),)
-        self._e = _decimal_digits(10 ** k0, lo0)
+        self._floor = m0
 
-    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+    def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         (lx, hx, kx), = grids
-        k = q + 2
+        k = p + 1
         # 10**-k * 10**-kx: one unit of the result times one of x
         one = 10 ** (k + kx)
-        lo = one // hx
-        hi = -(-one // lx)
-        # lo / 10**k <= 1 / hx and hi / 10**k >= 1 / lx
-        assert lo * hx <= one <= hi * lx
-        return _on_grid(lo, hi, k, q)
+        return one // hx, -(-one // lx), k
 
 
 def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
@@ -274,7 +233,7 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         raise ZeroDivisionError("reciprocal of zero")
     if sign is Classification.NEGATIVE:
         return neg(reciprocal(neg(x), budget))
-    return _Reciprocal(x, _positive_floor(x, budget))
+    return _Reciprocal(x, _positive_floor(x, budget)[0])
 
 
 def _exact_sqrt(f: Fraction) -> Fraction | None:
@@ -286,55 +245,48 @@ def _exact_sqrt(f: Fraction) -> Fraction | None:
 
 
 class _Root(ComputedReal):
-    """sqrt(r), from integer square roots.
+    """sqrt(r), from integer square roots on the grid 10**-(p+1).
 
-    An exact radicand p/d that is not a rational square leaves the root
-    a leaf: it lies strictly between isqrt(p * 10**(2k) // d) and the
-    next unit, with k = q + 1.  A computed radicand r with a positive
-    floor lr0 * 10**-k0, found at m0 digits, is an operand: the floor
-    root of its lower end and the ceiling root of its upper end bound
-    the root on the grid 10**-(q+2).  sqrt(hr) - sqrt(lr) = (hr - lr) /
-    (sqrt(hr) + sqrt(lr)), and both roots are at least sqrt(lr0) >=
-    10**-head, so r is read at q + 2 + head digits, and never at fewer
-    than m0: the demand of nested roots grows linearly with depth.
+    An exact radicand n/d that is not a rational square leaves the root
+    a leaf: it lies strictly between isqrt(n * 10**(2k) // d) and the
+    next unit, with k = p + 1.  A computed radicand r with a positive
+    floor, found at m0 digits, is an operand, read at no fewer than m0
+    digits when it is not a ComputedReal: the floor root of its lower end
+    and the ceiling root of its upper end bound the root.  The width
+    sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)) grows as r
+    nears zero, and the root's check then asks for more digits.
     """
 
     _form = ("sqrt(", "", ")")
 
-    def __init__(self, r: RealNumber,
-                 floor: Optional[tuple[int, int, int]] = None,
+    def __init__(self, r: RealNumber, m0: int = 0,
                  pd: Optional[tuple[int, int]] = None):
         self.radicand, self._pd = r, pd
-        if pd:  # p/d: a leaf
+        if pd:  # n/d: a leaf
             self._record()
         else:
-            m0, lr0, k0 = floor
             self._record(r)
-            self._guards = (max(2 + (_decimal_digits(10 ** k0, lr0) + 1) // 2,
-                                m0),)
-
-    def _bound(self) -> int:
-        return (_exponent(self.radicand) + 1) // 2
+            self._floor = m0
 
     def _text(self, depth: int) -> str:
         return "sqrt(" + _describe(self.radicand, depth) + ")"
 
-    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
+    def _step(self, p: int, grids: list) -> tuple[int, int, int]:
+        k = p + 1
         if not grids:
-            (p, d), k = self._pd, q + 1
-            scaled = p * 10 ** (2 * k)
+            n, d = self._pd
+            scaled = n * 10 ** (2 * k)
             s = math.isqrt(scaled // d)
-            # p/d is not a rational square, so the upper end is strict
+            # n/d is not a rational square, so the upper end is strict
             assert s * s * d <= scaled < (s + 1) * (s + 1) * d
-            return _on_grid(s, s + 1, k, q)
-        k = q + 2
+            return s, s + 1, k
         low, high = _on_scale(*grids[0], 2 * k)
         lo = math.isqrt(low)
         hi = math.isqrt(high)
         if hi * hi < high:
             hi += 1
         assert lo * lo <= low and high <= hi * hi
-        return _on_grid(lo, hi, k, q)
+        return lo, hi, k
 
 
 def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
@@ -360,7 +312,7 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         raise NegativeRadicand("square root of a provably negative value")
     if sign is Classification.ZERO:
         return ZERO_REAL
-    return _Root(r, _positive_floor(r, budget))
+    return _Root(r, _positive_floor(r, budget)[0])
 
 
 def archimedean_witness(x: RealNumber, y: RealNumber,

@@ -169,8 +169,7 @@ def evaluate_expression(node: Expression) -> RealNumber:
 
     Operands are evaluated left to right.  A sum is one n-ary ``add``; a
     product is combined in pairs, so a chain of n factors nests
-    ceil(log2 n) deep, and its factors are asked for guard digits of
-    that many products, not of n.
+    ceil(log2 n) deep.
     """
     if isinstance(node, RealNumber):
         return node

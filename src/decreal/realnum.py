@@ -68,6 +68,9 @@ from .terminating import (
 DEFAULT_BUDGET = 1000
 # extra refinement digits allowed before digit pinning gives up
 PIN_WINDOW = 64
+# digits past a request at which a pass over a ComputedReal runs, and
+# past the digits a root that came out too wide missed
+PASS_GUARD = 3
 # longest exact expansion (preperiod plus period) that is materialised;
 # longer ones raise ExpansionTooLong
 MAX_EXPANSION_DIGITS = 10**6
@@ -514,53 +517,51 @@ def with_nine_run_check(digit_fn: Callable[[int], int],
 class ComputedReal(RealNumber):
     """A real known through a refinable enclosure on a decimal grid.
 
-    ``ComputedReal(refine, description)`` is a leaf: ``refine(m)`` must
-    return integers (lo, hi, k) with k >= m, lo * 10**-k <= value <= hi *
-    10**-k and hi - lo <= 10**(k - m), the contract of ``_grid``.  The
-    arithmetic kernels are records instead: for a request q a record asks
-    operand i for q + ``_guards[i]`` digits, and its ``_step`` combines
-    the operands' triples.  Enclosures are cached and intersected on the
-    finer of the two grids, so they only ever tighten.  Digits are pinned
-    from enclosures: the prefix of length n is committed once an
-    enclosure fits strictly inside one 10**-n cell, and
-    ``DigitsUnstable`` is raised if that fails with ``PIN_WINDOW`` extra
-    refinement digits (the 0.999/1.000 boundary).
+    ``ComputedReal(refine, description)`` is a leaf: ``refine(p)`` must
+    return integers (lo, hi, k) with k >= p, lo * 10**-k <= value <= hi *
+    10**-k and hi - lo <= 10**(k - p), the contract of ``_grid``, which
+    is checked where any leaf answers.  The arithmetic kernels are
+    records instead: a record holds its operands, and its ``_step``
+    combines their triples and rounds outward on the grid 10**-(p+1).
+
+    A request for m digits runs a pass at the working precision p = m +
+    ``PASS_GUARD``: every node not yet stepped at p or more reads its
+    operands at p and steps once.  The width is checked at the root
+    only, and a root that is still too wide runs another pass, with p
+    raised by the digits it missed plus ``PASS_GUARD``.  So the digits
+    asked of a leaf do not grow with the depth of the expression above
+    it, only with what its values lose.  Enclosures are cached and
+    intersected on the finer of the two grids, so they only ever
+    tighten.  Digits are pinned from enclosures: the prefix of length n
+    is committed once an enclosure fits strictly inside one 10**-n cell,
+    and ``DigitsUnstable`` is raised if that fails with ``PIN_WINDOW``
+    extra refinement digits (the 0.999/1.000 boundary).
     """
 
     _operands: tuple[RealNumber, ...] = ()
-    _guards: tuple[int, ...] = ()
+    # the least precision at which an operand that is not a
+    # ComputedReal is read
+    _floor = 0
     # a record's description: head, separator and tail around operands
     _form = ("", "", "")
-    # the bound e of _exponent, once known
-    _e: Optional[int] = None
 
     def __init__(self, refine: Callable[[int], tuple[int, int, int]],
                  description: str = ""):
         self._refine = refine
         self._description = description
         self._best: Optional[tuple[int, int, int]] = None
+        # the highest working precision this node was stepped at
+        self._p = -1
         self._pinned: Optional[tuple[bool, int, str]] = None
         self._lock = threading.RLock()
 
     def _record(self, *operands: RealNumber) -> None:
-        """Make this node a record over the operands.  The bounds of
-        operands that are records over operands themselves are taken
-        now, so that no chain of records waits on them; a leaf's is one
-        step, and an opaque leaf's takes a read, so it waits."""
+        """Make this node a record over the operands."""
         ComputedReal.__init__(self, None)
         self._operands = operands
-        for t in operands:
-            if isinstance(t, ComputedReal) and t._operands:
-                _exponent(t)
 
-    def _step(self, q: int, grids: list) -> tuple[int, int, int]:
-        return self._refine(q)
-
-    def _bound(self) -> int:
-        if self._operands:
-            return max(map(_exponent, self._operands))
-        lo, hi, k = self._grid(0)
-        return _decimal_digits(max(-lo, hi), 10 ** k)
+    def _step(self, p: int, grids: list) -> tuple[int, int, int]:
+        return self._refine(p)
 
     def _fresh(self, m: int) -> bool:
         best = self._best
@@ -568,51 +569,63 @@ class ComputedReal(RealNumber):
                 and best[1] - best[0] <= 10 ** (best[2] - m))
 
     def _grid(self, m: int) -> tuple[int, int, int]:
-        """The enclosure at m, refining the expression below on an
-        explicit stack.  A stale node asks its operands first, depth
-        first and left to right; each operand hands the node the triple
-        it holds once it is fresh, as a nested call would return it, and
-        the node then steps once, under its own lock, which is not held
-        while its operands are refined."""
+        """The enclosure at m, from passes over the expression below:
+        the first at p = m + PASS_GUARD, and while the root is too wide
+        one more, with p raised by the digits it missed plus
+        PASS_GUARD.  A pass runs on an explicit stack.  A stale node
+        asks its operands first, depth first and left to right; each
+        operand hands the node the triple it holds once it is stepped,
+        as a nested call would return it, and the node then steps once,
+        under its own lock, which is not held while its operands are
+        refined."""
         if self._fresh(m):
             return self._best
-        # a frame (node, q, grids, out, i) puts the node's triple at
-        # out[i]; grids is None until the node is visited, then it
-        # collects the operands' triples
-        stack = [(self, m, None, [None], 0)]
-        while stack:
-            node, q, grids, out, i = stack.pop()
-            if grids is None:
-                if node is not self and node._fresh(q):
-                    out[i] = node._best
-                    continue
-                # operands pushed last to first, so the first is on top
-                grids, waits = [None] * len(node._operands), []
-                for j in reversed(range(len(grids))):
-                    t, p = node._operands[j], q + node._guards[j]
-                    if isinstance(t, ComputedReal):
-                        waits.append((t, p, None, grids, j))
-                    else:
-                        grids[j] = t._grid(p)
-                if waits:  # combine once they are done
-                    stack.append((node, q, grids, out, i))
-                    stack += waits
-                    continue
-            with node._lock:  # a leaf's refine runs under it too
-                lo, hi, k = node._step(q, grids)
-                if k < q:
-                    raise AssertionError("refine answered on a coarser grid")
-                if node._best is not None:
-                    blo, bhi, bk = node._best
-                    j = max(k, bk)
-                    (lo, hi), (blo, bhi) = (_on_scale(lo, hi, k, j),
-                                            _on_scale(blo, bhi, bk, j))
-                    lo, hi, k = max(lo, blo), min(hi, bhi), j
-                if lo > hi:
-                    raise AssertionError(
-                        "enclosure refinement became inconsistent")
-                node._best = out[i] = (lo, hi, k)
-        return self._best
+        p = m + PASS_GUARD
+        while True:
+            # a frame (node, grids, out, i) puts the node's triple at
+            # out[i]; grids is None until the node is visited, then it
+            # collects the operands' triples
+            stack = [(self, None, [None], 0)]
+            while stack:
+                node, grids, out, i = stack.pop()
+                if grids is None:
+                    if node._p >= p:
+                        out[i] = node._best
+                        continue
+                    # operands pushed last to first, so the first is on top
+                    grids, waits = [None] * len(node._operands), []
+                    for j in reversed(range(len(grids))):
+                        t = node._operands[j]
+                        if isinstance(t, ComputedReal):
+                            waits.append((t, None, grids, j))
+                        else:
+                            grids[j] = t._grid(max(p, node._floor))
+                    if waits:  # combine once they are done
+                        stack.append((node, grids, out, i))
+                        stack += waits
+                        continue
+                with node._lock:  # a leaf's refine runs under it too
+                    lo, hi, k = node._step(p, grids)
+                    if not grids and (k < p or hi - lo > 10 ** (k - p)):
+                        raise AssertionError(
+                            "a leaf answered wider than its precision allows")
+                    if node._best is not None:
+                        blo, bhi, bk = node._best
+                        j = max(k, bk)
+                        (lo, hi), (blo, bhi) = (_on_scale(lo, hi, k, j),
+                                                _on_scale(blo, bhi, bk, j))
+                        lo, hi, k = max(lo, blo), min(hi, bhi), j
+                    if lo > hi:
+                        raise AssertionError(
+                            "enclosure refinement became inconsistent")
+                    node._best = out[i] = (lo, hi, k)
+                    if p > node._p:
+                        node._p = p
+            # after any pass the root is on a grid finer than 10**-m
+            best = lo, hi, k = self._best
+            if hi - lo <= 10 ** (k - m):
+                return best
+            p = self._p + _decimal_digits(hi - lo, 10 ** (k - m)) + PASS_GUARD
 
     def _pin(self, n: int, window: int = PIN_WINDOW) -> tuple[bool, int, str]:
         """Pin the canonical sign-magnitude prefix of length n."""
@@ -702,9 +715,8 @@ class ComputedReal(RealNumber):
 
 
 class _Negation(ComputedReal):
-    """-x: x is read at the precision asked of -x."""
+    """-x: x is read at the working precision of the pass."""
 
-    _guards = (0,)
     _form = ("-(", "", ")")
 
     def __init__(self, x: ComputedReal):
@@ -732,17 +744,6 @@ def _decimal_digits(num: int, den: int = 1) -> int:
     while num > den * 10 ** d:
         d += 1
     return d
-
-
-def _exponent(x: RealNumber) -> int:
-    """An e >= 0 with |x| <= 10**e, known without refining x: an exact
-    value's or an oracle's from its integer part, a record's from its
-    operands' and an opaque leaf's from its enclosure at precision 0."""
-    if not isinstance(x, ComputedReal):
-        return _decimal_digits(x.int_part + 1)
-    if x._e is None:
-        x._e = x._bound()
-    return x._e
 
 
 def _describe(x: RealNumber, depth: int) -> str:

@@ -39,6 +39,7 @@ from decreal.arithmetic import (
 )
 from decreal.errors import DigitsUnstable, NegativeRadicand, SignUndecided
 from decreal.realnum import (
+    PASS_GUARD,
     ZERO_REAL,
     Classification,
     ComputedReal,
@@ -320,17 +321,19 @@ class TestComposition:
         assert enclosure_contains(e, Fraction(2))
 
 
-def _signed_bounds(x, negate: bool, m: int) -> tuple[Fraction, Fraction]:
-    """bounds(m) of x, read through neg(x) when negate is set."""
-    if not negate:
-        return x.bounds(m)
-    lo, hi = neg(x).bounds(m)
-    return -hi, -lo
+def _signed_bounds(x, negate: bool, m: int) -> tuple[Fraction, Fraction, int]:
+    """bounds(m) of x, read through neg(x) when negate is set, and the k
+    of the grid 10**-k it lies on: p + 1 after a pass at p, or m for a
+    stream (mul by an exact 1 is the other operand)."""
+    node = neg(x) if negate else x
+    lo, hi = node.bounds(m)
+    k = node._p + 1 if isinstance(node, ComputedReal) else m
+    return (-hi, -lo, k) if negate else (lo, hi, k)
 
 
-def _grid_aligned(lo: Fraction, hi: Fraction, m: int) -> bool:
-    """Both ends are multiples of 10**-(m + 2), the finest kernel grid."""
-    return all(10 ** (m + 2) % b.denominator == 0 for b in (lo, hi))
+def _grid_aligned(lo: Fraction, hi: Fraction, k: int) -> bool:
+    """Both ends are multiples of 10**-k."""
+    return all(10 ** k % b.denominator == 0 for b in (lo, hi))
 
 
 precisions_st = st.integers(min_value=0, max_value=5000)
@@ -355,35 +358,35 @@ class TestGridKernels:
     @given(radicands_st, st.booleans(), precisions_st)
     @settings(max_examples=60, deadline=None)
     def test_sqrt_exact_radicand(self, r, negate, m):
-        lo, hi = _signed_bounds(sqrt(real_from_fraction(r)), negate, m)
+        lo, hi, k = _signed_bounds(sqrt(real_from_fraction(r)), negate, m)
         assert 0 <= lo and lo * lo <= r <= hi * hi
         assert hi - lo <= Fraction(1, 10**m)
-        assert _grid_aligned(lo, hi, m)
+        assert _grid_aligned(lo, hi, k)
 
     @given(radicands_st, st.booleans(), precisions_st)
     @settings(max_examples=40, deadline=None)
     def test_sqrt_computed_radicand(self, r, negate, m):
-        lo, hi = _signed_bounds(sqrt(opaque(r)), negate, m)
+        lo, hi, k = _signed_bounds(sqrt(opaque(r)), negate, m)
         assert 0 <= lo and lo * lo <= r <= hi * hi
         assert hi - lo <= Fraction(1, 10**m)
-        assert _grid_aligned(lo, hi, m)
+        assert _grid_aligned(lo, hi, k)
 
     @given(nonzero_st, precisions_st)
     @settings(max_examples=40, deadline=None)
     def test_reciprocal(self, f, m):
-        lo, hi = reciprocal(opaque(f)).bounds(m)
+        lo, hi, k = _signed_bounds(reciprocal(opaque(f)), False, m)
         assert lo <= 1 / f <= hi
         assert hi - lo <= Fraction(1, 10**m)
-        assert _grid_aligned(lo, hi, m)
+        assert _grid_aligned(lo, hi, k)
 
     @given(nonzero_st, nonzero_st, st.booleans(), precisions_st)
     @settings(max_examples=40, deadline=None)
     def test_mul(self, f, g, exact_left, m):
         left = real_from_fraction(f) if exact_left else opaque(f)
-        lo, hi = mul(left, opaque(g)).bounds(m)
+        lo, hi, k = _signed_bounds(mul(left, opaque(g)), False, m)
         assert lo <= f * g <= hi
         assert hi - lo <= Fraction(1, 10**m)
-        assert _grid_aligned(lo, hi, m)
+        assert _grid_aligned(lo, hi, k)
 
 
 def _holds(value: Fraction):
@@ -484,6 +487,17 @@ class TestPrecisionDemand:
         x.bounds(n)
         assert max(asked) <= n + 4 * depth, asked
 
+    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
+    def test_demand_bounded_whatever_the_depth(self, kind):
+        # no level adds digits of its own: a leaf under 3000 levels is
+        # asked for the 30 digits rendered, the few the chain loses on
+        # the way up and PASS_GUARD, where a fixed guard for each level
+        # would ask for thousands
+        x, asked = _recorded(opaque(Fraction(5, 3)))
+        text = render_digits(_chain(kind, 3000, x), 30)
+        assert text == _chain_prefix(kind, 3000, 30, Fraction(5, 3))
+        assert max(asked) < 100, asked
+
 
 class TestRefineSchedule:
     """The precisions each refine loop asks of a node, recorded: a change
@@ -500,47 +514,59 @@ class TestRefineSchedule:
                 == sqrt_truncation(Fraction(2), 50))
         assert x.digit_at(60) == fraction_digit(
             sqrt_truncation(Fraction(2), 60), 60)
-        assert asked == [50, 60]
+        assert asked == [53, 63]
 
     def test_integral_part(self):
         x, asked = _recorded(add(sqrt(P("2")), P("-1.4142")))
         assert x.integral_part() == 0
-        assert asked == [0, 6]
+        assert asked == [3]
 
     def test_classify(self):
+        # the recorded node answers with the enclosure of the sum below
+        # it, which that sum's own pass made 10**-9 wide
         x, asked = self.tiny()
         assert classify(x, 100) is Classification.POSITIVE
-        assert asked == [2, 8]
+        assert asked == [5]
 
     def test_reciprocal(self):
         x, asked = self.tiny()
+        # the first pass at 33 misses 11 digits: 1/x magnifies the width
+        # of x by about x**-2, 1.7e17
         render_digits(reciprocal(x), 30)
-        assert asked == [2, 8, 50, 56]
+        assert asked == [5, 33, 47]
 
     def test_sqrt(self):
         x, asked = self.tiny()
         render_digits(sqrt(x), 30)
-        assert asked == [2, 8, 37]
+        assert asked == [5, 33]
 
     def test_archimedean_witness(self):
+        # the witness comes from the first positive lower end, 2e-9
         x, asked = self.tiny()
-        assert archimedean_witness(x, P("1000")) == 434782608696
-        assert asked == [2, 8]
+        n = archimedean_witness(x, P("1000"))
+        assert n == 500000000001
+        assert n * (sqrt_truncation(Fraction(2), 30)
+                    - Fraction(141421356, 10**8)) > 1000
+        assert asked == [5]
 
     def test_positive_floor_of_a_stream(self):
         # a stream's enclosures turn positive at its first nonzero digit,
-        # 5 here; the schedule 1, 3, 7, ... first reaches that at 7
+        # 5 here; the schedule 1, 3, 7, ... first reaches that at 7, and y
+        # is read by a pass at 7 + PASS_GUARD
         x = OracleReal(digit_fn=lambda i: 2 if i == 5 else 0)
         y, asked = _recorded(sqrt(P("2")))
         assert archimedean_witness(x, y) == 70711
-        assert asked == [7]
+        assert asked == [7 + PASS_GUARD]
 
     def test_pin_exhausts_window(self):
         x, asked = _recorded(mul(sqrt(P("2")), sqrt(P("2"))))
         with pytest.raises(DigitsUnstable) as info:
             x.digit_at(3)
         assert (info.value.digits, info.value.budget) == (3, 64)
-        assert asked == [3, 5, 9, 17, 33, 65, 67]
+        # pin asks 3, 5, 9, 17, 33, 65 and 67; each pass answers with the
+        # enclosure of the product's own pass, fine enough for the next
+        # request whenever that is at most 3 digits more
+        assert asked == [6, 20, 36, 68]
 
     def test_compare_reads_blocks(self, monkeypatch):
         # an equal pair: the walk reads every digit up to the budget, in
@@ -556,16 +582,17 @@ class TestRefineSchedule:
         x, asked_x = _recorded(mul(sqrt(P("2")), sqrt(P("3"))))
         y, asked_y = _recorded(sqrt(P("6")))
         assert compare(x, y, 3000) is Comparison.UNDECIDED
-        assert asked_x == asked_y == [8, 64, 3000]
+        assert asked_x == asked_y == [11, 67, 3003]
         limit = 2 * math.ceil(math.log2(3000))
         assert 0 < pins[x] <= limit and 0 < pins[y] <= limit, pins
 
-    # at budget 3 the read at 2 leaves an enclosure that already serves 3:
-    # sqrt(2) is first read by the sum, at 3 digits, since mul reads
-    # nothing when it is built
+    # classify asks 2, 4, 8, 16, 32 and 40 at budget 40; the pass at 5
+    # answers with the sum's enclosure on the grid 10**-9, which already
+    # serves 3, 4 and 8: mul reads nothing when it is built, so sqrt(2)
+    # is first read by that pass
     @pytest.mark.parametrize("budget,want", [
-        (0, [0]), (1, [1]), (2, [2]), (3, [2]),
-        (40, [2, 4, 8, 16, 32, 40]),
+        (0, [3]), (1, [4]), (2, [5]), (3, [5]),
+        (40, [5, 19, 35, 43]),
     ])
     def test_classify_exhausts_budget(self, budget, want):
         root = sqrt(P("2"))
@@ -578,20 +605,19 @@ class TestRefineSchedule:
         x, asked_x = _recorded(mul(sqrt(P("2")), sqrt(P("3"))))
         y, asked_y = _recorded(sqrt(P("6")))
         assert compare(x, y, 300) is Comparison.UNDECIDED
-        assert asked_x == asked_y == [8, 64, 300]
+        assert asked_x == asked_y == [11, 67, 303]
 
 
 class TestSums:
-    @pytest.mark.parametrize("count,guard", [
-        (2, 1), (10, 1), (11, 2), (100, 2), (101, 3),
-    ])
-    def test_terms_read_with_guard_digits(self, count, guard):
-        # each of n terms is read at m + d, 10**d >= n the fewest digits
+    @pytest.mark.parametrize("count", [2, 10, 11, 100, 101, 1000])
+    def test_terms_read_once_at_the_pass_precision(self, count):
+        # a sum adds no digits of its own for its terms: each is read by
+        # the one pass at m + PASS_GUARD, whatever the count
         root = sqrt(P("2"))
         recorded = [_recorded(root) for _ in range(count)]
         total = add(*(x for x, _ in recorded))
         total._grid(40)
-        assert all(asked == [40 + guard] for _, asked in recorded)
+        assert all(asked == [40 + PASS_GUARD] for _, asked in recorded)
 
     def test_sum_of_sums_is_one_node(self):
         a, b, c = sqrt(P("2")), sqrt(P("3")), sqrt(P("5"))
@@ -607,39 +633,44 @@ class TestSums:
                 == sqrt_truncation(Fraction(720_000), 30))  # 600 * sqrt(2)
 
 
-def _chain(kind: str, depth: int):
-    """A chain of ``depth`` calls of the Python API."""
+def _chain(kind: str, depth: int, x=None):
+    """A chain of ``depth`` calls of the Python API, over x if given."""
     if kind == "mul":
-        x = P("1")
+        x = P("1") if x is None else x
         for _ in range(depth):
             x = mul(x, sqrt(P("1.001")))
     elif kind == "sqrt":
-        x = P("0")
+        x = P("0") if x is None else x
         for _ in range(depth):
             x = sqrt(add(x, P("3")))
     else:
         # from sqrt(2): a rational start would stay exact
-        x = sqrt(P("2"))
+        x = sqrt(P("2")) if x is None else x
         for _ in range(depth):
             x = reciprocal(add(x, P("1")))
     return x
 
 
-def _chain_prefix(kind: str, depth: int, n: int) -> str:
+def _chain_prefix(kind: str, depth: int, n: int, start=None) -> str:
     """The chain's first n digits, from Fractions and long-hand roots:
-    both ends of an enclosure of the value must give the same text."""
+    both ends of an enclosure of the value must give the same text.
+    ``start`` is the Fraction value of the x the chain was built over."""
     ulp = Fraction(1, 10 ** (n + 10))
     if kind == "mul":
         # sqrt(1.001)**(2k) = 1.001**k exactly
-        lo = hi = Fraction(1001, 1000) ** (depth // 2)
+        lo = hi = (1 if start is None else start) * (
+            Fraction(1001, 1000) ** (depth // 2))
     elif kind == "sqrt":
-        lo = hi = Fraction(0)
+        lo = hi = Fraction(0) if start is None else start
         for _ in range(depth):
             lo = sqrt_truncation(lo + 3, n + 10)
             hi = sqrt_truncation(hi + 3, n + 10) + ulp
     else:
-        lo = sqrt_truncation(Fraction(2), n + 10)
-        hi = lo + ulp
+        if start is None:
+            lo = sqrt_truncation(Fraction(2), n + 10)
+            hi = lo + ulp
+        else:
+            lo = hi = start
         for _ in range(depth):
             lo, hi = 1 / (hi + 1), 1 / (lo + 1)
     want = fraction_prefix(lo, n)
@@ -673,9 +704,10 @@ def default_recursion_limit():
 
 
 class TestDeepChains:
-    """1000-call API chains build and render at the default recursion
-    limit: the evaluator keeps its own stack, and a product reads
-    nothing when it is built."""
+    """API chains of 1000 and 10 000 calls build and render at the
+    default recursion limit: the evaluator keeps its own stack, a
+    product reads nothing when it is built, and no level adds digits of
+    its own to what it asks below."""
 
     @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
     def test_api_chain_renders(self, kind, default_recursion_limit):
@@ -693,6 +725,15 @@ class TestDeepChains:
         _, steps_100 = _counted_render(_chain(kind, 100), 30)
         assert steps <= 10.5 * steps_100, (steps, steps_100)
         assert isinstance(repr(x), str)
+
+    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
+    def test_ten_thousand_call_chain(self, kind, default_recursion_limit):
+        want = _chain_prefix(kind, 10_000, 30)
+        start = time.process_time()
+        text = render_digits(_chain(kind, 10_000), 30)
+        elapsed = time.process_time() - start
+        assert text == want
+        assert elapsed < 2, f"took {elapsed:.3f} s of CPU time"
 
     def test_mul_reads_nothing_when_built(self):
         x, asked_x = _recorded(sqrt(P("2")))
@@ -763,12 +804,15 @@ class TestRefinementWork:
 
 class TestContractBreach:
     """An operand whose enclosures never narrow makes the kernels raise
-    instead of retrying forever."""
+    instead of retrying forever: the leaf's answer is checked against
+    its width contract.  reciprocal and sqrt classify their operand when
+    they are built, so they raise there; mul reads nothing until asked."""
 
     @pytest.mark.parametrize("op", [mul, reciprocal, sqrt],
                              ids=["mul", "reciprocal", "sqrt"])
     def test_too_wide_operand_raises(self, op):
         too_wide = computed(lambda m: (Fraction(1), Fraction(2)), "too wide")
-        x = op(too_wide, opaque(Fraction(3))) if op is mul else op(too_wide)
         with pytest.raises(AssertionError):
+            x = (op(too_wide, opaque(Fraction(3))) if op is mul
+                 else op(too_wide))
             x.bounds(10)

@@ -834,9 +834,13 @@ class TestComputedReal:
         assert lo <= 1 <= hi
 
     def test_inconsistent_refinement_asserts(self):
-        flip = computed(lambda m: (Fraction(2), Fraction(3)) if m < 5
-                        else (Fraction(5), Fraction(6)),
-                        "inconsistent")
+        def refine(m: int) -> tuple[Fraction, Fraction]:
+            # each answer keeps the width contract, so it is the
+            # intersection with the cached enclosure that fails
+            value = Fraction(2) if m < 10 else Fraction(5)
+            return value, value + Fraction(1, 10**m)
+
+        flip = computed(refine, "inconsistent")
         flip.bounds(1)
         with pytest.raises(AssertionError):
             flip.bounds(8)

@@ -27,6 +27,7 @@ from conftest import (
 from decreal import realnum
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
+    PASS_GUARD,
     DigitPrefix,
     OracleReal,
     TerminatingReal,
@@ -798,16 +799,34 @@ class TestFamilyWitnesses:
     @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
     @pytest.mark.parametrize("i", [0, 7, 150])
     def test_bound_just_below_a_member(self, name, i):
-        # b lies below the tail member w by far less than 10**-budget, so
+        # b lies below the tail member w by far less than the width of
+        # b's enclosure at the budget, which a pass at budget +
+        # PASS_GUARD puts on the grid 10**-(budget + PASS_GUARD + 2); so
         # no enclosure at the budget tells b from w, and the witness is
         # the member after w: the first one known to be above b
-        members = islice(family_members(name), i + (name == "paper-B") * 3,
-                         None)
-        w, after = next(members), next(members)
-        b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + 5)
+        w, after = self.member_pair(name, i)
+        b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + PASS_GUARD + 5)
         assert hi < w == first_member_above(name, lo, hi)
         got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
         assert got is not None and got.as_fraction() == after
+
+    @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
+    @pytest.mark.parametrize("i", [0, 7, 150])
+    def test_bound_told_from_the_member_above(self, name, i):
+        # 1.4 * 10**-(budget + 5) below w, b's enclosure at the budget
+        # lies below w, so w itself is the witness
+        w, _ = self.member_pair(name, i)
+        b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + 5)
+        assert hi < w == first_member_above(name, lo, hi)
+        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        assert got is not None and got.as_fraction() == w
+
+    @staticmethod
+    def member_pair(name: str, i: int) -> tuple[Fraction, Fraction]:
+        """The i-th tail member and the one after it."""
+        members = islice(family_members(name), i + (name == "paper-B") * 3,
+                         None)
+        return next(members), next(members)
 
     def test_witness_past_two_hundred_members(self):
         # the 253rd member, 250 nines and then a one: a scan of the
