@@ -26,11 +26,7 @@ import pytest
 
 from conftest import fraction_prefix, sqrt_truncation
 from decreal.arithmetic import add, mul, sqrt
-from decreal.realnum import (
-    compare,
-    parse_real,
-    real_from_fraction,
-)
+from decreal.realnum import compare, parse_real, real_from_fraction
 from decreal.supremum import (
     Family,
     FailBound,
@@ -85,24 +81,26 @@ def truncation_family(x: Operand, y: Operand, op: str) -> Family:
     def member(n: int):
         return real_from_fraction(bracket(x, y, op, n)[0])
 
-    digits = [""]
+    digits = ""
 
     def expansion(n: int) -> str:
         """The first n digits of the supremum after the point."""
-        while len(digits[0]) < n:
-            want = max(n, 2 * len(digits[0]))
+        nonlocal digits
+        while len(digits) < n:
+            want = max(n, 2 * len(digits))
             for extra in range(10, 100, 10):
                 lo, hi = bracket(x, y, op, want + extra)
                 text = fraction_prefix(lo, want)
                 if text == fraction_prefix(hi, want):
-                    digits[0] = text.partition(".")[2]
+                    digits = text.partition(".")[2]
                     break
             else:
                 raise AssertionError("the two ends never agreed")
-        return digits[0][:n]
+        return digits[:n]
 
-    int_part = int(bracket(x, y, op, 10)[0])
-    assert int_part == int(bracket(x, y, op, 10)[1])
+    lo, hi = bracket(x, y, op, 10)
+    int_part = int(lo)
+    assert int_part == int(hi)
 
     def next_digits(prefix, n: int) -> str:
         start = len(prefix.digits)
