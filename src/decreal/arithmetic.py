@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from ._frozen import frozen
-from .errors import DigitsUnstable, NegativeRadicand, SignUndecided
+from .errors import DigitsUnstable, NegativeRadicand
 from .realnum import (
     DEFAULT_BUDGET,
     Classification,
@@ -33,10 +32,9 @@ from .realnum import (
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
+    _decimal_digits,
     _describe,
-    _is_exact_zero,
     _on_scale,
-    _precisions,
     classify,
     real_from_fraction,
 )
@@ -108,6 +106,10 @@ class _Sum(ComputedReal):
         return (*_on_scale(lo, hi, k, p + 1), p + 1)
 
 
+def _is_exact_zero(x: RealNumber) -> bool:
+    return isinstance(x, TerminatingReal) and x.value.is_zero()
+
+
 def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
     """x + y + ...; exact when every term is, interval-backed otherwise.
 
@@ -139,21 +141,6 @@ def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
 def neg(x: RealNumber) -> RealNumber:
     """Structural negation."""
     return x.negated()
-
-
-def _positive_floor(x: RealNumber, budget: int) -> tuple[int, int, int]:
-    """(m, lo, k): the first precision m of the refine schedule at which
-    the grid enclosure (lo, _, k) of x has a positive lower end.  Once
-    ``classify(x, budget)`` has found x positive, m is at most the
-    budget: a computed value's enclosures only tighten, and a stream's
-    lower end turns positive at the nonzero digit classify found.  For
-    the same reasons every enclosure of x at m or more digits has a
-    lower end of at least lo * 10**-k."""
-    for m in _precisions(1, budget):
-        lo, _, k = x._grid(m)
-        if lo > 0:
-            return m, lo, k
-    raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
 
 
 class _Product(ComputedReal):
@@ -195,19 +182,18 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
 
 
 class _Reciprocal(ComputedReal):
-    """1 / x for x with a positive floor, found at m0 digits.  The
-    reciprocal of x's enclosure [lx, hx] is read on the grid 10**-(p+1)
-    by floor and ceiling integer division.  An x that is not a
-    ComputedReal is never read at fewer than m0 digits, so lx is always
-    positive; a computed x keeps the floor in its cached enclosure.  The
-    width (hx - lx) / (lx * hx) grows as x nears zero, and the root's
-    check then asks for more digits."""
+    """1 / x for x of settled sign.  The reciprocal of x's enclosure [lx,
+    hx] is read on the grid 10**-(p+1) by floor and ceiling integer
+    division, which bound it for either sign.  Every enclosure of x
+    excludes zero once ``classify`` has settled its sign: a ComputedReal
+    keeps the sign in its cached enclosure, and a stream reads no coarser
+    than its first nonzero digit.  The width (hx - lx) / (lx * hx) grows
+    as x nears zero, and the root's check then asks for more digits."""
 
     _form = ("1/(", "", ")")
 
-    def __init__(self, x: RealNumber, m0: int):
+    def __init__(self, x: RealNumber):
         self._record(x)
-        self._floor = m0
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         (lx, hx, kx), = grids
@@ -231,9 +217,7 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     sign = classify(x, budget)  # raises SignUndecided on boundary values
     if sign is Classification.ZERO:
         raise ZeroDivisionError("reciprocal of zero")
-    if sign is Classification.NEGATIVE:
-        return neg(reciprocal(neg(x), budget))
-    return _Reciprocal(x, _positive_floor(x, budget)[0])
+    return _Reciprocal(x)
 
 
 def _exact_sqrt(f: Fraction) -> Fraction | None:
@@ -245,41 +229,21 @@ def _exact_sqrt(f: Fraction) -> Fraction | None:
 
 
 class _Root(ComputedReal):
-    """sqrt(r), from integer square roots on the grid 10**-(p+1).
-
-    An exact radicand n/d that is not a rational square leaves the root
-    a leaf: it lies strictly between isqrt(n * 10**(2k) // d) and the
-    next unit, with k = p + 1.  A computed radicand r with a positive
-    floor, found at m0 digits, is an operand, read at no fewer than m0
-    digits when it is not a ComputedReal: the floor root of its lower end
-    and the ceiling root of its upper end bound the root.  The width
-    sqrt(hr) - sqrt(lr) = (hr - lr) / (sqrt(hr) + sqrt(lr)) grows as r
-    nears zero, and the root's check then asks for more digits.
+    """sqrt(r) for a computed radicand r proven positive, whose every
+    enclosure therefore excludes zero (see ``_Reciprocal``).  The floor
+    root of its lower end and the ceiling root of its upper end, on the
+    grid 10**-(p+1), bound the root.  The width sqrt(hr) - sqrt(lr) =
+    (hr - lr) / (sqrt(hr) + sqrt(lr)) grows as r nears zero, and the
+    root's check then asks for more digits.
     """
 
     _form = ("sqrt(", "", ")")
 
-    def __init__(self, r: RealNumber, m0: int = 0,
-                 pd: Optional[tuple[int, int]] = None):
-        self.radicand, self._pd = r, pd
-        if pd:  # n/d: a leaf
-            self._record()
-        else:
-            self._record(r)
-            self._floor = m0
-
-    def _text(self, depth: int) -> str:
-        return "sqrt(" + _describe(self.radicand, depth) + ")"
+    def __init__(self, r: RealNumber):
+        self._record(r)
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         k = p + 1
-        if not grids:
-            n, d = self._pd
-            scaled = n * 10 ** (2 * k)
-            s = math.isqrt(scaled // d)
-            # n/d is not a rational square, so the upper end is strict
-            assert s * s * d <= scaled < (s + 1) * (s + 1) * d
-            return s, s + 1, k
         low, high = _on_scale(*grids[0], 2 * k)
         lo = math.isqrt(low)
         hi = math.isqrt(high)
@@ -292,10 +256,12 @@ class _Root(ComputedReal):
 def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """The unique non-negative s with s*s = r.
 
-    Rational perfect squares come back exact.  A computed radicand is
-    classified when the node is built: NegativeRadicand when it is
-    provably negative, SignUndecided when its sign is not settled within
-    the budget.
+    Rational perfect squares come back exact.  Any other exact radicand
+    n/d gives a leaf: its root lies strictly between isqrt(n * 10**(2k)
+    // d) * 10**-k and the next unit, with k = p + 1.  A computed
+    radicand is classified when the node is built: NegativeRadicand when
+    it is provably negative, SignUndecided when its sign is not settled
+    within the budget.
     """
     if r.is_exact:
         f = r.as_fraction()
@@ -306,13 +272,23 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
         exact = _exact_sqrt(f)
         if exact:
             return real_from_fraction(exact)
-        return _Root(r, pd=(f.numerator, f.denominator))
+        n, d = f.numerator, f.denominator
+
+        def refine(p: int) -> tuple[int, int, int]:
+            k = p + 1
+            scaled = n * 10 ** (2 * k)
+            s = math.isqrt(scaled // d)
+            # n/d is not a rational square, so the upper end is strict
+            assert s * s * d <= scaled < (s + 1) * (s + 1) * d
+            return s, s + 1, k
+
+        return ComputedReal(refine, f"sqrt({_describe(r, 0)})")
     sign = classify(r, budget)
     if sign is Classification.NEGATIVE:
         raise NegativeRadicand("square root of a provably negative value")
     if sign is Classification.ZERO:
         return ZERO_REAL
-    return _Root(r, _positive_floor(r, budget)[0])
+    return _Root(r)
 
 
 def archimedean_witness(x: RealNumber, y: RealNumber,
@@ -320,10 +296,10 @@ def archimedean_witness(x: RealNumber, y: RealNumber,
     """A positive integer n with n*x > y, for provably positive x.
 
     For exact operands the witness is minimal: the first integer above
-    y/x.  Otherwise it is the first integer above hi(y)/lo(x) at the
-    first precision where lo(x) is positive, which is provable but not
-    necessarily minimal; the refinement schedule is fixed, so the result
-    is deterministic.
+    y/x.  Otherwise it is the first integer above hi(y)/lo(x), with x
+    read at one digit or more and y as far as the first nonzero digit of
+    x, which is provable but not necessarily minimal: once classify has
+    settled the sign of x, every enclosure of x has a positive lower end.
     """
     sign = classify(x, budget)  # raises SignUndecided near zero
     if sign is not Classification.POSITIVE:
@@ -333,9 +309,11 @@ def archimedean_witness(x: RealNumber, y: RealNumber,
         return max(1, ratio.__floor__() + 1)
     if x.is_exact:
         # an exact value's bounds are its value, positive at once
-        m, lx = 1, x.as_fraction()
+        k, lx = 1, x.as_fraction()
     else:
-        m, lo, k = _positive_floor(x, budget)
+        lo, _, k = x._grid(1)
         lx = Fraction(lo, 10 ** k)
-    _, hy = y.bounds(m)
+        # x's first nonzero digit, wherever x's cache stands
+        k = max(k - _decimal_digits(lo) + 1, 1)
+    _, hy = y.bounds(k)
     return max(1, (hy / lx).__floor__() + 1)

@@ -55,12 +55,18 @@ from .errors import (
     SignUndecided,
 )
 from .rationals import decimal_representation, to_decimal
-from .realnum import RealNumber, between, compare, parse_real, render_digits
+from .realnum import (
+    DEFAULT_BUDGET,
+    RealNumber,
+    between,
+    compare,
+    parse_real,
+    render_digits,
+)
 from .supremum import load_set_file, sup
 from .terminating import _LITERAL, Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
-DEFAULT_CMP_BUDGET = 1000
 # the limit guards only the parser, which recurses three frames per
 # level (factor, expr, term): 200 levels stay inside the interpreter's
 # default recursion limit of 1000, with room for callers.  A value is
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cmp", help="compare two expressions")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--budget", type=int, default=DEFAULT_CMP_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_cmp)
 
     p = sub.add_parser("between",

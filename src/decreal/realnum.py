@@ -422,6 +422,12 @@ class OracleReal(RealNumber):
     bolt on a runtime check.  Digits are memoised as one string of ASCII
     digits, extended under one lock acquisition per request, so instances
     may be shared across threads and a prefix is one slice of the memo.
+
+    Its enclosures are zero-free once its sign is settled: ``_grid``
+    never reads on a grid coarser than the first nonzero digit the memo
+    holds, so after ``classify`` has found that digit every enclosure
+    excludes zero, and ``reciprocal`` and ``sqrt`` read it at any
+    precision.
     """
 
     def __init__(self, digit_fn: Callable[[int], int], *,
@@ -469,6 +475,13 @@ class OracleReal(RealNumber):
     def _grid(self, m: int) -> tuple[int, int, int]:
         digits = self.prefix(m).digits
         lo = self._int_part * 10 ** m + int_from_digits("0" + digits)
+        if not lo:
+            # zero through m: read through the first nonzero digit the
+            # memo holds, so that a settled sign stays settled
+            tail = self._memo[m:]
+            zeros = len(tail) - len(tail.lstrip(b"0"))
+            if zeros < len(tail):
+                return self._grid(m + zeros + 1)
         if self.negative:
             return -lo - 1, -lo, m
         return lo, lo + 1, m
@@ -532,16 +545,16 @@ class ComputedReal(RealNumber):
     asked of a leaf do not grow with the depth of the expression above
     it, only with what its values lose.  Enclosures are cached and
     intersected on the finer of the two grids, so they only ever
-    tighten.  Digits are pinned from enclosures: the prefix of length n
-    is committed once an enclosure fits strictly inside one 10**-n cell,
-    and ``DigitsUnstable`` is raised if that fails with ``PIN_WINDOW``
-    extra refinement digits (the 0.999/1.000 boundary).
+    tighten, and a sign is known once: after ``classify`` has found an
+    enclosure that excludes zero, every later one excludes it too, which
+    is what ``reciprocal`` and ``sqrt`` rely on.  Digits are pinned from
+    enclosures: the prefix of length n is committed once an enclosure
+    fits strictly inside one 10**-n cell, and ``DigitsUnstable`` is
+    raised if that fails with ``PIN_WINDOW`` extra refinement digits
+    (the 0.999/1.000 boundary).
     """
 
     _operands: tuple[RealNumber, ...] = ()
-    # the least precision at which an operand that is not a
-    # ComputedReal is read
-    _floor = 0
     # a record's description: head, separator and tail around operands
     _form = ("", "", "")
 
@@ -599,7 +612,7 @@ class ComputedReal(RealNumber):
                         if isinstance(t, ComputedReal):
                             waits.append((t, None, grids, j))
                         else:
-                            grids[j] = t._grid(max(p, node._floor))
+                            grids[j] = t._grid(p)
                     if waits:  # combine once they are done
                         stack.append((node, grids, out, i))
                         stack += waits
@@ -627,13 +640,13 @@ class ComputedReal(RealNumber):
                 return best
             p = self._p + _decimal_digits(hi - lo, 10 ** (k - m)) + PASS_GUARD
 
-    def _pin(self, n: int, window: int = PIN_WINDOW) -> tuple[bool, int, str]:
+    def _pin(self, n: int) -> tuple[bool, int, str]:
         """Pin the canonical sign-magnitude prefix of length n."""
         with self._lock:
             if self._pinned is not None and len(self._pinned[2]) >= n:
                 neg, ip, ds = self._pinned
                 return neg, ip, ds[:n]
-            for m in _precisions(n, n + window):
+            for m in _precisions(n, n + PIN_WINDOW):
                 lo, hi, k = self._grid(m)
                 if lo >= 0:
                     neg, mag_lo, mag_hi = False, lo, hi
@@ -646,7 +659,7 @@ class ComputedReal(RealNumber):
                 if a == mag_hi // cell:
                     break
             else:
-                raise DigitsUnstable(n, window)
+                raise DigitsUnstable(n, PIN_WINDOW)
             ip, frac = divmod(a, 10 ** n)
             ds = digits_from_int(frac).rjust(n, "0") if n else ""
             pinned = (neg, ip, ds)
@@ -1075,10 +1088,6 @@ def canonicalize_trailing_nines(prefix: DigitPrefix,
     return -result if prefix.negative else result
 
 
-def _is_exact_zero(x: RealNumber) -> bool:
-    return isinstance(x, TerminatingReal) and x.value.is_zero()
-
-
 def _try_classify(x: RealNumber, budget: int) -> Optional[Classification]:
     try:
         return classify(x, budget)
@@ -1159,10 +1168,6 @@ def between(a: RealNumber, b: RealNumber,
         raise OrderUndecided("could not establish a < b within the budget")
     if order is not Comparison.LT:
         raise NotLess(f"expected a < b, found {order.value}")
-    if _is_exact_zero(a):
-        return _above_zero_witness(b, budget)
-    if _is_exact_zero(b):
-        return -_above_zero_witness(a.negated(), budget)
     ca = _try_classify(a, budget)
     cb = _try_classify(b, budget)
     if ca is Classification.NEGATIVE and cb is Classification.POSITIVE:
@@ -1177,6 +1182,10 @@ def between(a: RealNumber, b: RealNumber,
         c = _above_zero_witness(b, budget)
         if c.scale < budget:
             return c
+    if ca is Classification.ZERO:
+        return _above_zero_witness(b, budget)
+    if cb is Classification.ZERO:
+        return -_above_zero_witness(a.negated(), budget)
     raise OrderUndecided("endpoint signs could not be resolved")
 
 

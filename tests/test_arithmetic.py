@@ -27,8 +27,10 @@ from conftest import (
     opaque,
     sqrt_truncation,
 )
+from decreal import arithmetic
 from decreal.arithmetic import (
     Enclosure,
+    _Reciprocal,
     add,
     archimedean_witness,
     evaluate,
@@ -477,6 +479,56 @@ def _recorded(x) -> tuple[ComputedReal, list[int]]:
     return ComputedReal(refine, "recorded"), asked
 
 
+class TestSettledSign:
+    """classify settles the sign of an operand of reciprocal or sqrt once,
+    when the node is built, and every enclosure of the operand excludes
+    zero from then on: building reads nothing more, and a negative
+    operand is one record."""
+
+    @staticmethod
+    def refusing() -> OracleReal:
+        # 0.000000003, and a refusal from digit 10 on
+        def digit(i: int) -> int:
+            if i >= 10:
+                raise RuntimeError(f"digit {i} refused")
+            return 3 if i == 9 else 0
+
+        return OracleReal(digit_fn=digit)
+
+    @pytest.mark.parametrize("op", [reciprocal, sqrt])
+    def test_built_without_reading_past_the_sign(self, op):
+        x = self.refusing()
+        assert classify(x) is Classification.POSITIVE
+        op(x)
+
+    def test_refusal_raised_where_a_digit_needs_it(self):
+        # sqrt(3e-9) = 0.0000547...: three digits need x to 9 digits
+        # only, and five need its tenth
+        root = sqrt(self.refusing())
+        assert render_digits(root, 3) == "0.000"
+        with pytest.raises(RuntimeError, match="digit 10 refused"):
+            render_digits(root, 5)
+
+    @pytest.mark.parametrize("x,value", [
+        (add(neg(sqrt(P("2"))), P("1")), None),  # 1 - sqrt(2)
+        (opaque(Fraction(-22, 7)), Fraction(-7, 22)),
+    ], ids=["computed", "stream"])
+    def test_negative_operand_is_one_record(self, x, value, monkeypatch):
+        calls = []
+
+        def counted(t, budget):
+            calls.append(t)
+            return classify(t, budget)
+
+        monkeypatch.setattr(arithmetic, "classify", counted)
+        r = reciprocal(x)
+        assert type(r) is _Reciprocal and r._operands == (x,)
+        assert calls == [x]
+        if value is None:  # 1 / (1 - sqrt(2)) = -(1 + sqrt(2))
+            value = -1 - sqrt_truncation(Fraction(2), 40)
+        assert render_digits(r, 30) == fraction_prefix(value, 30)
+
+
 class TestPrecisionDemand:
     @pytest.mark.parametrize("depth", [1, 2, 4, 8])
     def test_nested_sqrt_demand_linear_in_depth(self, depth):
@@ -549,14 +601,23 @@ class TestRefineSchedule:
                     - Fraction(141421356, 10**8)) > 1000
         assert asked == [5]
 
-    def test_positive_floor_of_a_stream(self):
-        # a stream's enclosures turn positive at its first nonzero digit,
-        # 5 here; the schedule 1, 3, 7, ... first reaches that at 7, and y
-        # is read by a pass at 7 + PASS_GUARD
+    def test_witness_reads_a_stream_at_its_first_nonzero_digit(self):
+        # classify finds the stream's first nonzero digit, at 5, and no
+        # enclosure of the stream is coarser than that afterwards; y is
+        # read on the same grid, by a pass at 5 + PASS_GUARD
         x = OracleReal(digit_fn=lambda i: 2 if i == 5 else 0)
         y, asked = _recorded(sqrt(P("2")))
         assert archimedean_witness(x, y) == 70711
-        assert asked == [7 + PASS_GUARD]
+        assert asked == [5 + PASS_GUARD]
+
+    def test_witness_reads_y_to_the_first_digit_of_x(self):
+        # x's cached enclosure is 10**-2000 wide, but y is read only to
+        # x's first nonzero digit, the first place
+        x = sqrt(P("2"))
+        render_digits(x, 2000)
+        y, asked = _recorded(sqrt(P("3")))
+        assert archimedean_witness(x, y) == 2
+        assert asked == [1 + PASS_GUARD]
 
     def test_pin_exhausts_window(self):
         x, asked = _recorded(mul(sqrt(P("2")), sqrt(P("2"))))
@@ -643,11 +704,16 @@ def _chain(kind: str, depth: int, x=None):
         x = P("0") if x is None else x
         for _ in range(depth):
             x = sqrt(add(x, P("3")))
-    else:
+    elif kind == "reciprocal":
         # from sqrt(2): a rational start would stay exact
         x = sqrt(P("2")) if x is None else x
         for _ in range(depth):
             x = reciprocal(add(x, P("1")))
+    else:
+        # negative operands all the way, towards (1 - sqrt(5)) / 2
+        x = neg(sqrt(P("2"))) if x is None else x
+        for _ in range(depth):
+            x = reciprocal(add(x, P("-1")))
     return x
 
 
@@ -669,10 +735,13 @@ def _chain_prefix(kind: str, depth: int, n: int, start=None) -> str:
         if start is None:
             lo = sqrt_truncation(Fraction(2), n + 10)
             hi = lo + ulp
+            if kind == "neg_reciprocal":
+                lo, hi = -hi, -lo
         else:
             lo = hi = start
+        shift = 1 if kind == "reciprocal" else -1
         for _ in range(depth):
-            lo, hi = 1 / (hi + 1), 1 / (lo + 1)
+            lo, hi = 1 / (hi + shift), 1 / (lo + shift)
     want = fraction_prefix(lo, n)
     assert fraction_prefix(hi, n) == want
     return want
@@ -709,7 +778,8 @@ class TestDeepChains:
     product reads nothing when it is built, and no level adds digits of
     its own to what it asks below."""
 
-    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
+    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal",
+                                      "neg_reciprocal"])
     def test_api_chain_renders(self, kind, default_recursion_limit):
         want = _chain_prefix(kind, 1000, 30)
         start = time.process_time()
@@ -726,7 +796,8 @@ class TestDeepChains:
         assert steps <= 10.5 * steps_100, (steps, steps_100)
         assert isinstance(repr(x), str)
 
-    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal"])
+    @pytest.mark.parametrize("kind", ["mul", "sqrt", "reciprocal",
+                                      "neg_reciprocal"])
     def test_ten_thousand_call_chain(self, kind, default_recursion_limit):
         want = _chain_prefix(kind, 10_000, 30)
         start = time.process_time()

@@ -590,6 +590,19 @@ class TestBetween:
         w = between(P("0"), P("0.00(3)"))
         assert Fraction(0) < w.as_fraction() < Fraction(1, 300)
 
+    @pytest.mark.parametrize("zero_below", [True, False])
+    def test_computed_zero_endpoint(self, zero_below):
+        # classify finds a computed point at zero ZERO, as it finds an
+        # exact zero, and the witness comes from the other endpoint's
+        # digits in the same way
+        zero = ComputedReal(lambda p: (0, 0, p), "zero")
+        if zero_below:
+            assert compare(zero, P("1")) is Comparison.LT
+            assert str(between(zero, P("1"))) == "0.1"
+        else:
+            assert compare(P("-1"), zero) is Comparison.LT
+            assert str(between(P("-1"), zero)) == "-0.1"
+
     def test_not_less(self):
         with pytest.raises(NotLess):
             between(P("2"), P("2"))
