@@ -67,6 +67,7 @@ from .supremum import (
     Family,
     FiniteSet,
     PrefixMaxOracle,
+    RepeatsFrom,
     builtin_family,
     check_sup_certificate,
     finite_family,

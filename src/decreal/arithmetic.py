@@ -282,7 +282,7 @@ def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
             assert s * s * d <= scaled < (s + 1) * (s + 1) * d
             return s, s + 1, k
 
-        return ComputedReal(refine, f"sqrt({_describe(r, 0)})")
+        return ComputedReal(refine, lambda: f"sqrt({_describe(r, 0)})")
     sign = classify(r, budget)
     if sign is Classification.NEGATIVE:
         raise NegativeRadicand("square root of a provably negative value")

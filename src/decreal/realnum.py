@@ -132,8 +132,7 @@ class DigitPrefix:
         return -mag if self.negative else mag
 
     def as_terminating(self) -> TerminatingDecimal:
-        units = (self.int_part * 10 ** len(self.digits)
-                 + int_from_digits(self.digits or "0"))
+        units = int_from_digits(digits_from_int(self.int_part) + self.digits)
         if self.negative:
             units = -units
         return TerminatingDecimal(units, len(self.digits))
@@ -226,9 +225,12 @@ class TerminatingReal(RealNumber):
 
     @cached_property
     def _fraction_digits(self) -> str:
+        # the integer digits are cut from the text: cutting them from the
+        # value would first raise 10 to the power scale
         scale = self.value.scale
-        frac = self.value.mantissa % 10 ** scale
-        return digits_from_int(frac).rjust(scale, "0") if scale else ""
+        if not scale:
+            return ""
+        return digits_from_int(self.value.mantissa).rjust(scale, "0")[-scale:]
 
     def _read(self, n: int) -> tuple[str, None]:
         return self._fraction_digits[:n].ljust(n, "0"), None
@@ -533,9 +535,11 @@ class ComputedReal(RealNumber):
     ``ComputedReal(refine, description)`` is a leaf: ``refine(p)`` must
     return integers (lo, hi, k) with k >= p, lo * 10**-k <= value <= hi *
     10**-k and hi - lo <= 10**(k - p), the contract of ``_grid``, which
-    is checked where any leaf answers.  The arithmetic kernels are
-    records instead: a record holds its operands, and its ``_step``
-    combines their triples and rounds outward on the grid 10**-(p+1).
+    is checked where any leaf answers.  The description is a string, or
+    a function that makes it whenever it is asked for.  The arithmetic
+    kernels are records instead: a record holds its operands, and its
+    ``_step`` combines their triples and rounds outward on the grid
+    10**-(p+1).
 
     A request for m digits runs a pass at the working precision p = m +
     ``PASS_GUARD``: every node not yet stepped at p or more reads its
@@ -559,7 +563,7 @@ class ComputedReal(RealNumber):
     _form = ("", "", "")
 
     def __init__(self, refine: Callable[[int], tuple[int, int, int]],
-                 description: str = ""):
+                 description: str | Callable[[], str] = ""):
         self._refine = refine
         self._description = description
         self._best: Optional[tuple[int, int, int]] = None
@@ -695,7 +699,8 @@ class ComputedReal(RealNumber):
     def _text(self, depth: int) -> str:
         head, sep, tail = self._form
         if not self._operands:
-            return self._description
+            text = self._description
+            return text if isinstance(text, str) else text()
         return head + sep.join(_describe(t, depth)
                                for t in self._operands) + tail
 

@@ -5,14 +5,16 @@ A bounded set is presented either as a finite list of members or as a
 digits that picking, one place at a time, the largest next digit any
 member achieves beyond a confirmed digit prefix would select.  The
 supremum procedure takes the maximal integer part, then reads that
-selection in blocks of doubling width.  A selection that falls into an
-all-nines tail is not canonical, so the oracle volunteers a fixed tail
-(all nines or all zeros from a position on); the procedure checks the
-claim over ``HINT_WINDOW`` selected digits from that position and
-returns the exact repaired value: truncation plus one unit in the last
-kept place for nines, plain truncation for zeros.  Families of negative
-values are handled by the mirror procedure (minimal magnitude digits,
-negated at the end).
+selection in blocks of doubling width.  The oracle may volunteer the
+shape of the selection's tail: all nines or all zeros from a position
+on, or digits that repeat with a period from a position on.  The
+procedure checks the claim over one period and ``HINT_WINDOW`` more
+selected digits and returns the exact value: the literal the selected
+digits spell, read by ``parse_real``, or for a tail of nines the
+repaired truncation (plus one unit in the last kept place).  A family
+that gives no hint gets a digit stream.  Families of negative values
+are handled by the mirror procedure (minimal magnitude digits, negated
+at the end).
 
 Certification runs the other way: ``is_upper_bound`` and
 ``check_sup_certificate`` test a claimed supremum against members and
@@ -27,12 +29,19 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ._frozen import frozen
 from .arithmetic import add
-from .errors import CanonicalViolation, MalformedLiteral, OrderUndecided
+from .errors import (
+    CanonicalViolation,
+    ExpansionTooLong,
+    MalformedLiteral,
+    NotLess,
+    OrderUndecided,
+)
 from .realnum import (
     DEFAULT_BUDGET,
     ComputedReal,
     DigitPrefix,
     OracleReal,
+    PeriodicReal,
     RealNumber,
     TerminatingReal,
     _decimal_digits,
@@ -45,7 +54,7 @@ from .terminating import (
     Comparison,
     TerminatingDecimal,
     digits_from_int,
-    int_from_digits,
+    pow10,
 )
 
 # digits a tail hint is checked over, and that sup reads before it hands
@@ -79,7 +88,32 @@ class AllZerosFrom:
             raise ValueError("tail positions start at 1")
 
 
-TailHint = AllNinesFrom | AllZerosFrom
+@frozen
+class RepeatsFrom:
+    """From this fractional position on, the selected digits repeat with
+    this period."""
+
+    index: int
+    period: int
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError("tail positions start at 1")
+        if self.period < 1:
+            raise ValueError("a period is at least one digit long")
+
+
+TailHint = AllNinesFrom | AllZerosFrom | RepeatsFrom
+
+
+def _repeats(x: PeriodicReal) -> Optional[RepeatsFrom]:
+    """The periodic tail of x's expansion, or None when the expansion is
+    longer than ``MAX_EXPANSION_DIGITS``."""
+    try:
+        preperiod, period = x._expansion
+    except ExpansionTooLong:
+        return None
+    return RepeatsFrom(len(preperiod) + 1, len(period))
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +133,12 @@ class PrefixMaxOracle:
     part and the smallest next magnitude digits: the procedure minimises
     and negates.
 
-    ``tail`` is None, or a fixed ``AllNinesFrom(i)`` / ``AllZerosFrom(i)``:
-    every digit the selection makes from fractional position i on is 9
-    (or 0).  ``sup`` then returns the exact value, for any i, once the
-    selected digits from i to ``i - 1 + HINT_WINDOW`` bear the claim out.
+    ``tail`` is None, a fixed ``AllNinesFrom(i)`` / ``AllZerosFrom(i)``
+    (every digit the selection makes from fractional position i on is 9,
+    or 0), or ``RepeatsFrom(i, p)`` (from position i on the selection
+    repeats with period p; the fixed hints are the period p = 1).
+    ``sup`` then returns the exact value, for any i and p, once the first
+    ``i - 1 + p + HINT_WINDOW`` selected digits bear the claim out.
 
     Soundness contract (trusted, spot-checked for built-ins): every
     digit returned is achieved by some member extending the prefix.
@@ -224,15 +260,22 @@ def _select_sup(family: Family) -> RealNumber:
     tail = oracle.tail
     if tail is not None:
         i = tail.index
-        fill = b"9" if isinstance(tail, AllNinesFrom) else b"0"
-        select(i - 1 + HINT_WINDOW)
-        if selection[i - 1:].lstrip(fill):
+        p = tail.period if isinstance(tail, RepeatsFrom) else 1
+        n = i - 1 + p + HINT_WINDOW
+        select(n)
+        head, cycle = selection[:i - 1].decode(), selection[i - 1:i - 1 + p]
+        # a fixed hint names its digit, and every digit from i to n - p
+        # equals the one a period later
+        fixed = {AllNinesFrom: b"9", AllZerosFrom: b"0"}.get(type(tail), cycle)
+        if cycle != fixed or selection[i - 1 + p:n] != selection[i - 1:n - p]:
             raise CanonicalViolation(
-                f"oracle announced an all-{fill.decode()} tail from "
-                f"position {i} over other digits")
-        head = DigitPrefix(negative, int_part, selection[:i - 1].decode())
-        return TerminatingReal(canonicalize_trailing_nines(head, i)
-                               if fill == b"9" else head.as_terminating())
+                f"the selected digits belie the tail hint {tail!r}")
+        if not cycle.strip(b"9"):
+            return TerminatingReal(canonicalize_trailing_nines(
+                DigitPrefix(negative, int_part, head), i))
+        sign = "-" if negative else ""
+        return parse_real(
+            f"{sign}{digits_from_int(int_part)}.{head}({cycle.decode()})")
     select(HINT_WINDOW)
     caveat = None
     if selection == b"9" * HINT_WINDOW:
@@ -255,12 +298,13 @@ def sup(S: BoundedSet, *, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """Least upper bound of a bounded set.
 
     Finite sets return their maximal member directly.  Families run the
-    selection procedure.  With a tail hint at any position i the result is
-    exact, after one block read of the first ``i - 1 + HINT_WINDOW``
-    selected digits (``CanonicalViolation`` if those from i on belie the
-    hint).  Without one it is a lazy digit stream over the same
-    selection, first read ``HINT_WINDOW`` digits deep, with a caveat flag
-    if those are all nines.
+    selection procedure.  With a tail hint at any position i, of period p
+    (1 for the fixed hints), the result is exact, after one block read of
+    the first ``i - 1 + p + HINT_WINDOW`` selected digits
+    (``CanonicalViolation`` if those from i on belie the hint).  Without
+    one it is a lazy digit stream over the same selection, first read
+    ``HINT_WINDOW`` digits deep, with a caveat flag if those are all
+    nines.
     """
     if isinstance(S, FiniteSet):
         return _max_member(S.members, budget)
@@ -457,9 +501,12 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
 
     The selection stream provably follows the digits of the maximal
     member (lexicographic and numeric order agree on canonical
-    expansions), so when that member terminates the fixed tail hint is
-    all zeros after its last digit, and sup returns it exactly, however
-    long it is.  Exists for cross-checking sup against plain max.
+    expansions), so the family hints at that member's tail: all zeros
+    after its last digit when it terminates, its period from the end of
+    its preperiod when it repeats.  sup then returns that member
+    exactly, however long it is.  A period longer than
+    ``MAX_EXPANSION_DIGITS`` gives no hint, and the supremum is a digit
+    stream.  Exists for cross-checking sup against plain max.
 
     Member digits are read in blocks through ``prefix``, at least
     ``HINT_WINDOW`` digits and then twice as many as held whenever a
@@ -509,7 +556,7 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
         return None
 
     tail = (AllZerosFrom(best.value.scale + 1)
-            if isinstance(best, TerminatingReal) else None)
+            if isinstance(best, TerminatingReal) else _repeats(best))
     bound = TerminatingDecimal(best.as_fraction().__floor__() + 1)
     return Family(PrefixMaxOracle(
         max_integral, next_digits, tail, negative=negative,
@@ -612,49 +659,58 @@ def _worked_example_family() -> Family:
 def lower_cut(c: RealNumber) -> Family:
     """The family of all terminating decimals strictly below an exact c.
 
-    The selection stream reproduces the digits of c itself; its sup is
-    exactly c (for terminating c via the tail repair, otherwise as the
-    identical digit stream).  Witnesses come from betweenness: any
-    bound b < c is exceeded by a member strictly between b and c.
+    The selection reproduces the digits of c itself, or for a positive
+    terminating c the digits of c less one unit in its last place, then
+    nines.  The family hints at that tail (nines, zeros for c <= 0, or
+    c's period), so its sup is exactly c; a period longer than
+    ``MAX_EXPANSION_DIGITS`` gives no hint, and the sup is the identical
+    digit stream.  Witnesses come from betweenness: any bound b < c is
+    exceeded by a member strictly between b and c.
 
-    The w digits after a prefix of n digits are read on the grid
-    10**-(n+w): with U the prefix's units (its n digits, trailing zeros
-    included, as one integer) and |c| = num/den, they are one floor
-    division of num * 10**(n+w) by den, less U * 10**w, held to w
-    digits.  Picked one at a time, the same digits come out.
+    The selection is read from c's own digits, with no division and no
+    ``Fraction``.  A prefix that leaves them is answered too: below the
+    selection every later digit is 9 (0 for a negative cut, above it),
+    and a prefix on the other side has left the cut.
     """
     if not c.is_exact:
         raise ValueError("lower cuts are supported for exact reals")
-    f = c.as_fraction()
-    num, den = abs(f.numerator), f.denominator
-    negative = f <= 0
+    terminating = isinstance(c, TerminatingReal)
+    negative = c.negative or terminating and c.value.is_zero()
+    own = c
+    if not terminating:
+        tail = _repeats(c)
+    elif negative:
+        # magnitudes above |c| reach |c| itself, then zeros
+        tail = AllZerosFrom(c.value.scale + 1)
+    else:
+        # members below c reach c less one unit in its last place, then
+        # nines
+        k = c.value.scale
+        own, tail = TerminatingReal(c.value - pow10(-k)), AllNinesFrom(k + 1)
+    start = own.int_part
+    fill = "0" if negative else "9"
 
-    top = -((-f).__floor__())  # ceil(c)
-    # integer parts of members below c reach exactly ceil(c) - 1, and
-    # magnitudes above |c| start at floor(|c|)
-    start = num // den if negative else top - 1
+    def selected(n: int) -> str:
+        """The first n selected digits after ``start``."""
+        if isinstance(tail, AllNinesFrom):
+            return own._read(min(n, tail.index - 1))[0].ljust(n, "9")
+        return own._read(n)[0]
 
     def next_digits(prefix: DigitPrefix, w: int) -> str:
         n = len(prefix)
-        units = prefix.int_part * 10 ** n + int_from_digits(prefix.digits)
-        base, scaled = units * 10 ** w, num * 10 ** (n + w)
-        if negative:
-            # the least D with base + D + 1 > num * 10**(n+w) / den
-            block = max(0, scaled // den - base)
-        else:
-            # the largest D < 10**w with base + D < num * 10**(n+w) / den
-            block = min(10 ** w - 1, (scaled - 1) // den - base)
-        if not 0 <= block < 10 ** w:
-            raise AssertionError("the prefix has left the cut")
-        return digits_from_int(block).rjust(w, "0")
+        ahead = selected(n + w)
+        mine, theirs = (prefix.int_part, prefix.digits), (start, ahead[:n])
+        if mine == theirs:
+            return ahead[n:]
+        if (mine < theirs) != negative:
+            return fill * w
+        raise AssertionError("the prefix has left the cut")
 
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
-        if compare(b, c, budget) is Comparison.LT:
-            try:
-                return TerminatingReal(between(b, c, budget))
-            except OrderUndecided:
-                return None
-        return None
+        try:
+            return TerminatingReal(between(b, c, budget))
+        except (NotLess, OrderUndecided):
+            return None
 
     def bound_hint(b: RealNumber, budget: int) -> Optional[bool]:
         verdict = compare(b, c, budget)
@@ -662,13 +718,14 @@ def lower_cut(c: RealNumber) -> Family:
             return None
         return verdict is not Comparison.LT
 
-    tail = None
-    if isinstance(c, TerminatingReal):
-        tail = (AllZerosFrom if negative else AllNinesFrom)(c.value.scale + 1)
+    # ceil(c): members below c reach the integer part ceil(c) - 1, and
+    # magnitudes above |c| start at floor(|c|)
+    top = -start if negative else start + 1
     return Family(PrefixMaxOracle(
         lambda: start, next_digits, tail, negative=negative,
         member_above=member_above, bound_hint=bound_hint,
-        description=f"terminating decimals below {c}"), TerminatingDecimal(top))
+        description="terminating decimals below an exact real"),
+        TerminatingDecimal(top))
 
 
 _BUILTINS: dict[str, Callable[[], Family]] = {

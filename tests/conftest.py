@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 
-from decreal import ComputedReal, OracleReal, realnum
+from decreal import ComputedReal, Family, OracleReal, PrefixMaxOracle, realnum
 
 SEED = 20260819
 
@@ -173,6 +173,16 @@ def computed(refine, description: str = "test stream") -> ComputedReal:
         return math.floor(lo * 10**k), math.ceil(hi * 10**k), k
 
     return ComputedReal(grid, description)
+
+
+def unhinted(family: Family) -> Family:
+    """The same family with its tail hint withheld, so that its
+    supremum is the selection's digit stream, not an exact value."""
+    o = family.oracle
+    return Family(PrefixMaxOracle(
+        o.max_integral, o.next_digits, None, negative=o.negative,
+        member_above=o.member_above, bound_hint=o.bound_hint,
+        description=o.description), family.upper_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ def test_criterion_01_builtin_family_suprema():
     d = sup(builtin_family("paper-D"))
     elapsed = time.perf_counter() - t0
     assert render_digits(a, 30) == "2.120111111111111111111111111111"
+    assert a.is_exact and a.as_fraction() == Fraction(2120, 1000) + Fraction(1, 9000)
     assert b.is_exact and b.as_fraction() == 1
     assert c.is_exact and c.as_fraction() == Fraction(-19, 100)
     assert d.is_exact and d.as_fraction() == 0

@@ -4,12 +4,14 @@ import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_prefix, sqrt_truncation
+from conftest import fraction_prefix, sqrt_truncation, unhinted
+from decreal import supremum
 from decreal.cli import evaluate_expression, parse_expression, run
 from decreal.errors import MalformedLiteral
 from decreal.realnum import real_from_fraction
@@ -238,11 +240,33 @@ class TestSup:
         code, out, _ = invoke(capsys, "sup", str(f), "--digits", "12")
         assert (code, out) == (0, "2.120(1)\n")
 
-    def test_stream_family_prints_digits(self, capsys, tmp_path):
+    def test_stream_family_prints_digits(self, capsys, tmp_path,
+                                         monkeypatch):
+        # paper-A with its hint withheld: its supremum is a stream, which
+        # prints as a digit prefix
+        paper_a = supremum._BUILTINS["paper-A"]
+        monkeypatch.setitem(supremum._BUILTINS, "paper-A",
+                            lambda: unhinted(paper_a()))
         f = tmp_path / "a.set"
         f.write_text("# family: paper-A\n")
         code, out, _ = invoke(capsys, "sup", str(f), "--digits", "8")
         assert (code, out) == (0, "2.12011111\n")
+
+    @pytest.mark.parametrize("name", ["paper-A", "worked-example"])
+    def test_periodic_supremum_prints_its_literal(self, capsys, name):
+        # the family's maximum 2.120(1) repeats: its hint makes the
+        # supremum exact, so it prints like the member list does
+        path = Path(__file__).resolve().parent.parent / "sets" / f"{name}.set"
+        code, out, _ = invoke(capsys, "sup", str(path), "--digits", "8")
+        assert (code, out) == (0, "2.120(1)\n")
+
+    @pytest.mark.parametrize("literal", ["0.(142857)", "-2.0(13)"])
+    def test_periodic_lower_cut_prints_its_literal(self, capsys, tmp_path,
+                                                    literal):
+        f = tmp_path / "c.set"
+        f.write_text(f"# family: lower-cut {literal}\n")
+        code, out, _ = invoke(capsys, "sup", str(f), "--digits", "8")
+        assert (code, out) == (0, literal + "\n")
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "sup", str(tmp_path / "nope.set"))

@@ -23,10 +23,12 @@ from conftest import (
     fraction_prefix,
     long_division_digits,
     sqrt_truncation,
+    unhinted,
 )
 from decreal import realnum
 from decreal.errors import CanonicalViolation, MalformedLiteral
 from decreal.realnum import (
+    MAX_EXPANSION_DIGITS,
     PASS_GUARD,
     DigitPrefix,
     OracleReal,
@@ -47,6 +49,7 @@ from decreal.supremum import (
     FailBound,
     FailLeastness,
     PrefixMaxOracle,
+    RepeatsFrom,
     Undecided,
     Yes,
     builtin_family,
@@ -328,7 +331,8 @@ class TestSharedSelection:
 
         def objects(fn):
             x = OracleReal(fn, int_part=3)
-            fam = finite_family([P("2.(142857)"), P("1.(3)"), P("2.1(4)")])
+            fam = unhinted(finite_family(
+                [P("2.(142857)"), P("1.(3)"), P("2.1(4)")]))
             return [x, x.negated(), sup(fam), sup(fam)]
 
         def read(x, top):
@@ -441,6 +445,155 @@ def pools(draw):
     return members
 
 
+def periodic_selection(head: str, cycle: str, broken_at=None):
+    """next_digits of a selection 0.head(cycle), with the digit at
+    fractional position ``broken_at`` changed, and the widths asked."""
+    calls = []
+
+    def next_digits(prefix, n):
+        calls.append(n)
+        end = len(prefix) + n
+        reps = max(end - len(head), 0) // len(cycle) + 1
+        digits = list((head + cycle * reps)[:end])
+        if broken_at is not None and broken_at <= end:
+            digits[broken_at - 1] = str((int(digits[broken_at - 1]) + 1) % 10)
+        return "".join(digits[len(prefix):])
+
+    return next_digits, calls
+
+
+class TestRepeatingTails:
+    """``RepeatsFrom`` hints, and the exact periodic suprema of member
+    families and lower cuts, against Fractions and long division."""
+
+    @given(pools())
+    @settings(max_examples=120, deadline=None)
+    def test_finite_family_sup_is_the_maximum(self, fs):
+        s = sup(finite_family([real_from_fraction(f) for f in fs]))
+        assert s.is_exact and s.as_fraction() == max(fs)
+        assert compare(s, real_from_fraction(max(fs)), 0) is Comparison.EQ
+
+    @pytest.mark.parametrize("members", [
+        ("60.(142857)", "60.(428571)", "12.5", "0.(09)"),
+        ("-60.(142857)", "-60.(428571)", "-12.5", "-0.(09)"),
+        ("-1.(3)", "-0.1(6)", "-0.1(7)"),
+    ])
+    def test_periodic_maximum_exactly(self, members):
+        s = sup(finite_family(map(P, members)))
+        want = max(P(m).as_fraction() for m in members)
+        assert s.as_fraction() == want and str(s) in members
+
+    @given(fractions_st)
+    @settings(max_examples=80, deadline=None)
+    @example(Fraction(1, 7))
+    @example(Fraction(-1, 7))
+    def test_lower_cut_sup_is_c(self, f):
+        for c in (real_from_fraction(f), real_from_fraction(-f)):
+            s = sup(lower_cut(c))
+            assert s.is_exact and s == c
+            assert compare(s, c, 0) is Comparison.EQ
+
+    @pytest.mark.parametrize("index,period", [(1, 1), (1, 6), (4, 3),
+                                              (70, 2), (2, 130)])
+    def test_hint_read_in_one_block(self, index, period):
+        head = "3" * (index - 1)
+        cycle = "1" + "4" * (period - 1)
+        next_digits, calls = periodic_selection(head, cycle)
+        family = Family(PrefixMaxOracle(
+            lambda: 2, next_digits, RepeatsFrom(index, period)),
+            TerminatingDecimal(3))
+        s = sup(family)
+        nines = 10 ** period - 1
+        want = 2 + (Fraction(int(head or "0")) + Fraction(int(cycle), nines)) \
+            / 10 ** (index - 1)
+        assert s.as_fraction() == want
+        assert calls == [index - 1 + period + HINT_WINDOW]
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_all_nines_cycle_is_repaired(self, negative):
+        # 0.12(9) and 0.12(99) are the non-canonical spelling of 0.13
+        for period in (1, 2):
+            next_digits, _ = periodic_selection("12", "9" * period)
+            family = Family(PrefixMaxOracle(
+                lambda: 0, next_digits, RepeatsFrom(3, period),
+                negative=negative), TerminatingDecimal(1))
+            s = sup(family)
+            assert isinstance(s, TerminatingReal)
+            assert s.as_fraction() == Fraction(-13 if negative else 13, 100)
+
+    @pytest.mark.parametrize("index,period", [(1, 6), (5, 3), (3, 100)])
+    def test_belied_hint_raises(self, index, period):
+        # the selection repeats except at one position: the check reads
+        # positions index .. index - 1 + period + HINT_WINDOW
+        head, cycle = "5" * (index - 1), "12" + "0" * (period - 2)
+        last = index - 1 + period + HINT_WINDOW
+        for broken_at in (index, index + period, last):
+            next_digits, _ = periodic_selection(head, cycle, broken_at)
+            family = Family(PrefixMaxOracle(
+                lambda: 0, next_digits, RepeatsFrom(index, period)),
+                TerminatingDecimal(1))
+            with pytest.raises(CanonicalViolation):
+                sup(family)
+        # past the window the claim is taken, and the value is the claim
+        next_digits, _ = periodic_selection(head, cycle, last + 1)
+        s = sup(Family(PrefixMaxOracle(
+            lambda: 0, next_digits, RepeatsFrom(index, period)),
+            TerminatingDecimal(1)))
+        assert str(s) == f"0.{head}({cycle})"
+
+    def test_wrong_period_raises(self):
+        next_digits, _ = periodic_selection("", "123")
+        family = Family(PrefixMaxOracle(lambda: 0, next_digits,
+                                        RepeatsFrom(1, 2)),
+                        TerminatingDecimal(1))
+        with pytest.raises(CanonicalViolation):
+            sup(family)
+
+    def test_hint_positions_checked(self):
+        for bad in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                RepeatsFrom(*bad)
+
+    @pytest.mark.parametrize("f", [Fraction(1, 99999989),
+                                   Fraction(-3, 99999989)])
+    def test_period_past_the_cap_gives_a_stream(self, f):
+        # a period of 99 999 988 digits is past MAX_EXPANSION_DIGITS: no
+        # hint, and sup is the selection stream, which follows f
+        assert 99999988 > MAX_EXPANSION_DIGITS
+        for family in (finite_family([real_from_fraction(f),
+                                      real_from_fraction(f - 1)]),
+                       lower_cut(real_from_fraction(f))):
+            assert family.oracle.tail is None
+            s = sup(family)
+            assert isinstance(s, OracleReal)
+            assert render_digits(s, 60) == fraction_prefix(f, 60)
+
+    @pytest.mark.parametrize("literal", ["2.120(1)", "0.(142857)",
+                                         "-0.(142857)", "-3.1(6)",
+                                         "45.00(3)", "-0.000(27)"])
+    @pytest.mark.parametrize("j", [1, 30, 95])
+    def test_certificates(self, literal, j):
+        # the supremum c, exact, passes; c - 10**-j fails with a member
+        # above it; c + 10**-j is strictly above c
+        c = P(literal)
+        top = c.as_fraction()
+        members = [c, real_from_fraction(top - Fraction(1, 3)),
+                   real_from_fraction(top - 2)]
+        for family in (finite_family(members), lower_cut(c)):
+            s = sup(family)
+            assert s == c
+            assert isinstance(check_sup_certificate(s, family, samples=20,
+                                                    budget=100), Pass)
+            low = real_from_fraction(top - Fraction(1, 10**j))
+            verdict = check_sup_certificate(low, family, samples=20,
+                                            budget=100)
+            assert isinstance(verdict, FailBound)
+            assert top - Fraction(1, 10**j) < verdict.witness.as_fraction() \
+                <= top
+            high = real_from_fraction(top + Fraction(1, 10**j))
+            assert compare(s, high, j + 2) is Comparison.LT
+
+
 class TestSelectionKernels:
     """The digit selection of member-backed families and lower cuts.
 
@@ -505,8 +658,9 @@ class TestSelectionKernels:
 
     def test_certificate_time_bound(self):
         # the selection rescanned every member's whole prefix per digit:
-        # 0.72 s at budget 400
-        A = builtin_family("paper-A")
+        # 0.72 s at budget 400; the hint is withheld, so that s is the
+        # selection stream
+        A = unhinted(builtin_family("paper-A"))
         start = time.process_time()
         verdict = check_sup_certificate(sup(A), A, samples=5, budget=400)
         assert time.process_time() - start < 0.1
@@ -515,7 +669,7 @@ class TestSelectionKernels:
     def test_render_time_bound(self):
         # 4.4 s for 1000 digits when every digit rescanned the prefix
         start = time.process_time()
-        got = render_digits(sup(builtin_family("paper-A")), 1000)
+        got = render_digits(sup(unhinted(builtin_family("paper-A"))), 1000)
         assert time.process_time() - start < 0.2
         want = Fraction(212, 100) + Fraction(1, 9000)  # 2.120(1)
         assert got == fraction_prefix(want, 1000)
@@ -568,7 +722,9 @@ class TestIsUpperBound:
         assert verdict.witness.as_fraction() == Fraction(53, 25)
 
     def test_undecided_against_own_stream(self):
-        A = builtin_family("paper-A")
+        # with the hint withheld the supremum is a stream, which the
+        # family's maximum 2.120(1) agrees with through any budget
+        A = unhinted(builtin_family("paper-A"))
         s = sup(A)
         assert isinstance(is_upper_bound(s, A, budget=50), Undecided)
 
@@ -643,8 +799,9 @@ class TestSetFiles:
                            ("paper-D", Fraction(0))]:
             s = sup(load_set_file(str(root / "sets" / f"{name}.set")))
             assert s.as_fraction() == want
-        streamed = sup(load_set_file(str(root / "sets" / "paper-A.set")))
-        assert render_digits(streamed, 10) == "2.1201111111"
+        periodic = sup(load_set_file(str(root / "sets" / "paper-A.set")))
+        assert render_digits(periodic, 10) == "2.1201111111"
+        assert periodic.as_fraction() == Fraction(212, 100) + Fraction(1, 9000)
 
     def test_directive_and_literals_conflict(self, tmp_path):
         f = tmp_path / "bad.set"
@@ -851,12 +1008,12 @@ class TestVerdictReuse:
                Fraction(1120101, 10**6) + Fraction(1, 9 * 10**6))
 
     def test_each_member_walked_once_by_the_probes(self, monkeypatch):
-        # the maximum is periodic, so s is a stream that the maximum
-        # agrees with through the whole budget: each walk of the pair
-        # reads all 100 digits and ends UNDECIDED
+        # the maximum is periodic and its hint is withheld, so s is a
+        # stream that the maximum agrees with through the whole budget:
+        # each walk of the pair reads all 100 digits and ends UNDECIDED
         members = [P(t) for t in ("12.5", "3.(3)", "60.(142857)",
                                   "60.(428571)", "41.25", "0.(09)")]
-        family = finite_family(members)
+        family = unhinted(finite_family(members))
         s = sup(family)
         assert isinstance(s, OracleReal)
         walks = Counter()
@@ -955,18 +1112,44 @@ class TestLinearSelection:
                            prefix.digits[:start])
         assert oracle.next_digits(head, width) == prefix.digits[start:]
 
+    @given(fractions_st, st.integers(min_value=0, max_value=3),
+           st.text("0123456789", max_size=12),
+           st.integers(min_value=1, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    @example(Fraction(5, 2), 2, "4", 3)
+    @example(Fraction(-5, 2), 2, "6", 3)
+    @example(Fraction(5, 2), 2, "6", 3)
+    @example(Fraction(1, 7), 0, "142858", 5)
+    def test_cut_answers_any_prefix(self, f, int_part, digits, width):
+        # prefixes off the selection: one that some member below c
+        # extends reads on by Fraction sums, one that none extends has
+        # left the cut
+        oracle = lower_cut(real_from_fraction(f)).oracle
+        prefix = DigitPrefix(oracle.negative, int_part, digits)
+        value = int_part + Fraction(int(digits or "0"), 10 ** len(digits))
+        inside = value < f if f > 0 else value + Fraction(
+            1, 10 ** len(digits)) > -f
+        if not inside:
+            with pytest.raises(AssertionError):
+                oracle.next_digits(prefix, width)
+            return
+        want = prefix
+        for _ in range(width):
+            want = want.extend(TestSelectionKernels.cut_digit(f, want))
+        assert oracle.next_digits(prefix, width) == want.digits[len(digits):]
+
     def test_long_cut_stream(self):
         # 2.3 s for 8000 digits when every digit rebuilt the prefix and
         # decoded its units again
         start = time.process_time()
-        got = render_digits(sup(builtin_family("lower-cut 0.(142857)")),
-                            16000)
+        family = unhinted(builtin_family("lower-cut 0.(142857)"))
+        got = render_digits(sup(family), 16000)
         assert time.process_time() - start < 0.5
         assert got == "0." + long_division_digits(1, 7, 16000)
 
     def test_long_member_stream(self):
         start = time.process_time()
-        got = render_digits(sup(builtin_family("paper-A")), 16000)
+        got = render_digits(sup(unhinted(builtin_family("paper-A"))), 16000)
         assert time.process_time() - start < 0.5
         want = Fraction(212, 100) + Fraction(1, 9000)  # 2.120(1)
         assert got == fraction_prefix(want, 16000)
