@@ -62,11 +62,8 @@ from .realnum import (
     render_digits,
 )
 from .supremum import (
-    AllNinesFrom,
-    AllZerosFrom,
     Family,
     FiniteSet,
-    PrefixMaxOracle,
     RepeatsFrom,
     builtin_family,
     check_sup_certificate,

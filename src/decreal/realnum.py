@@ -244,6 +244,10 @@ class TerminatingReal(RealNumber):
     def negated(self) -> "TerminatingReal":
         return TerminatingReal(-self.value)
 
+    def _ratio(self) -> tuple[int, int, int]:
+        """(a, b, s) with the value a / (b * 10**s), b > 0, unreduced."""
+        return self.value.units, 1, self.value.scale
+
     def as_fraction(self) -> Fraction:
         return self.value.as_fraction()
 
@@ -343,6 +347,9 @@ class PeriodicReal(RealNumber):
 
     def negated(self) -> "PeriodicReal":
         return PeriodicReal(-self.fraction)
+
+    def _ratio(self) -> tuple[int, int, int]:
+        return self.fraction.numerator, self.fraction.denominator, 0
 
     def as_fraction(self) -> Fraction:
         return self.fraction
@@ -786,6 +793,23 @@ def parse_real(text: str) -> RealNumber:
     canonical form; the intended value is the terminating neighbour).
     An all-zero group is dropped.  Values are normalised, so the minimal
     period and preperiod come out regardless of how they were written.
+    """
+    negative, int_digits, frac, period = scan_literal(text)
+    if period is not None and not period.strip("9"):
+        raise MalformedLiteral(
+            f"{text!r}: an all-nines tail is not canonical; "
+            f"write the terminating value instead")
+    return _expansion_value(negative, int_digits, frac, period)
+
+
+def _expansion_value(negative: bool, int_digits: str, frac: str,
+                     period: Optional[str]) -> RealNumber:
+    """The exact value of the expansion -I.F(P) or I.F(P), with digit
+    strings I and F and the repeating group P (None for none).
+
+    An all-zero group is the terminating I.F, and an all-nines group is
+    its terminating neighbour: I.F plus one unit in F's last place, as
+    the paper identifies 0.999... with 1.
 
     The period of r/b is shorter than b, and a group of n digits
     usually comes from a fraction whose denominator has about log10(n)
@@ -800,25 +824,24 @@ def parse_real(text: str) -> RealNumber:
     one whole period past that point, so they agree everywhere and c is
     the value of F(P).  That last check makes c's digits in two decimal
     divisions (``_digit_block``), a short block and then the rest, so it
-    is linear in the literal's length.  Any other literal is decoded
+    is linear in the literal's length.  Any other group is decoded
     digit by digit.
     """
-    negative, int_part, frac, period = scan_literal(text)
-    if period is not None and not period.strip("9"):
-        raise MalformedLiteral(
-            f"{text!r}: an all-nines tail is not canonical; "
-            f"write the terminating value instead")
     if period is None or not period.strip("0"):
-        return TerminatingReal(decimal_from_digits(negative, int_part, frac))
+        return TerminatingReal(decimal_from_digits(negative, int_digits, frac))
+    if not period.strip("9"):
+        value = (decimal_from_digits(False, int_digits, frac)
+                 + pow10(-len(frac)))
+        return TerminatingReal(-value if negative else value)
     if len(period) > _CHUNK:
         guess = _guess_group_value(frac, period)
         if guess is not None:
-            value = int_from_digits(int_part) + guess
+            value = int_from_digits(int_digits) + guess
             return PeriodicReal(-value if negative else value)
     # I.F(P) = (IF * (10^p - 1) + P) / (10^k * (10^p - 1)), k = len(F)
     nines = 10 ** len(period) - 1
     value = Fraction(
-        int_from_digits(int_part + frac) * nines + int_from_digits(period),
+        int_from_digits(int_digits + frac) * nines + int_from_digits(period),
         10 ** len(frac) * nines)
     return PeriodicReal(-value if negative else value)
 
@@ -981,12 +1004,11 @@ def compare(x: RealNumber, y: RealNumber,
             budget: int = DEFAULT_BUDGET) -> Comparison:
     """Budgeted order comparison.
 
-    Exactly-representable pairs are compared exactly, two terminating
-    decimals on aligned integer units and other pairs through their
-    rational values, and never come back UNDECIDED.  Otherwise the
-    canonical digit streams are walked up to ``budget`` fractional
-    digits, in blocks of doubling width compared as strings; UNDECIDED
-    means every examined position agreed.  The verdict, or the refusal
+    Exactly-representable pairs are compared exactly, by the cross
+    products of their integer ratios, and never come back UNDECIDED.
+    Otherwise the canonical digit streams are walked up to ``budget``
+    fractional digits, in blocks of doubling width compared as strings;
+    UNDECIDED means every examined position agreed.  The verdict, or the refusal
     of an unpinnable digit, is the one a digit-at-a-time walk reaches at
     the same position.  A verdict reached at some budget is returned for
     every larger budget as well.
@@ -1002,18 +1024,18 @@ def compare(x: RealNumber, y: RealNumber,
     """
     if x is y:
         return Comparison.EQ
-    if isinstance(x, TerminatingReal) and isinstance(y, TerminatingReal):
-        # aligned integer units: no Fraction is built
-        c = x.value._cmp(y.value)
-        return (Comparison.LT if c < 0 else Comparison.GT if c > 0
-                else Comparison.EQ)
     if x.is_exact and y.is_exact:
-        fx, fy = x.as_fraction(), y.as_fraction()
-        if fx < fy:
-            return Comparison.LT
-        if fx > fy:
-            return Comparison.GT
-        return Comparison.EQ
+        # cross products of a / (b * 10**s) and c / (d * 10**t), the
+        # power of ten only on the side of the smaller exponent: no
+        # Fraction is built, and two terminating decimals are aligned
+        (a, b, s), (c, d, t) = x._ratio(), y._ratio()
+        if s < t:
+            a *= 10 ** (t - s)
+        elif t < s:
+            c *= 10 ** (s - t)
+        left, right = a * d, c * b
+        return (Comparison.LT if left < right else Comparison.GT
+                if left > right else Comparison.EQ)
     if not (isinstance(x, ComputedReal) or isinstance(y, ComputedReal)):
         return _digit_compare(x, y, budget)
     stream = x if isinstance(x, OracleReal) else y
@@ -1088,9 +1110,8 @@ def canonicalize_trailing_nines(prefix: DigitPrefix,
         raise ValueError("nine_onset out of range for the prefix")
     if any(c != "9" for c in prefix.digits[nine_onset - 1:]):
         raise ValueError("prefix digits from the onset must all be 9")
-    head = DigitPrefix(False, prefix.int_part, prefix.digits[:nine_onset - 1])
-    result = head.as_terminating() + pow10(1 - nine_onset)
-    return -result if prefix.negative else result
+    return _expansion_value(prefix.negative, digits_from_int(prefix.int_part),
+                            prefix.digits[:nine_onset - 1], "9").value
 
 
 def _try_classify(x: RealNumber, budget: int) -> Optional[Classification]:

@@ -1,20 +1,20 @@
 """Digit-by-digit suprema of bounded sets of reals.
 
 A bounded set is presented either as a finite list of members or as a
-*prefix-max oracle*: a description of an infinite family by the block of
-digits that picking, one place at a time, the largest next digit any
-member achieves beyond a confirmed digit prefix would select.  The
-supremum procedure takes the maximal integer part, then reads that
-selection in blocks of doubling width.  The oracle may volunteer the
-shape of the selection's tail: all nines or all zeros from a position
-on, or digits that repeat with a period from a position on.  The
-procedure checks the claim over one period and ``HINT_WINDOW`` more
-selected digits and returns the exact value: the literal the selected
-digits spell, read by ``parse_real``, or for a tail of nines the
-repaired truncation (plus one unit in the last kept place).  A family
-that gives no hint gets a digit stream.  Families of negative values
-are handled by the mirror procedure (minimal magnitude digits, negated
-at the end).
+``Family``: a description of an infinite family by the block of digits
+that picking, one place at a time, the largest next digit any member
+achieves beyond a confirmed digit prefix would select.  The supremum
+procedure takes the maximal integer part, then reads that selection in
+blocks of doubling width.  The family may volunteer the shape of the
+selection's tail, ``RepeatsFrom(i, p)``: from position i on the digits
+repeat with period p, a fixed tail of nines, zeros or any other digit
+being the period 1.  The procedure checks the claim over one period and
+``HINT_WINDOW`` more selected digits and returns the exact value of the
+expansion the selected digits spell, decoded as ``parse_real`` decodes
+a literal, with a group of nines read as its terminating neighbour.  A
+family that gives no hint gets a digit stream.  Families of negative
+values are handled by the mirror procedure (minimal magnitude digits,
+negated at the end).
 
 Certification runs the other way: ``is_upper_bound`` and
 ``check_sup_certificate`` test a claimed supremum against members and
@@ -45,8 +45,8 @@ from .realnum import (
     RealNumber,
     TerminatingReal,
     _decimal_digits,
+    _expansion_value,
     between,
-    canonicalize_trailing_nines,
     compare,
     parse_real,
 )
@@ -63,29 +63,7 @@ HINT_WINDOW = 64
 
 
 # ---------------------------------------------------------------------------
-# tail hints
-
-
-@frozen
-class AllNinesFrom:
-    """Every selected digit from this fractional position on will be 9."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("tail positions start at 1")
-
-
-@frozen
-class AllZerosFrom:
-    """Every selected digit from this fractional position on will be 0."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("tail positions start at 1")
+# tail hints and bounded sets
 
 
 @frozen
@@ -103,9 +81,6 @@ class RepeatsFrom:
             raise ValueError("a period is at least one digit long")
 
 
-TailHint = AllNinesFrom | AllZerosFrom | RepeatsFrom
-
-
 def _repeats(x: PeriodicReal) -> Optional[RepeatsFrom]:
     """The periodic tail of x's expansion, or None when the expansion is
     longer than ``MAX_EXPANSION_DIGITS``."""
@@ -116,13 +91,20 @@ def _repeats(x: PeriodicReal) -> Optional[RepeatsFrom]:
     return RepeatsFrom(len(preperiod) + 1, len(period))
 
 
-# ---------------------------------------------------------------------------
-# bounded sets
+@frozen
+class FiniteSet:
+    """A nonempty finite set of reals."""
+
+    members: tuple[RealNumber, ...]
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("a bounded set must be nonempty")
 
 
 @frozen
-class PrefixMaxOracle:
-    """Presentation of an infinite bounded family by digit selection.
+class Family:
+    """An infinite bounded family, presented by digit selection.
 
     For a family with a non-negative supremum, ``max_integral`` is the
     largest integer part attained by members, and ``next_digits(p, n)``
@@ -133,11 +115,10 @@ class PrefixMaxOracle:
     part and the smallest next magnitude digits: the procedure minimises
     and negates.
 
-    ``tail`` is None, a fixed ``AllNinesFrom(i)`` / ``AllZerosFrom(i)``
-    (every digit the selection makes from fractional position i on is 9,
-    or 0), or ``RepeatsFrom(i, p)`` (from position i on the selection
-    repeats with period p; the fixed hints are the period p = 1).
-    ``sup`` then returns the exact value, for any i and p, once the first
+    ``tail`` is None or ``RepeatsFrom(i, p)``: from fractional position i
+    on the selection repeats with period p.  A fixed tail, all nines,
+    all zeros or any other digit, is the period p = 1.  ``sup`` then
+    returns the exact value, for any i and p, once the first
     ``i - 1 + p + HINT_WINDOW`` selected digits bear the claim out.
 
     Soundness contract (trusted, spot-checked for built-ins): every
@@ -154,31 +135,12 @@ class PrefixMaxOracle:
 
     max_integral: Callable[[], int]
     next_digits: Callable[[DigitPrefix, int], str]
-    tail: Optional[TailHint] = None
+    tail: Optional[RepeatsFrom] = None
     negative: bool = False
     member_above: Callable[[RealNumber, int], Optional[RealNumber]] = (
         lambda b, budget: None)
     bound_hint: Optional[Callable[[RealNumber, int], Optional[bool]]] = None
     description: str = ""
-
-
-@frozen
-class FiniteSet:
-    """A nonempty finite set of reals."""
-
-    members: tuple[RealNumber, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a bounded set must be nonempty")
-
-
-@frozen
-class Family:
-    """An infinite family given by an oracle, with an explicit bound."""
-
-    oracle: PrefixMaxOracle
-    upper_bound: TerminatingDecimal
 
     @cached_property
     def _selection(self) -> RealNumber:
@@ -241,8 +203,7 @@ def _family_sup(family: Family) -> RealNumber:
 
 
 def _select_sup(family: Family) -> RealNumber:
-    oracle = family.oracle
-    negative, int_part = oracle.negative, oracle.max_integral()
+    negative, int_part = family.negative, family.max_integral()
     if int_part < 0:
         raise ValueError("oracles report magnitude integer parts (>= 0)")
     selection = bytearray()
@@ -252,30 +213,23 @@ def _select_sup(family: Family) -> RealNumber:
         if len(selection) < n:
             w = max(n - len(selection), len(selection))
             head = DigitPrefix(negative, int_part, selection.decode())
-            block = oracle.next_digits(head, w)
+            block = family.next_digits(head, w)
             if len(block) != w or not block.isdigit():
                 raise ValueError(f"oracle selected non-digits: {block!r}")
             selection.extend(block.encode())
 
-    tail = oracle.tail
+    tail = family.tail
     if tail is not None:
-        i = tail.index
-        p = tail.period if isinstance(tail, RepeatsFrom) else 1
+        i, p = tail.index, tail.period
         n = i - 1 + p + HINT_WINDOW
         select(n)
-        head, cycle = selection[:i - 1].decode(), selection[i - 1:i - 1 + p]
-        # a fixed hint names its digit, and every digit from i to n - p
-        # equals the one a period later
-        fixed = {AllNinesFrom: b"9", AllZerosFrom: b"0"}.get(type(tail), cycle)
-        if cycle != fixed or selection[i - 1 + p:n] != selection[i - 1:n - p]:
+        # every digit from i to n - p equals the one a period later
+        if selection[i - 1 + p:n] != selection[i - 1:n - p]:
             raise CanonicalViolation(
                 f"the selected digits belie the tail hint {tail!r}")
-        if not cycle.strip(b"9"):
-            return TerminatingReal(canonicalize_trailing_nines(
-                DigitPrefix(negative, int_part, head), i))
-        sign = "-" if negative else ""
-        return parse_real(
-            f"{sign}{digits_from_int(int_part)}.{head}({cycle.decode()})")
+        return _expansion_value(negative, digits_from_int(int_part),
+                                selection[:i - 1].decode(),
+                                selection[i - 1:i - 1 + p].decode())
     select(HINT_WINDOW)
     caveat = None
     if selection == b"9" * HINT_WINDOW:
@@ -299,7 +253,7 @@ def sup(S: BoundedSet, *, budget: int = DEFAULT_BUDGET) -> RealNumber:
 
     Finite sets return their maximal member directly.  Families run the
     selection procedure.  With a tail hint at any position i, of period p
-    (1 for the fixed hints), the result is exact, after one block read of
+    (1 for a fixed tail), the result is exact, after one block read of
     the first ``i - 1 + p + HINT_WINDOW`` selected digits
     (``CanonicalViolation`` if those from i on belie the hint).  Without
     one it is a lazy digit stream over the same selection, first read
@@ -353,9 +307,12 @@ def is_upper_bound(b: RealNumber | TerminatingDecimal, S: BoundedSet,
                    budget: int = DEFAULT_BUDGET) -> Yes | No | Undecided:
     """Is every member of S at most b?
 
-    No always carries a member witness.  Undecided reports budget
-    exhaustion, or a family that exceeds the bound only beyond anything
-    its witness search can name.
+    A finite set orders each member against b.  A family asks its
+    ``bound_hint`` when it has one, and otherwise orders its selected
+    supremum against b; a bound that fails is refuted by the family's
+    ``member_above(b)``.  No always carries a member witness.  Undecided
+    reports budget exhaustion, or a family that exceeds the bound only
+    beyond anything its witness search can name.
     """
     b = _as_real(b)
     if isinstance(S, FiniteSet):
@@ -370,20 +327,19 @@ def is_upper_bound(b: RealNumber | TerminatingDecimal, S: BoundedSet,
             return Undecided(
                 "a member could not be ordered against the bound")
         return Yes()
-    oracle = S.oracle
-    if oracle.bound_hint is not None:
-        verdict = oracle.bound_hint(b, budget)
+    if S.bound_hint is not None:
+        verdict = S.bound_hint(b, budget)
         if verdict is True:
             return Yes()
         if verdict is False:
-            w = oracle.member_above(b, budget)
+            w = S.member_above(b, budget)
             if w is not None:
                 return No(w)
             return Undecided("bound fails but no member witness was found")
     c = compare(_family_sup(S), b, budget)
     if c in (Comparison.LT, Comparison.EQ):
         return Yes()
-    w = oracle.member_above(b, budget)
+    w = S.member_above(b, budget)
     if w is not None:
         return No(w)
     if c is Comparison.GT:
@@ -393,14 +349,18 @@ def is_upper_bound(b: RealNumber | TerminatingDecimal, S: BoundedSet,
     return Undecided("comparison against the supremum ran out of budget")
 
 
+def _first_member_above(members: Iterable[RealNumber], b: RealNumber,
+                        budget: int) -> Optional[RealNumber]:
+    """The first of the members that ``compare`` puts above b."""
+    return next((m for m in members
+                 if compare(m, b, budget) is Comparison.GT), None)
+
+
 def _member_above(S: BoundedSet, p: RealNumber,
                   budget: int) -> Optional[RealNumber]:
     if isinstance(S, FiniteSet):
-        for m in S.members:
-            if compare(m, p, budget) is Comparison.GT:
-                return m
-        return None
-    return S.oracle.member_above(p, budget)
+        return _first_member_above(S.members, p, budget)
+    return S.member_above(p, budget)
 
 
 def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
@@ -423,8 +383,8 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
     ComputedReal, the verdict depends on their digits alone, so later
     probes that find the same member reuse it.  An exact s orders an
     exact member exactly, which costs less than the lookup.  The bound
-    side of a family asks its oracle's ``member_above(s)``, which orders
-    the members on its own.
+    side of a family asks its ``member_above(s)``, which orders the
+    members on its own.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
@@ -441,7 +401,7 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
         # family bound side by member sampling: comparing s against the
         # selection stream it may have come from is never decidable, so
         # the obligation is refuted by a member witness or stands
-        w = S.oracle.member_above(s, budget)
+        w = S.member_above(s, budget)
         if w is not None:
             return FailBound(w)
 
@@ -491,20 +451,15 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
 # families backed by explicit member lists
 
 
-def _signum(x: RealNumber) -> int:
-    f = x.as_fraction()
-    return -1 if f < 0 else (1 if f > 0 else 0)
-
-
 def finite_family(members: Iterable[RealNumber]) -> Family:
-    """A prefix-max oracle over an explicit finite set of exact reals.
+    """The family of an explicit finite set of exact reals.
 
     The selection stream provably follows the digits of the maximal
     member (lexicographic and numeric order agree on canonical
-    expansions), so the family hints at that member's tail: all zeros
-    after its last digit when it terminates, its period from the end of
-    its preperiod when it repeats.  sup then returns that member
-    exactly, however long it is.  A period longer than
+    expansions), so the family hints at that member's tail: zeros, the
+    period 1, after its last digit when it terminates, its period from
+    the end of its preperiod when it repeats.  sup then returns that
+    member exactly, however long it is.  A period longer than
     ``MAX_EXPANSION_DIGITS`` gives no hint, and the supremum is a digit
     stream.  Exists for cross-checking sup against plain max.
 
@@ -521,15 +476,11 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
         raise ValueError("a bounded set must be nonempty")
     if not all(m.is_exact for m in members):
         raise ValueError("member-backed families require exact members")
-    negative = all(_signum(m) < 0 for m in members)
-    if negative:
-        pool = members
-        best = min(pool, key=lambda m: abs(m.as_fraction()))
-        pick = min
-    else:
-        pool = tuple(m for m in members if _signum(m) >= 0)
-        best = max(pool, key=lambda m: m.as_fraction())
-        pick = max
+    negative = all(m.negative for m in members)
+    pool = members if negative else tuple(
+        m for m in members if not m.negative)
+    pick = min if negative else max
+    best = _max_member(pool)
 
     def max_integral() -> int:
         return pick(m.int_part for m in pool)
@@ -550,18 +501,13 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
         return pick(blocks)
 
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
-        for m in members:
-            if compare(m, b, budget) is Comparison.GT:
-                return m
-        return None
+        return _first_member_above(members, b, budget)
 
-    tail = (AllZerosFrom(best.value.scale + 1)
+    tail = (RepeatsFrom(best.value.scale + 1, 1)
             if isinstance(best, TerminatingReal) else _repeats(best))
-    bound = TerminatingDecimal(best.as_fraction().__floor__() + 1)
-    return Family(PrefixMaxOracle(
-        max_integral, next_digits, tail, negative=negative,
-        member_above=member_above,
-        description=f"finite family of {len(members)} members"), bound)
+    return Family(max_integral, next_digits, tail, negative=negative,
+                  member_above=member_above,
+                  description=f"finite family of {len(members)} members")
 
 
 # ---------------------------------------------------------------------------
@@ -596,34 +542,32 @@ def _first_above(head: tuple[TerminatingDecimal, ...],
                 TerminatingDecimal(top * 10 ** (j + s) - c, j + s))
 
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
-        return next((w for w in candidates(b, budget)
-                     if compare(w, b, budget) is Comparison.GT), None)
+        return _first_member_above(candidates(b, budget), b, budget)
 
     return member_above
 
 
 def _nine_family() -> Family:
     """0.9, 0.99, 0.19, 0.991, 0.9991, ... — supremum 1, never attained."""
-    oracle = PrefixMaxOracle(
+    return Family(
         max_integral=lambda: 0,
         next_digits=lambda prefix, n: "9" * n,
-        tail=AllNinesFrom(1),
+        tail=RepeatsFrom(1, 1),
         # after the head, j nines then a one: 1 - 9 * 10**-(j + 1), j >= 2
         member_above=_first_above(
             (TerminatingDecimal(9, 1), TerminatingDecimal(99, 2),
              TerminatingDecimal(19, 2)), tail=(1, 9, 3)),
         description="terminating decimals crowding up to 1")
-    return Family(oracle, TerminatingDecimal(1))
 
 
 def _negated_nine_family() -> Family:
     """-1, -0.9, -0.99, -0.19, -0.991, ... — supremum -0.19, attained."""
-    oracle = PrefixMaxOracle(
+    return Family(
         max_integral=lambda: 0,
         # minimal magnitudes: 0.19 wins the first digit, then stays
         next_digits=lambda prefix, n: "19".ljust(
             len(prefix) + n, "0")[len(prefix):][:n],
-        tail=AllZerosFrom(3),
+        tail=RepeatsFrom(3, 1),
         negative=True,
         # the rest, -0.991, -0.9991, ..., lie below -0.9, which comes
         # before them: the first member above any b is in the head
@@ -631,19 +575,17 @@ def _negated_nine_family() -> Family:
             (TerminatingDecimal(-1), TerminatingDecimal(-9, 1),
              TerminatingDecimal(-99, 2), TerminatingDecimal(-19, 2))),
         description="negated crowding family plus -1")
-    return Family(oracle, TerminatingDecimal(0))
 
 
 def _vanishing_family() -> Family:
     """-0.1, -0.01, -0.001, ... — supremum 0, never attained."""
-    oracle = PrefixMaxOracle(
+    return Family(
         max_integral=lambda: 0,
         next_digits=lambda prefix, n: "0" * n,
-        tail=AllZerosFrom(1),
+        tail=RepeatsFrom(1, 1),
         negative=True,
         member_above=_first_above((), tail=(0, 1, 1)),
         description="negative powers of ten approaching zero")
-    return Family(oracle, TerminatingDecimal(0))
 
 
 def _worked_example_family() -> Family:
@@ -661,8 +603,8 @@ def lower_cut(c: RealNumber) -> Family:
 
     The selection reproduces the digits of c itself, or for a positive
     terminating c the digits of c less one unit in its last place, then
-    nines.  The family hints at that tail (nines, zeros for c <= 0, or
-    c's period), so its sup is exactly c; a period longer than
+    nines.  The family hints at that tail (nines or, for c <= 0, zeros,
+    each the period 1, or c's period), so its sup is exactly c; a period longer than
     ``MAX_EXPANSION_DIGITS`` gives no hint, and the sup is the identical
     digit stream.  Witnesses come from betweenness: any bound b < c is
     exceeded by a member strictly between b and c.
@@ -679,21 +621,21 @@ def lower_cut(c: RealNumber) -> Family:
     own = c
     if not terminating:
         tail = _repeats(c)
-    elif negative:
-        # magnitudes above |c| reach |c| itself, then zeros
-        tail = AllZerosFrom(c.value.scale + 1)
     else:
-        # members below c reach c less one unit in its last place, then
-        # nines
+        # magnitudes above |c| reach |c| itself, then zeros; members
+        # below a positive c reach c less one unit in its last place,
+        # then nines
         k = c.value.scale
-        own, tail = TerminatingReal(c.value - pow10(-k)), AllNinesFrom(k + 1)
+        tail = RepeatsFrom(k + 1, 1)
+        if not negative:
+            own = TerminatingReal(c.value - pow10(-k))
     start = own.int_part
     fill = "0" if negative else "9"
 
     def selected(n: int) -> str:
         """The first n selected digits after ``start``."""
-        if isinstance(tail, AllNinesFrom):
-            return own._read(min(n, tail.index - 1))[0].ljust(n, "9")
+        if terminating:
+            return own._read(min(n, tail.index - 1))[0].ljust(n, fill)
         return own._read(n)[0]
 
     def next_digits(prefix: DigitPrefix, w: int) -> str:
@@ -718,14 +660,9 @@ def lower_cut(c: RealNumber) -> Family:
             return None
         return verdict is not Comparison.LT
 
-    # ceil(c): members below c reach the integer part ceil(c) - 1, and
-    # magnitudes above |c| start at floor(|c|)
-    top = -start if negative else start + 1
-    return Family(PrefixMaxOracle(
-        lambda: start, next_digits, tail, negative=negative,
-        member_above=member_above, bound_hint=bound_hint,
-        description="terminating decimals below an exact real"),
-        TerminatingDecimal(top))
+    return Family(lambda: start, next_digits, tail, negative=negative,
+                  member_above=member_above, bound_hint=bound_hint,
+                  description="terminating decimals below an exact real")
 
 
 _BUILTINS: dict[str, Callable[[], Family]] = {

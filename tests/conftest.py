@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 
-from decreal import ComputedReal, Family, OracleReal, PrefixMaxOracle, realnum
+from decreal import ComputedReal, Family, OracleReal, realnum
 
 SEED = 20260819
 
@@ -178,11 +178,10 @@ def computed(refine, description: str = "test stream") -> ComputedReal:
 def unhinted(family: Family) -> Family:
     """The same family with its tail hint withheld, so that its
     supremum is the selection's digit stream, not an exact value."""
-    o = family.oracle
-    return Family(PrefixMaxOracle(
-        o.max_integral, o.next_digits, None, negative=o.negative,
-        member_above=o.member_above, bound_hint=o.bound_hint,
-        description=o.description), family.upper_bound)
+    return Family(
+        family.max_integral, family.next_digits, None,
+        negative=family.negative, member_above=family.member_above,
+        bound_hint=family.bound_hint, description=family.description)
 
 
 # ---------------------------------------------------------------------------

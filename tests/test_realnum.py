@@ -4,6 +4,7 @@ Oracles: sequential long division and Fraction arithmetic from conftest,
 and literals decoded one digit a step; expected digits and witnesses are
 frozen from those routes."""
 
+import contextlib
 import time
 from fractions import Fraction
 from unittest import mock
@@ -56,6 +57,7 @@ from decreal.terminating import (
     Comparison,
     TerminatingDecimal,
     int_from_digits,
+    scan_literal,
 )
 
 fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
@@ -64,6 +66,17 @@ fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
 
 def P(text):
     return parse_real(text)
+
+
+@contextlib.contextmanager
+def no_fractions():
+    """Fail on any order question between Fractions, and on any Fraction
+    asked of a terminating decimal."""
+    with mock.patch.object(TerminatingDecimal, "as_fraction",
+                           side_effect=AssertionError), \
+            mock.patch.object(Fraction, "_richcmp",
+                              side_effect=AssertionError):
+        yield
 
 
 @st.composite
@@ -476,10 +489,27 @@ class TestCompare:
         want = {-1: Comparison.LT, 0: Comparison.EQ, 1: Comparison.GT}
         x = TerminatingReal(TerminatingDecimal(u, s))
         y = TerminatingReal(TerminatingDecimal(v, t))
-        with mock.patch.object(TerminatingDecimal, "as_fraction",
-                               side_effect=AssertionError):
-            assert compare(x, y, budget) is want[(f > g) - (f < g)]
-            assert compare(y, x, budget) is want[(g > f) - (g < f)]
+        forward, backward = want[(f > g) - (f < g)], want[(g > f) - (g < f)]
+        with no_fractions():
+            assert compare(x, y, budget) is forward
+            assert compare(y, x, budget) is backward
+
+    @given(fractions_st, fractions_st, st.integers(min_value=0, max_value=20))
+    @example(Fraction(1, 3), Fraction(1, 3), 0)
+    @example(Fraction(1, 4), Fraction(1, 3), 0)
+    @example(Fraction(-2, 7), Fraction(-2, 7) + Fraction(1, 10**12), 1)
+    @example(Fraction(5, 3), Fraction(-5, 3), 0)
+    @settings(max_examples=300)
+    def test_periodic_and_mixed_pairs_match_fraction_order(self, f, g,
+                                                           budget):
+        # cross products of integer ratios: no Fraction is ordered, and
+        # none is asked of a terminating value
+        want = {-1: Comparison.LT, 0: Comparison.EQ, 1: Comparison.GT}
+        x, y = real_from_fraction(f), real_from_fraction(g)
+        forward, backward = want[(f > g) - (f < g)], want[(g > f) - (g < f)]
+        with no_fractions():
+            assert compare(x, y, budget) is forward
+            assert compare(y, x, budget) is backward
 
     @given(fractions_st, fractions_st,
            st.integers(min_value=1, max_value=50))
@@ -544,6 +574,32 @@ class TestIntegralPart:
     def test_floor_law(self, f):
         n = integral_part(real_from_fraction(f))
         assert n <= f < n + 1
+
+
+class TestExpansionValue:
+    """The one decoder of expansions, which parse_real, sup and the
+    trailing-nines repair share."""
+
+    @given(fractions_st)
+    @settings(max_examples=200)
+    @example(Fraction(1, 10007))  # a group past 4000 digits
+    @example(Fraction(-3, 10007))
+    def test_agrees_with_parse_real(self, f):
+        literal = str(real_from_fraction(f))
+        assert realnum._expansion_value(*scan_literal(literal)) \
+            == parse_real(literal)
+
+    @pytest.mark.parametrize("literal,want", [
+        ("0.12(9)", Fraction(13, 100)),
+        ("-0.(99)", Fraction(-1)),
+        ("7.(9)", Fraction(8)),
+        pytest.param("0.3(" + "9" * 5000 + ")", Fraction(4, 10),
+                     id="5000-nines"),
+    ])
+    def test_all_nines_group_is_the_terminating_neighbour(self, literal,
+                                                          want):
+        x = realnum._expansion_value(*scan_literal(literal))
+        assert isinstance(x, TerminatingReal) and x.as_fraction() == want
 
 
 class TestCanonicalizeTrailingNines:

@@ -1,4 +1,4 @@
-"""Digit-by-digit suprema: built-in families, finite sets, oracles,
+"""Digit-by-digit suprema: built-in families, finite sets, user families,
 cuts, hints, bound checks, and certificates.
 
 Oracles: Fraction max/arithmetic for finite sets, long-division digit
@@ -40,15 +40,12 @@ from decreal.realnum import (
 )
 from decreal.supremum import (
     HINT_WINDOW,
-    AllNinesFrom,
-    AllZerosFrom,
     Family,
     FiniteSet,
     No,
     Pass,
     FailBound,
     FailLeastness,
-    PrefixMaxOracle,
     RepeatsFrom,
     Undecided,
     Yes,
@@ -189,53 +186,45 @@ class TestFamilyMachinery:
         fam = finite_family([P("-0.5"), P("-0.125")])
         assert sup(fam).as_fraction() == Fraction(-1, 8)
 
-    def test_all_zeros_hint_must_be_honest(self):
-        # the oracle selects sevens and announces a tail of zeros that
-        # contradicts them
-        dishonest = PrefixMaxOracle(
-            max_integral=lambda: 0,
-            next_digits=lambda prefix, n: "7" * n,
-            tail=AllZerosFrom(2),
-            description="claims zeros over sevens")
-        with pytest.raises(CanonicalViolation):
-            sup(Family(dishonest, TerminatingDecimal(1)))
-
-    def test_all_nines_hint_must_be_honest(self):
-        dishonest = PrefixMaxOracle(
-            max_integral=lambda: 0,
-            next_digits=lambda prefix, n: "7" * n,
-            tail=AllNinesFrom(2),
-            description="claims nines over sevens")
-        with pytest.raises(CanonicalViolation):
-            sup(Family(dishonest, TerminatingDecimal(1)))
+    def test_period_one_hint_must_be_honest(self):
+        # the family selects 7, 8, 7, 8, ... from the hinted position on
+        # and announces one digit repeated there
+        for index in (1, 2, 40):
+            next_digits, _ = periodic_selection("1" * (index - 1), "78")
+            dishonest = Family(
+                max_integral=lambda: 0, next_digits=next_digits,
+                tail=RepeatsFrom(index, 1),
+                description="claims one digit over 7, 8, 7, 8, ...")
+            with pytest.raises(CanonicalViolation):
+                sup(dishonest)
 
     def test_early_all_zeros_hint_short_circuits(self):
         # announcing zeros before any digit is selected is a consistent
         # claim that the supremum is the integral part itself
-        fam = Family(PrefixMaxOracle(
+        fam = Family(
             max_integral=lambda: 3,
             next_digits=lambda prefix, n: "0" * n,
-            tail=AllZerosFrom(1),
-            description="exactly three"), TerminatingDecimal(3))
+            tail=RepeatsFrom(1, 1),
+            description="exactly three")
         s = sup(fam)
         assert s.is_exact and s.as_fraction() == 3
 
     def test_unhinted_nine_stream_carries_caveat(self):
-        nines = PrefixMaxOracle(
+        nines = Family(
             max_integral=lambda: 0,
             next_digits=lambda prefix, n: "9" * n,
             description="nines with no tail knowledge")
-        s = sup(Family(nines, TerminatingDecimal(1)))
+        s = sup(nines)
         assert isinstance(s, OracleReal)
         assert s.caveat is not None
         assert render_digits(s, 6) == "0.999999"
 
     def test_plain_stream_no_caveat(self):
-        alternating = PrefixMaxOracle(
+        alternating = Family(
             max_integral=lambda: 1,
             next_digits=lambda prefix, n: alternating_digits(len(prefix), n),
             description="alternating digits")
-        s = sup(Family(alternating, TerminatingDecimal(2)))
+        s = sup(alternating)
         assert isinstance(s, OracleReal) and s.caveat is None
         assert render_digits(s, 4) == "1.7272"
 
@@ -249,9 +238,7 @@ class TestFamilyMachinery:
             return ("7" * (start - 1)).ljust(
                 len(prefix) + n, fill)[len(prefix):][:n]
 
-        hint = (AllNinesFrom if fill == "9" else AllZerosFrom)(start)
-        s = sup(Family(PrefixMaxOracle(lambda: 0, next_digits, hint),
-                       TerminatingDecimal(1)))
+        s = sup(Family(lambda: 0, next_digits, RepeatsFrom(start, 1)))
         head = Fraction(int("7" * (start - 1) or "0"), 10 ** (start - 1))
         want = head + Fraction(fill == "9", 10 ** (start - 1))
         assert isinstance(s, TerminatingReal) and s.as_fraction() == want
@@ -271,7 +258,7 @@ def counting(next_digits, calls):
 
 
 class TestSelectionCalls:
-    """How often sup asks its oracle: one block read before it returns,
+    """How often sup asks its family: one block read before it returns,
     then blocks of doubling width."""
 
     @pytest.mark.parametrize("name", [
@@ -280,18 +267,16 @@ class TestSelectionCalls:
     def test_one_call_before_sup_returns(self, name):
         family = builtin_family(name)
         calls = []
-        oracle = PrefixMaxOracle(
-            family.oracle.max_integral,
-            counting(family.oracle.next_digits, calls), family.oracle.tail,
-            negative=family.oracle.negative)
-        sup(Family(oracle, family.upper_bound))
+        sup(Family(family.max_integral,
+                   counting(family.next_digits, calls), family.tail,
+                   negative=family.negative))
         assert len(calls) == 1
 
     def test_render_makes_logarithmically_many_calls(self):
         calls = []
-        fam = Family(PrefixMaxOracle(
+        fam = Family(
             lambda: 1, counting(lambda p, n: alternating_digits(len(p), n),
-                                calls)), TerminatingDecimal(2))
+                                calls))
         assert render_digits(sup(fam), 1000) == "1." + "72" * 500
         # 64, then 64, 128, 256, 512 more: 1024 digits in five calls
         assert calls == [HINT_WINDOW, 64, 128, 256, 512]
@@ -305,9 +290,9 @@ class TestSharedSelection:
             selected.extend(range(len(prefix), len(prefix) + n))
             return alternating_digits(len(prefix), n)
 
-        fam = Family(PrefixMaxOracle(
+        fam = Family(
             max_integral=lambda: 1, next_digits=next_digits,
-            description="alternating digits"), TerminatingDecimal(2))
+            description="alternating digits")
         s, t = sup(fam), sup(fam)
         assert s is not t
         assert render_digits(s, 80) == render_digits(t, 80) == "1." + "72" * 40
@@ -397,13 +382,12 @@ class TestLowerCut:
 
 
 def selection_stream(family: Family, n: int) -> DigitPrefix:
-    """The first n digits a family's oracle selects one at a time, with
-    no tail hint consulted: the kernel itself, not the exact result sup
+    """The first n digits a family selects one at a time, with no tail
+    hint consulted: the kernel itself, not the exact result sup
     returns."""
-    oracle = family.oracle
-    prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+    prefix = DigitPrefix(family.negative, family.max_integral(), "")
     for _ in range(n):
-        prefix = prefix.extend(int(oracle.next_digits(prefix, 1)))
+        prefix = prefix.extend(int(family.next_digits(prefix, 1)))
     return prefix
 
 
@@ -499,9 +483,7 @@ class TestRepeatingTails:
         head = "3" * (index - 1)
         cycle = "1" + "4" * (period - 1)
         next_digits, calls = periodic_selection(head, cycle)
-        family = Family(PrefixMaxOracle(
-            lambda: 2, next_digits, RepeatsFrom(index, period)),
-            TerminatingDecimal(3))
+        family = Family(lambda: 2, next_digits, RepeatsFrom(index, period))
         s = sup(family)
         nines = 10 ** period - 1
         want = 2 + (Fraction(int(head or "0")) + Fraction(int(cycle), nines)) \
@@ -514,9 +496,8 @@ class TestRepeatingTails:
         # 0.12(9) and 0.12(99) are the non-canonical spelling of 0.13
         for period in (1, 2):
             next_digits, _ = periodic_selection("12", "9" * period)
-            family = Family(PrefixMaxOracle(
-                lambda: 0, next_digits, RepeatsFrom(3, period),
-                negative=negative), TerminatingDecimal(1))
+            family = Family(lambda: 0, next_digits, RepeatsFrom(3, period),
+                            negative=negative)
             s = sup(family)
             assert isinstance(s, TerminatingReal)
             assert s.as_fraction() == Fraction(-13 if negative else 13, 100)
@@ -529,23 +510,18 @@ class TestRepeatingTails:
         last = index - 1 + period + HINT_WINDOW
         for broken_at in (index, index + period, last):
             next_digits, _ = periodic_selection(head, cycle, broken_at)
-            family = Family(PrefixMaxOracle(
-                lambda: 0, next_digits, RepeatsFrom(index, period)),
-                TerminatingDecimal(1))
+            family = Family(lambda: 0, next_digits,
+                            RepeatsFrom(index, period))
             with pytest.raises(CanonicalViolation):
                 sup(family)
         # past the window the claim is taken, and the value is the claim
         next_digits, _ = periodic_selection(head, cycle, last + 1)
-        s = sup(Family(PrefixMaxOracle(
-            lambda: 0, next_digits, RepeatsFrom(index, period)),
-            TerminatingDecimal(1)))
+        s = sup(Family(lambda: 0, next_digits, RepeatsFrom(index, period)))
         assert str(s) == f"0.{head}({cycle})"
 
     def test_wrong_period_raises(self):
         next_digits, _ = periodic_selection("", "123")
-        family = Family(PrefixMaxOracle(lambda: 0, next_digits,
-                                        RepeatsFrom(1, 2)),
-                        TerminatingDecimal(1))
+        family = Family(lambda: 0, next_digits, RepeatsFrom(1, 2))
         with pytest.raises(CanonicalViolation):
             sup(family)
 
@@ -563,7 +539,7 @@ class TestRepeatingTails:
         for family in (finite_family([real_from_fraction(f),
                                       real_from_fraction(f - 1)]),
                        lower_cut(real_from_fraction(f))):
-            assert family.oracle.tail is None
+            assert family.tail is None
             s = sup(family)
             assert isinstance(s, OracleReal)
             assert render_digits(s, 60) == fraction_prefix(f, 60)
@@ -635,12 +611,12 @@ class TestSelectionKernels:
     def test_lower_cut_matches_fraction_route(self, text):
         c = P(text)
         f = c.as_fraction()
-        oracle = lower_cut(c).oracle
-        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        family = lower_cut(c)
+        prefix = DigitPrefix(family.negative, family.max_integral(), "")
         ends_in_zero = 0
         for _ in range(80):
             want = self.cut_digit(f, prefix)
-            assert oracle.next_digits(prefix, 1) == str(want)
+            assert family.next_digits(prefix, 1) == str(want)
             prefix = prefix.extend(want)
             ends_in_zero += prefix.digits.endswith("0")
         assert ends_in_zero
@@ -649,11 +625,11 @@ class TestSelectionKernels:
     @settings(max_examples=60)
     def test_lower_cut_stream_matches_fraction_route(self, f):
         c = real_from_fraction(f)
-        oracle = lower_cut(c).oracle
-        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        family = lower_cut(c)
+        prefix = DigitPrefix(family.negative, family.max_integral(), "")
         for _ in range(40):
             want = self.cut_digit(f, prefix)
-            assert oracle.next_digits(prefix, 1) == str(want)
+            assert family.next_digits(prefix, 1) == str(want)
             prefix = prefix.extend(want)
 
     def test_certificate_time_bound(self):
@@ -936,7 +912,7 @@ class TestFamilyWitnesses:
             want = first_member_above(name, lo, hi)
         except Open:
             assume(False)
-        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        got = builtin_family(name).member_above(b, WITNESS_BUDGET)
         if want is None:
             assert got is None
         else:
@@ -950,7 +926,7 @@ class TestFamilyWitnesses:
         for p in (2, 3):
             b, (lo, hi) = shifted_root(top, -1, p, e)
             want = first_member_above(name, lo, hi)
-            got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+            got = builtin_family(name).member_above(b, WITNESS_BUDGET)
             assert got is not None and got.as_fraction() == want
 
     @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
@@ -964,7 +940,7 @@ class TestFamilyWitnesses:
         w, after = self.member_pair(name, i)
         b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + PASS_GUARD + 5)
         assert hi < w == first_member_above(name, lo, hi)
-        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        got = builtin_family(name).member_above(b, WITNESS_BUDGET)
         assert got is not None and got.as_fraction() == after
 
     @pytest.mark.parametrize("name", ["paper-B", "paper-D"])
@@ -975,7 +951,7 @@ class TestFamilyWitnesses:
         w, _ = self.member_pair(name, i)
         b, (lo, hi) = shifted_root(w, -1, 2, WITNESS_BUDGET + 5)
         assert hi < w == first_member_above(name, lo, hi)
-        got = builtin_family(name).oracle.member_above(b, WITNESS_BUDGET)
+        got = builtin_family(name).member_above(b, WITNESS_BUDGET)
         assert got is not None and got.as_fraction() == w
 
     @staticmethod
@@ -1029,7 +1005,7 @@ class TestVerdictReuse:
         monkeypatch.setattr(realnum, "_first_difference", counting)
         # the bound side asks the family's member_above(s), which orders
         # every member against s on its own
-        family.oracle.member_above(s, self.BUDGET)
+        family.member_above(s, self.BUDGET)
         bound_side = Counter(walks)
         walks.clear()
         verdict = check_sup_certificate(s, family, samples=20,
@@ -1094,23 +1070,23 @@ class TestLinearSelection:
            st.integers(min_value=1, max_value=200))
     @settings(max_examples=80, deadline=None)
     def test_member_block_follows_the_maximum(self, fs, start, width):
-        oracle = finite_family([real_from_fraction(f) for f in fs]).oracle
-        top = max(fs) if oracle.negative else max(f for f in fs if f >= 0)
+        family = finite_family([real_from_fraction(f) for f in fs])
+        top = max(fs) if family.negative else max(f for f in fs if f >= 0)
         ip, digits = fraction_prefix(top, start + width).lstrip("-").split(".")
-        head = DigitPrefix(oracle.negative, int(ip), digits[:start])
-        assert oracle.next_digits(head, width) == digits[start:]
+        head = DigitPrefix(family.negative, int(ip), digits[:start])
+        assert family.next_digits(head, width) == digits[start:]
 
     @given(fractions_st, st.integers(min_value=0, max_value=60),
            st.integers(min_value=1, max_value=120))
     @settings(max_examples=80, deadline=None)
     def test_cut_block_matches_fraction_route(self, f, start, width):
-        oracle = lower_cut(real_from_fraction(f)).oracle
-        prefix = DigitPrefix(oracle.negative, oracle.max_integral(), "")
+        family = lower_cut(real_from_fraction(f))
+        prefix = DigitPrefix(family.negative, family.max_integral(), "")
         for _ in range(start + width):
             prefix = prefix.extend(TestSelectionKernels.cut_digit(f, prefix))
         head = DigitPrefix(prefix.negative, prefix.int_part,
                            prefix.digits[:start])
-        assert oracle.next_digits(head, width) == prefix.digits[start:]
+        assert family.next_digits(head, width) == prefix.digits[start:]
 
     @given(fractions_st, st.integers(min_value=0, max_value=3),
            st.text("0123456789", max_size=12),
@@ -1124,19 +1100,19 @@ class TestLinearSelection:
         # prefixes off the selection: one that some member below c
         # extends reads on by Fraction sums, one that none extends has
         # left the cut
-        oracle = lower_cut(real_from_fraction(f)).oracle
-        prefix = DigitPrefix(oracle.negative, int_part, digits)
+        family = lower_cut(real_from_fraction(f))
+        prefix = DigitPrefix(family.negative, int_part, digits)
         value = int_part + Fraction(int(digits or "0"), 10 ** len(digits))
         inside = value < f if f > 0 else value + Fraction(
             1, 10 ** len(digits)) > -f
         if not inside:
             with pytest.raises(AssertionError):
-                oracle.next_digits(prefix, width)
+                family.next_digits(prefix, width)
             return
         want = prefix
         for _ in range(width):
             want = want.extend(TestSelectionKernels.cut_digit(f, want))
-        assert oracle.next_digits(prefix, width) == want.digits[len(digits):]
+        assert family.next_digits(prefix, width) == want.digits[len(digits):]
 
     def test_long_cut_stream(self):
         # 2.3 s for 8000 digits when every digit rebuilt the prefix and
