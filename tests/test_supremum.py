@@ -198,6 +198,26 @@ class TestFamilyMachinery:
             with pytest.raises(CanonicalViolation):
                 sup(dishonest)
 
+    def test_all_zeros_hint_must_be_honest(self):
+        # the family selects 0.7000... with its fifth digit raised and
+        # announces zeros repeated from the second digit on
+        next_digits, _ = periodic_selection("7", "0", broken_at=5)
+        dishonest = Family(
+            max_integral=lambda: 0, next_digits=next_digits,
+            tail=RepeatsFrom(2, 1),
+            description="claims zeros over a broken zero tail")
+        with pytest.raises(CanonicalViolation):
+            sup(dishonest)
+
+    def test_all_nines_hint_must_be_honest(self):
+        next_digits, _ = periodic_selection("7", "9", broken_at=5)
+        dishonest = Family(
+            max_integral=lambda: 0, next_digits=next_digits,
+            tail=RepeatsFrom(2, 1),
+            description="claims nines over a broken nine tail")
+        with pytest.raises(CanonicalViolation):
+            sup(dishonest)
+
     def test_early_all_zeros_hint_short_circuits(self):
         # announcing zeros before any digit is selected is a consistent
         # claim that the supremum is the integral part itself
