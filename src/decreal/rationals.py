@@ -21,7 +21,7 @@ from .realnum import (
     _digit_compare,
     real_from_fraction,
 )
-from .terminating import Comparison
+from .terminating import _LEAF, Comparison
 
 Rational = Fraction
 
@@ -43,15 +43,19 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
     On the magnitude y0 = |x| - [|x|]: digit k is [10 * y_{k-1}], and
     the scaled remainder carries to the next step.  For an exact source
     |x| = a/q, the recurrence runs on the integer remainder p = q * y,
-    so each step is one ``divmod(10 * p, q)``.  Negative values are
-    expanded on the magnitude and the sign reattached.  For an exact
-    source this is a genuinely independent route to the same digits as
-    the decimal-module division behind ``PeriodicReal``, which makes a
-    whole block of digits at once.  An all-nines tail
-    would require some remainder to reach q, which the invariant
-    0 <= p < q rules out, so the trailing replacement can never fire
-    here; digit-stream sources are read off as already-canonical digits
-    instead.
+    B = ``_LEAF`` digits at a time: the block of B digits after p is
+    [10**B * p / q], one ``divmod(p * 10**B, q)`` leaves the next
+    remainder, and the block is the quotient's ``str()`` padded with
+    leading zeros (the last block is as wide as the digits left).  The
+    work is linear in n, and every ``str()`` stays under the
+    interpreter's int-to-str cap.  Negative values are expanded on the
+    magnitude and the sign reattached.  This is plain integer division,
+    so for an exact source it is an independent route to the same
+    digits as the decimal-module division behind ``PeriodicReal``.  An
+    all-nines tail would require some remainder to reach q, which the
+    invariant 0 <= p < q rules out, so the trailing replacement can
+    never fire here; digit-stream sources are read off as
+    already-canonical digits instead.
     """
     if n < 0:
         raise ValueError("digit count must be non-negative")
@@ -60,12 +64,13 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
     f = x.as_fraction()
     q = f.denominator
     int_part, p = divmod(abs(f.numerator), q)
-    digits = []
-    for _ in range(n):
-        d, p = divmod(10 * p, q)
-        digits.append(str(d))
+    blocks = []
+    for start in range(0, n, _LEAF):
+        width = min(_LEAF, n - start)
+        block, p = divmod(p * 10 ** width, q)
+        blocks.append(str(block).rjust(width, "0"))
         assert 0 <= p < q
-    return DigitPrefix(f < 0, int_part, "".join(digits))
+    return DigitPrefix(f < 0, int_part, "".join(blocks))
 
 
 @frozen
@@ -95,7 +100,7 @@ def assert_no_period(x: RealNumber, max_period: int,
     ds = decimal_representation(x, window).digits
     for p in range(1, max_period + 1):
         for o in range(0, max_offset + 1):
-            if all(ds[i] == ds[i + p] for i in range(o, window - p)):
+            if ds[o:window - p] == ds[o + p:window]:
                 return PeriodFound(o, ds[o:o + p])
     return NoPeriodFound(window)
 
@@ -177,9 +182,11 @@ def phi_check(x: Rational, y: Rational) -> PhiOk | PhiViolation:
             f"product mismatch for ({x}, {y}): "
             f"{embedded_product} vs {computed_product}")
 
+    a, q = abs(x.numerator), x.denominator
     for i in (1, 2, 5, 11):
-        direct = (abs(x) * 10 ** i).__floor__() % 10
-        if dx.digit_at(i) != direct:
+        direct = a * 10 ** i // q % 10
+        streamed = dx.digit_at(i)
+        if streamed != direct:
             return PhiViolation(
-                f"digit {i} of {x}: stream {dx.digit_at(i)}, direct {direct}")
+                f"digit {i} of {x}: stream {streamed}, direct {direct}")
     return PhiOk()

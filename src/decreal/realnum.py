@@ -273,8 +273,11 @@ class PeriodicReal(RealNumber):
     is_exact = True
 
     def __post_init__(self):
-        if split_denominator(self.fraction.denominator)[0] == 1:
+        # (q, k) of the denominator, kept for _expansion
+        split = split_denominator(self.fraction.denominator)
+        if split[0] == 1:
             raise ValueError("value terminates; use TerminatingReal")
+        object.__setattr__(self, "_split", split)
 
     @cached_property
     def _expansion(self) -> tuple[str, str]:
@@ -287,7 +290,7 @@ class PeriodicReal(RealNumber):
         """
         limit = MAX_EXPANSION_DIGITS
         _, r, den = self._magnitude
-        q, k = split_denominator(den)
+        q, k = self._split
         if k > limit:
             raise ExpansionTooLong(self.fraction, limit)
         pre, s = divmod(r * (10 ** k // (den // q)), q)
@@ -346,7 +349,7 @@ class PeriodicReal(RealNumber):
         return self.fraction, self.fraction
 
     def negated(self) -> "PeriodicReal":
-        return PeriodicReal(-self.fraction)
+        return _periodic(-self.fraction, self._split)
 
     def _ratio(self) -> tuple[int, int, int]:
         return self.fraction.numerator, self.fraction.denominator, 0
@@ -409,12 +412,23 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
     return None
 
 
+def _periodic(value: Fraction, split: tuple[int, int]) -> PeriodicReal:
+    """``PeriodicReal(value)`` when the caller has already split the
+    denominator, ``split = split_denominator(...)`` with q != 1: the same
+    object, without splitting it a second time for the check."""
+    x = object.__new__(PeriodicReal)
+    object.__setattr__(x, "fraction", value)
+    object.__setattr__(x, "_split", split)
+    return x
+
+
 def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise."""
-    if split_denominator(value.denominator)[0] == 1:
+    split = split_denominator(value.denominator)
+    if split[0] == 1:
         return TerminatingReal(TerminatingDecimal.from_fraction(value))
-    return PeriodicReal(value)
+    return _periodic(value, split)
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))

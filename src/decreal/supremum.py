@@ -378,6 +378,12 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
     upper bounds.  Raises OrderUndecided if a probe can settle neither
     way within the budget.
 
+    Leastness is sampled, not proved: an s above the true supremum by
+    much less than 2^-samples can still Pass.  At samples=20, s = 0.5 +
+    10^-50 passes for ``lower_cut(0.5)``, as does sqrt(2) + sqrt(3) +
+    10^-50 for the truncation sums of sqrt(2) and sqrt(3); ``compare``
+    against ``sup(S)`` tells both apart from the supremum.
+
     When s is a stream (an OracleReal), the member a probe finds above p
     is ordered against s once per member: unless the member is a
     ComputedReal, the verdict depends on their digits alone, so later

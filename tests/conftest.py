@@ -4,8 +4,9 @@ The oracles here deliberately avoid the production code paths: digits
 come from grade-school sequential long division (production's
 ``digit_at`` uses modular exponentiation, its prefixes and periods one
 division per block of digits) or from Fraction multiples where
-production's ``decimal_representation`` runs long division itself,
-square roots by the long-hand digit-pair method (production uses
+production's ``decimal_representation`` runs long division itself, one
+integer division per block of digits, square roots by the long-hand
+digit-pair method (production uses
 ``math.isqrt``), and period structure from the multiplicative order of
 10 (production reads the preperiod length off the factors 2 and 5 and
 finds the period where the leading digits recur).  Expected values in

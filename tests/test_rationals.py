@@ -3,9 +3,9 @@ order/sum/product preservation checker.
 
 Oracles: digits read off Fraction multiples, multiplicative-order period
 structure, and Fraction arithmetic — all from conftest.  Production's
-``decimal_representation`` is itself integer long division, so it is
-checked against the Fraction route, not against conftest's long
-division."""
+``decimal_representation`` is itself integer long division, a block of
+digits per division, so it is checked against the Fraction route, not
+against conftest's long division."""
 
 import time
 from fractions import Fraction
@@ -19,10 +19,12 @@ from conftest import (
     fraction_digit,
     rand_fraction,
 )
+from decreal import rationals
 from decreal.rationals import (
     NoPeriodFound,
     PeriodFound,
     PhiOk,
+    PhiViolation,
     _divergence_budget,
     assert_no_period,
     decimal_representation,
@@ -33,6 +35,7 @@ from decreal.rationals import (
 from decreal.realnum import OracleReal, PeriodicReal, TerminatingReal
 from decreal.arithmetic import sqrt
 from decreal.realnum import parse_real
+from decreal.terminating import _LEAF as B
 
 fractions_st = st.fractions(min_value=-10**4, max_value=10**4,
                             max_denominator=10**4)
@@ -95,6 +98,34 @@ class TestDecimalRepresentation:
         x = OracleReal(digit_fn=lambda i: i % 10, negative=False, int_part=3)
         assert decimal_representation(x, 5).render() == "3.12345"
 
+    @pytest.mark.parametrize("f", [
+        pytest.param(Fraction(22, 7), id="periodic"),
+        pytest.param(Fraction(-355, 113), id="negative"),
+        pytest.param(Fraction(3, 2**1200), id="terminating"),
+        pytest.param(Fraction(-7, 10**5), id="negative-terminating"),
+        # 2/3 + 1/q with q = 3**2095, a 1000-digit denominator: sixes for
+        # about a thousand digits, then the digits of 1/q show
+        pytest.param(Fraction(2 * 3**2094 + 1, 3**2095), id="long-denominator"),
+        pytest.param(Fraction(-(10**999 // 7), 3**2095 + 2),
+                     id="negative-long-denominator"),
+    ])
+    def test_block_boundaries(self, f):
+        # widths on both sides of the block width B, past the
+        # interpreter's 4300-digit int-to-str cap, and 10**4; every
+        # position up to 2B + 1 and sampled positions beyond it are
+        # checked against digits read off Fraction multiples
+        head = "".join(str(fraction_digit(f, i)) for i in range(1, 2 * B + 2))
+        x = to_decimal(f)
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 1, 4301, 10**4):
+            got = decimal_representation(x, n)
+            assert (got.negative, got.int_part) == (f < 0, int(abs(f)))
+            assert len(got.digits) == n
+            assert got.digits[:2 * B + 1] == head[:n]
+            for i in (2 * B + 2, 3 * B, 3 * B + 1, 4300, 4301, 7777,
+                      10**4 - 1, 10**4):
+                if i <= n:
+                    assert int(got.digits[i - 1]) == fraction_digit(f, i), i
+
 
 class TestAssertNoPeriod:
     def test_sqrt2(self):
@@ -117,6 +148,12 @@ class TestAssertNoPeriod:
 
         x = OracleReal(digit_fn=digit, negative=False, int_part=0)
         assert isinstance(assert_no_period(x, 20, 100), NoPeriodFound)
+
+    def test_last_window_digit_counts(self):
+        # the window is 0 + 2 * 2 digits, 1213: the 12 of period 2 breaks
+        # at the window's last digit
+        out = assert_no_period(to_decimal(Fraction(1213, 10**4)), 2, 0)
+        assert out == NoPeriodFound(window=4)
 
     def test_finds_offset_periods(self):
         out = assert_no_period(to_decimal(Fraction(1, 6)), 5, 5)
@@ -164,6 +201,49 @@ class TestPhiCheck:
         start = time.process_time()
         assert isinstance(phi_check(x, x + Fraction(1, 10**20000)), PhiOk)
         assert time.process_time() - start < 0.5
+
+
+class TestPhiViolation:
+    """Each branch of phi_check reports a route that breaks the
+    embedding: one route at a time is made wrong."""
+
+    def test_digit_walk_order(self, monkeypatch):
+        walk = rationals._digit_compare
+        monkeypatch.setattr(rationals, "_digit_compare",
+                            lambda u, v, budget: walk(v, u, budget))
+        out = phi_check(Fraction(1, 3), Fraction(1, 2))
+        assert isinstance(out, PhiViolation)
+        assert out.detail.startswith("order mismatch for (1/3, 1/2)")
+
+    @pytest.mark.parametrize("name,branch", [
+        ("add", "sum"), ("mul", "product")])
+    def test_neighbouring_result(self, monkeypatch, name, branch):
+        # the right value moved by 10**-12
+        op = getattr(rationals, name)
+
+        def neighbour(u, v):
+            return to_decimal(op(u, v).as_fraction() + Fraction(1, 10**12))
+
+        monkeypatch.setattr(rationals, name, neighbour)
+        out = phi_check(Fraction(2, 7), Fraction(-5, 3))
+        assert isinstance(out, PhiViolation)
+        assert out.detail.startswith(f"{branch} mismatch for (2/7, -5/3)")
+
+    @pytest.mark.parametrize("position", [1, 2, 5, 11])
+    def test_wrong_periodic_digit(self, monkeypatch, position):
+        digit_at = PeriodicReal.digit_at
+
+        def wrong(self, i):
+            return (digit_at(self, i) + (i == position)) % 10
+
+        monkeypatch.setattr(PeriodicReal, "digit_at", wrong)
+        for x in (Fraction(1, 7), Fraction(-22, 7)):
+            out = phi_check(x, Fraction(1, 2))
+            assert isinstance(out, PhiViolation)
+            right = fraction_digit(x, position)
+            assert out.detail == (
+                f"digit {position} of {x}: stream {(right + 1) % 10}, "
+                f"direct {right}")
 
 
 def budget_by_trial(x: Fraction, y: Fraction) -> int:

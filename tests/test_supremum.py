@@ -773,6 +773,18 @@ class TestCertificates:
         assert isinstance(check_sup_certificate(low, S, samples=8),
                           FailBound)
 
+    def test_leastness_is_sampled(self):
+        # the probes sit at s - 2**-k for k <= samples: an s above the
+        # supremum by 10**-50 passes at samples=20, one above it by
+        # 10**-5 > 2**-20 does not, and compare tells both from sup
+        L = builtin_family("lower-cut 0.5")
+        close, far = P("0.5" + "0" * 48 + "1"), P("0.50001")
+        assert isinstance(check_sup_certificate(close, L, samples=20), Pass)
+        assert isinstance(check_sup_certificate(far, L, samples=20),
+                          FailLeastness)
+        for s in (close, far):
+            assert compare(s, sup(L)) is Comparison.GT
+
 
 class TestSetFiles:
     def test_literal_file(self, tmp_path):
