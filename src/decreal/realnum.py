@@ -349,7 +349,7 @@ class PeriodicReal(RealNumber):
         return self.fraction, self.fraction
 
     def negated(self) -> "PeriodicReal":
-        return _periodic(-self.fraction, self._split)
+        return PeriodicReal(-self.fraction)
 
     def _ratio(self) -> tuple[int, int, int]:
         return self.fraction.numerator, self.fraction.denominator, 0
@@ -412,23 +412,12 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
     return None
 
 
-def _periodic(value: Fraction, split: tuple[int, int]) -> PeriodicReal:
-    """``PeriodicReal(value)`` when the caller has already split the
-    denominator, ``split = split_denominator(...)`` with q != 1: the same
-    object, without splitting it a second time for the check."""
-    x = object.__new__(PeriodicReal)
-    object.__setattr__(x, "fraction", value)
-    object.__setattr__(x, "_split", split)
-    return x
-
-
 def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise."""
-    split = split_denominator(value.denominator)
-    if split[0] == 1:
+    if split_denominator(value.denominator)[0] == 1:
         return TerminatingReal(TerminatingDecimal.from_fraction(value))
-    return _periodic(value, split)
+    return PeriodicReal(value)
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
