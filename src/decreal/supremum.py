@@ -18,8 +18,8 @@ negated at the end).
 
 Certification runs the other way: ``is_upper_bound`` and
 ``check_sup_certificate`` test a claimed supremum against members and
-against sampled smaller bounds, never trusting the selection procedure
-that produced it.
+against one smaller bound, 10^-samples below it, never trusting the
+selection procedure that produced it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .realnum import (
     DEFAULT_BUDGET,
-    ComputedReal,
     DigitPrefix,
     OracleReal,
     PeriodicReal,
@@ -286,7 +285,13 @@ class Undecided:
 
 @frozen
 class Pass:
-    pass
+    """The evidence of a certificate: ``member`` lies above ``probe`` =
+    s - 10^-``samples``, as ordered within ``budget``."""
+
+    probe: RealNumber
+    member: RealNumber
+    samples: int
+    budget: int
 
 
 @frozen
@@ -367,33 +372,30 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
                           samples: int = 50,
                           budget: int = DEFAULT_BUDGET
                           ) -> Pass | FailBound | FailLeastness:
-    """Sampled certification that s is the least upper bound of S.
+    """Certification that s is the least upper bound of S, to ``samples``
+    decimal digits.
 
     Two obligations: s bounds every member (FailBound with a member
-    witness otherwise), and nothing below s does — probed at the dyadic
-    offsets p = s - 2^-k for k = 1..samples, plus a betweenness probe
-    tightening each offset toward s.  A probe p refutes leastness when
-    no member exceeds it and p itself checks out as an upper bound
-    (FailLeastness with witness p).  Sanity samples above s must stay
-    upper bounds.  Raises OrderUndecided if a probe can settle neither
-    way within the budget.
+    witness otherwise), and no upper bound of S lies below the one probe
+    p = s - 10^-samples, the claim the paper's digit-by-digit
+    construction supports at that many digits.  A member q above p
+    meets the second (FailBound if q is above s after all); with no
+    member found, p refutes leastness when it checks out as an upper
+    bound (FailLeastness with witness p).  A member above p is above
+    every coarser probe too, so ``Pass`` carries p, that member,
+    ``samples`` and the budget as its evidence.  Raises OrderUndecided
+    if the probe settles neither way within the budget, as it can when
+    the budget does not reach past ``samples`` digits.
 
-    Leastness is sampled, not proved: an s above the true supremum by
-    much less than 2^-samples can still Pass.  At samples=20, s = 0.5 +
-    10^-50 passes for ``lower_cut(0.5)``, as does sqrt(2) + sqrt(3) +
-    10^-50 for the truncation sums of sqrt(2) and sqrt(3); ``compare``
-    against ``sup(S)`` tells both apart from the supremum.
-
-    When s is a stream (an OracleReal), the member a probe finds above p
-    is ordered against s once per member: unless the member is a
-    ComputedReal, the verdict depends on their digits alone, so later
-    probes that find the same member reuse it.  An exact s orders an
-    exact member exactly, which costs less than the lookup.  The bound
-    side of a family asks its ``member_above(s)``, which orders the
-    members on its own.
+    Leastness holds to the resolution, not beyond it: an s above the
+    true supremum by less than 10^-samples can still Pass.  For
+    ``lower_cut(0.5)``, s = 0.5 + 10^-50 passes at samples=20 and fails
+    at samples=60; ``compare`` against ``sup(S)`` tells it apart from
+    the supremum either way.  The name ``samples`` is kept for the
+    callers that pass it.
     """
     if samples < 1:
-        raise ValueError("at least one sample is required")
+        raise ValueError("at least one digit of resolution is required")
     s = _as_real(s)
     if isinstance(S, FiniteSet):
         verdict = is_upper_bound(s, S, budget)
@@ -411,46 +413,21 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
         if w is not None:
             return FailBound(w)
 
-    verdicts: Optional[dict[RealNumber, Comparison]] = (
-        {} if isinstance(s, OracleReal) else None)
-
-    def leastness_probe(p: RealNumber) -> Optional[FailBound | FailLeastness]:
-        q = _member_above(S, p, budget)
-        if q is not None:
-            if verdicts is None or isinstance(q, ComputedReal):
-                c = compare(q, s, budget)
-            else:
-                c = verdicts[q] = verdicts.get(q) or compare(q, s, budget)
-            return FailBound(q) if c is Comparison.GT else None
-        inner = is_upper_bound(p, S, budget)
-        if isinstance(inner, Yes):
-            if compare(p, s, budget) is Comparison.LT:
-                return FailLeastness(p)
-            return None
-        if isinstance(inner, No):
-            return None
-        raise OrderUndecided(
-            "a leastness probe could settle neither way within the budget")
-
-    for k in range(1, samples + 1):
-        # 2^-k, exactly: 5^k / 10^k
-        p = add(s, TerminatingReal(TerminatingDecimal(-5 ** k, k)))
-        outcome = leastness_probe(p)
-        if outcome is not None:
-            return outcome
-        try:
-            tighter = between(p, s, budget)
-        except OrderUndecided:
-            continue
-        outcome = leastness_probe(TerminatingReal(tighter))
-        if outcome is not None:
-            return outcome
-    for k in range(1, min(3, samples) + 1):
-        above = add(s, TerminatingReal(TerminatingDecimal(5 ** k, k)))
-        verdict = is_upper_bound(above, S, budget)
-        if isinstance(verdict, No):
-            return FailBound(verdict.witness)
-    return Pass()
+    p = add(s, TerminatingReal(TerminatingDecimal(-1, samples)))
+    q = _member_above(S, p, budget)
+    if q is not None:
+        if compare(q, s, budget) is Comparison.GT:
+            return FailBound(q)
+        return Pass(p, q, samples, budget)
+    # the bound side showed s an upper bound, so every value above s is
+    # one too: only the probe below s can refute leastness
+    inner = is_upper_bound(p, S, budget)
+    if isinstance(inner, Yes):
+        return FailLeastness(p)
+    if isinstance(inner, No):
+        return Pass(p, inner.witness, samples, budget)
+    raise OrderUndecided(
+        "the leastness probe could settle neither way within the budget")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ against it:
 * the computed value passes the family's supremum certificate;
 * it never compares strictly against the family's own supremum;
 * moved down by 10**-50 it fails the bound side with a member witness,
-  and moved up by 10**-50 it compares above the supremum at budget 52;
+  moved up by 10**-5 it fails leastness, and moved up by 10**-50 it
+  compares above the supremum at budget 52;
 * its enclosure at n digits is at most 10**-n wide and meets the
   interval in which the definition puts the supremum.
 
@@ -34,6 +35,7 @@ from decreal.realnum import compare, parse_real, real_from_fraction
 from decreal.supremum import (
     Family,
     FailBound,
+    FailLeastness,
     Pass,
     check_sup_certificate,
     sup,
@@ -207,6 +209,18 @@ class TestTruncationSuprema:
                                         budget=BUDGET)
         assert isinstance(verdict, FailBound)
         assert compare(verdict.witness, low, BUDGET) is Comparison.GT
+
+    def test_raised_value_fails_leastness(self, case):
+        # 10**-5 above the value is above the probe 10**-SAMPLES under
+        # it, so nothing in the family reaches the probe
+        family = truncation_family(case)
+        high = shifted(case.build(), 5, 1)
+        verdict = check_sup_certificate(high, family, samples=SAMPLES,
+                                        budget=BUDGET)
+        assert isinstance(verdict, FailLeastness)
+        assert compare(verdict.witness, high, BUDGET) is Comparison.LT
+        assert compare(sup(family), verdict.witness, BUDGET) \
+            is Comparison.LT
 
     def test_raised_value_compares_above(self, case):
         family = truncation_family(case)

@@ -26,8 +26,13 @@ from conftest import (
     unhinted,
 )
 from decreal import realnum
-from decreal.errors import CanonicalViolation, MalformedLiteral
+from decreal.errors import (
+    CanonicalViolation,
+    MalformedLiteral,
+    OrderUndecided,
+)
 from decreal.realnum import (
+    DEFAULT_BUDGET,
     MAX_EXPANSION_DIGITS,
     PASS_GUARD,
     DigitPrefix,
@@ -741,7 +746,8 @@ class TestCertificates:
         A = builtin_family("paper-A")
         out = check_sup_certificate(P("3"), A, samples=50, budget=200)
         assert isinstance(out, FailLeastness)
-        assert out.witness.as_fraction() == Fraction(5, 2)
+        # an upper bound below 3, no smaller than the supremum 2.120(1)
+        assert Fraction(19081, 9000) <= out.witness.as_fraction() < 3
         out = check_sup_certificate(P("2"), A, samples=50, budget=200)
         assert isinstance(out, FailBound)
         assert out.witness.as_fraction() == Fraction(53, 25)
@@ -774,14 +780,16 @@ class TestCertificates:
                           FailBound)
 
     def test_leastness_is_sampled(self):
-        # the probes sit at s - 2**-k for k <= samples, so an s above the
-        # supremum by 10**-5 > 2**-20 fails at samples=20.  One above it
-        # by 10**-50 is a documented limit: it may Pass (see the
-        # check_sup_certificate docstring); whatever the certificate
-        # says, compare puts both above sup
+        # the probe sits at s - 10**-samples, so an s above the supremum
+        # by 10**-5 fails at samples=20, and one above it by 10**-50 at
+        # samples=60; below that resolution it may Pass (see the
+        # check_sup_certificate docstring), and compare puts both above
+        # sup whatever the certificate says
         L = builtin_family("lower-cut 0.5")
         close, far = P("0.5" + "0" * 48 + "1"), P("0.50001")
         assert isinstance(check_sup_certificate(far, L, samples=20),
+                          FailLeastness)
+        assert isinstance(check_sup_certificate(close, L, samples=60),
                           FailLeastness)
         for s in (close, far):
             assert compare(s, sup(L)) is Comparison.GT
@@ -1007,9 +1015,9 @@ class TestFamilyWitnesses:
 
 
 class TestVerdictReuse:
-    """A leastness probe orders the member it finds against s once per
-    member, and later probes reuse the verdict; the verdicts and
-    witnesses of whole certificates are checked against Fractions."""
+    """The one leastness probe orders the member it finds against s at
+    most once; the verdicts and witnesses of whole certificates are
+    checked against Fractions."""
 
     BUDGET = 100
     PAPER_A = (Fraction(1), Fraction(212, 100), Fraction(10, 9),
@@ -1046,14 +1054,15 @@ class TestVerdictReuse:
         assert isinstance(verdict, Pass)
         probes = {i: walks[i] - bound_side[i] for i in walks}
         assert bound_side == {2: 1, 3: 1}
-        # 40 probes, each finding the maximum or 60.(142857) above it
-        assert probes == {2: 1, 3: 1}
+        # one probe, finding one member above it and ordering it against
+        # s once
+        assert sum(probes.values()) <= 1
 
     def check(self, S, top, eps, first_above):
         """Pass at the supremum top, FailLeastness above it and FailBound
-        below it, with witnesses that the Fractions bear out.  The 8
-        probes below a candidate reach 2**-8 under it, so a candidate
-        less than that above top could pass."""
+        below it, with witnesses that the Fractions bear out.  The probe
+        sits 10**-8 under a candidate, so a candidate less than that
+        above top could pass."""
         def certify(s):
             return check_sup_certificate(s, S, samples=8, budget=self.BUDGET)
 
@@ -1093,6 +1102,72 @@ class TestVerdictReuse:
         self.check(family, top, eps,
                    lambda b: next(v for v in values if v > b))
         self.check(lower_cut(real_from_fraction(top)), top, eps, None)
+
+
+class TestResolution:
+    """Leastness to ``samples`` decimal digits: s + 10**-j fails for every
+    j < samples - 2, the supremum s itself passes, and the evidence a
+    Pass carries replays with Fractions: its probe is s - 10**-samples
+    exactly and its member, a member of the set, lies above the
+    probe."""
+
+    SAMPLES = 20
+    JS = (1, 5, 11, 17)
+
+    def check(self, S, top, is_member):
+        s = sup(S)
+        assert s.as_fraction() == top
+        verdict = check_sup_certificate(s, S, samples=self.SAMPLES)
+        assert isinstance(verdict, Pass)
+        assert (verdict.samples, verdict.budget) == (self.SAMPLES,
+                                                     DEFAULT_BUDGET)
+        p, q = verdict.probe.as_fraction(), verdict.member.as_fraction()
+        assert p == top - Fraction(1, 10**self.SAMPLES)
+        assert p < q and is_member(q)
+        for j in self.JS:
+            high = top + Fraction(1, 10**j)
+            out = check_sup_certificate(real_from_fraction(high), S,
+                                        samples=self.SAMPLES)
+            assert isinstance(out, FailLeastness), (j, out)
+            assert top <= out.witness.as_fraction() < high
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_finite_sets(self, seed):
+        rng = random.Random(seed)
+        values = [Fraction(rng.randint(-999, 999),
+                           rng.choice((1, 3, 4, 7, 9, 12, 40, 625)))
+                  for _ in range(rng.randint(1, 6))]
+        members = tuple(map(real_from_fraction, values))
+        for S in (FiniteSet(members), finite_family(members)):
+            self.check(S, max(values), values.__contains__)
+
+    @pytest.mark.parametrize("name", ["paper-A", "paper-B", "paper-C",
+                                      "paper-D"])
+    def test_builtins(self, name):
+        if name == "paper-A":
+            values = TestVerdictReuse.PAPER_A
+            top = max(values)
+        else:  # the member above the probe is among the first 60
+            values = tuple(islice(family_members(name), 60))
+            top = FAMILY_SUPREMA[name]
+        self.check(builtin_family(name), top, values.__contains__)
+
+    @pytest.mark.parametrize("literal", ["0.5", "0", "-45.125", "0.(142857)",
+                                         "-3.1(6)", "2.120(1)",
+                                         "-0.000(27)"])
+    def test_lower_cuts(self, literal):
+        c = P(literal)
+        top = c.as_fraction()
+        self.check(lower_cut(c), top, top.__gt__)
+
+    def test_resolution_past_the_budget_is_undecided(self):
+        # a member of the cut above s - 10**-50 has more digits than a
+        # budget of 45 reads, so the probe is refused, not guessed
+        L = lower_cut(P("0.(142857)"))
+        with pytest.raises(OrderUndecided):
+            check_sup_certificate(sup(L), L, samples=50, budget=45)
+        assert isinstance(
+            check_sup_certificate(sup(L), L, samples=50, budget=60), Pass)
 
 
 class TestLinearSelection:
