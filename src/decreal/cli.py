@@ -16,21 +16,16 @@ example ``51.43``, ``0.(142857)``, ``2.120(1)``.  Fractions like
 ``22/7`` need no special casing: ``/`` is division and the exact paths
 make the quotient exact.
 
-Parentheses and ``sqrt(...)`` may nest at most ``MAX_NESTING`` levels
-deep; deeper input is rejected as malformed.
+``parse_expression`` returns a postfix program, a list of steps:
 
-``parse_expression`` returns a node, which is one of
+* a literal's ``RealNumber``;
+* ``"neg"``, ``"inv"`` (reciprocal) or ``"sqrt"`` of the last value;
+* ``("+", n)`` or ``("*", n)``, n >= 2: the sum or product of the last n
+  values, a whole chain of one precedence level, with ``a - b`` stored
+  as ``a``, ``b``, ``"neg"`` and ``a / b`` as ``a``, ``b``, ``"inv"``.
 
-* a literal's ``RealNumber`` itself;
-* ``(op, operand)`` with op ``"neg"``, ``"inv"`` (reciprocal) or
-  ``"sqrt"``;
-* ``("+", [operands])`` or ``("*", [operands])``: a whole chain of one
-  precedence level as one list of at least two operands, with ``a - b``
-  stored as ``a`` and ``("neg", b)`` and ``a / b`` as ``a`` and
-  ``("inv", b)``.
-
-Only parentheses and ``sqrt`` nest nodes; ``evaluate_expression`` builds
-the value.
+``evaluate_expression`` builds the value.  Both are loops over explicit
+stacks, so parentheses and ``sqrt(...)`` nest as deep as the text goes.
 
 Exit codes: 0 success; 1 malformed input, a usage error, a negative
 ``--digits`` or ``--budget``, or I/O failure; 2 digits could not
@@ -44,7 +39,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .arithmetic import add, evaluate, mul, neg, reciprocal, sqrt
 from .errors import (
@@ -67,19 +62,11 @@ from .supremum import load_set_file, sup
 from .terminating import _LITERAL, Comparison, int_from_digits
 
 DEFAULT_DIGITS = 30
-# the limit guards only the parser, which recurses three frames per
-# level (factor, expr, term): 200 levels stay inside the interpreter's
-# default recursion limit of 1000, with room for callers.  A value is
-# refined on an explicit stack, whatever its depth
-MAX_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
-
-Expression = Union[RealNumber, tuple[str, "Expression"],
-                   tuple[str, list["Expression"]]]
 
 # a literal token is checked in full by parse_real
 _TOKEN = re.compile(
@@ -103,96 +90,100 @@ def _tokenize(text: str) -> list[Optional[str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Optional[str]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0
+def parse_expression(text: str) -> list[RealNumber | str | tuple[str, int]]:
+    """The postfix program of ``text``, in one pass over its tokens.
 
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise MalformedLiteral("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise MalformedLiteral(f"expected {tok!r}, found {got!r}")
-
-    def expr(self) -> Expression:
-        terms = [self.term()]
-        while (op := self.tokens[self.pos]) in ("+", "-"):
-            self.pos += 1
-            term = self.term()
-            terms.append(term if op == "+" else ("neg", term))
-        return terms[0] if len(terms) == 1 else ("+", terms)
-
-    def term(self) -> Expression:
-        factors = [self.factor()]
-        while (op := self.tokens[self.pos]) in ("*", "/"):
-            self.pos += 1
-            factor = self.factor()
-            factors.append(factor if op == "*" else ("inv", factor))
-        return factors[0] if len(factors) == 1 else ("*", factors)
-
-    def factor(self) -> Expression:
-        tok = self.take()
-        negate = tok == "-"
-        if negate:
-            tok = self.take()
-        if tok in ("sqrt", "("):
-            if tok == "sqrt":
-                self.expect("(")
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
-                raise MalformedLiteral(
-                    f"expression nests deeper than {MAX_NESTING} levels")
-            node = self.expr()
-            self.expect(")")
-            self.nesting -= 1
-            if tok == "sqrt":
-                node = ("sqrt", node)
-        elif tok in ("+", "-", "*", "/", ")"):
-            raise MalformedLiteral(f"expected a value, found {tok!r}")
-        else:
-            node = parse_real(tok)
-        return ("neg", node) if negate else node
-
-
-def parse_expression(text: str) -> Expression:
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    tok = parser.tokens[parser.pos]
-    if tok is not None:
-        raise MalformedLiteral(f"trailing input after expression: {tok!r}")
-    return node
-
-
-def evaluate_expression(node: Expression) -> RealNumber:
-    """The value of an expression node.
-
-    Operands are evaluated left to right.  A sum is one n-ary ``add``; a
-    product is combined in pairs, so a chain of n factors nests
-    ceil(log2 n) deep.
+    Every syntax error raises ``MalformedLiteral`` here, before any
+    arithmetic runs.
     """
-    if isinstance(node, RealNumber):
-        return node
-    op, arg = node
-    if op == "+":
-        return add(*map(evaluate_expression, arg))
-    if op == "*":
-        operands = list(map(evaluate_expression, arg))
-        while len(operands) > 1:
-            paired = [mul(a, b)
-                      for a, b in zip(operands[::2], operands[1::2])]
-            operands = paired + operands[len(paired) * 2:]
-        return operands[0]
-    value = evaluate_expression(arg)
-    if op == "neg":
-        return neg(value)
-    return reciprocal(value) if op == "inv" else sqrt(value)
+    program: list[RealNumber | str | tuple[str, int]] = []
+    # what waits, innermost last: "sqrt", "neg" and "inv" for the end of
+    # their factor, "-" for the end of its term, and for each open
+    # parenthesis the (terms, factors) counts of the group around it
+    pending: list = []
+    terms = factors = 0
+    operand = True  # whether the next token starts a factor
+    for tok in _tokenize(text):
+        if operand:
+            top = pending[-1] if pending else None
+            if tok is None:
+                raise MalformedLiteral("unexpected end of expression")
+            # "sqrt" on top: sqrt came last, as "(" stacks counts over it
+            if top == "sqrt" and tok != "(":
+                raise MalformedLiteral(f"expected '(', found {tok!r}")
+            if tok == "(":
+                pending.append((terms, factors))
+                terms = factors = 0
+            # a factor takes at most one unary minus
+            elif tok == "sqrt" or tok == "-" and top != "neg":
+                pending.append("sqrt" if tok == "sqrt" else "neg")
+            elif tok in ("+", "-", "*", "/", ")"):
+                raise MalformedLiteral(f"expected a value, found {tok!r}")
+            else:
+                program.append(parse_real(tok))
+                operand = False
+            continue
+        # the factor before tok ends
+        while pending and pending[-1] in ("sqrt", "neg", "inv"):
+            program.append(pending.pop())
+        factors += 1
+        operand = tok in ("*", "/", "+", "-")
+        if tok == "/":
+            pending.append("inv")
+        if tok in ("*", "/"):
+            continue
+        # so does its term
+        if factors > 1:
+            program.append(("*", factors))
+        if pending and pending[-1] == "-":
+            pending.pop()
+            program.append("neg")
+        terms, factors = terms + 1, 0
+        if tok == "-":
+            pending.append("-")
+        if operand:
+            continue
+        # and its group
+        if terms > 1:
+            program.append(("+", terms))
+        if not pending:
+            if tok is None:
+                break
+            raise MalformedLiteral(
+                f"trailing input after expression: {tok!r}")
+        if tok != ")":
+            raise MalformedLiteral(
+                "unexpected end of expression" if tok is None
+                else f"expected ')', found {tok!r}")
+        terms, factors = pending.pop()
+    return program
+
+
+def evaluate_expression(program: list[RealNumber | str | tuple[str, int]]
+                        ) -> RealNumber:
+    """The value of a postfix program, built left to right on a stack.
+
+    A sum is one n-ary ``add``; a product is combined in pairs, so a
+    chain of n factors nests ceil(log2 n) deep.
+    """
+    stack: list[RealNumber] = []
+    for step in program:
+        if isinstance(step, RealNumber):
+            stack.append(step)
+        elif isinstance(step, str):
+            unary = (sqrt if step == "sqrt" else neg if step == "neg"
+                     else reciprocal)
+            stack[-1] = unary(stack[-1])
+        else:
+            op, n = step
+            operands = stack[-n:]
+            del stack[-n:]
+            while op == "*" and len(operands) > 1:
+                paired = [mul(a, b)
+                          for a, b in zip(operands[::2], operands[1::2])]
+                operands = paired + operands[len(paired) * 2:]
+            stack.append(add(*operands) if op == "+" else operands[0])
+    return stack.pop()
 
 
 # ---------------------------------------------------------------------------

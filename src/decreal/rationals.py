@@ -16,6 +16,7 @@ from ._frozen import frozen
 from .arithmetic import add, mul
 from .realnum import (
     DigitPrefix,
+    PeriodicReal,
     RealNumber,
     _decimal_digits,
     _digit_compare,
@@ -127,8 +128,11 @@ def _structurally_equal(u: RealNumber, v: RealNumber) -> bool:
     if u.as_fraction() != v.as_fraction():
         return False
     if u.as_fraction().denominator <= 10_000:
-        # cheap confirmation that canonical text agrees too
-        return str(u) == str(v)
+        # cheap confirmation of u's own digits by integer long division:
+        # the preperiod, then the period twice, so that it does repeat
+        own = (u.preperiod + 2 * u.period if isinstance(u, PeriodicReal)
+               else u.prefix(u.value.scale).digits)
+        return decimal_representation(u, len(own)).digits == own
     return True
 
 

@@ -361,13 +361,6 @@ def _first_member_above(members: Iterable[RealNumber], b: RealNumber,
                  if compare(m, b, budget) is Comparison.GT), None)
 
 
-def _member_above(S: BoundedSet, p: RealNumber,
-                  budget: int) -> Optional[RealNumber]:
-    if isinstance(S, FiniteSet):
-        return _first_member_above(S.members, p, budget)
-    return S.member_above(p, budget)
-
-
 def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
                           samples: int = 50,
                           budget: int = DEFAULT_BUDGET
@@ -414,13 +407,15 @@ def check_sup_certificate(s: RealNumber | TerminatingDecimal, S: BoundedSet,
             return FailBound(w)
 
     p = add(s, TerminatingReal(TerminatingDecimal(-1, samples)))
-    q = _member_above(S, p, budget)
-    if q is not None:
-        if compare(q, s, budget) is Comparison.GT:
-            return FailBound(q)
-        return Pass(p, q, samples, budget)
+    if not isinstance(S, FiniteSet):
+        q = S.member_above(p, budget)
+        if q is not None:
+            if compare(q, s, budget) is Comparison.GT:
+                return FailBound(q)
+            return Pass(p, q, samples, budget)
     # the bound side showed s an upper bound, so every value above s is
-    # one too: only the probe below s can refute leastness
+    # one too: only the probe below s can refute leastness, and a finite
+    # set's member above it is at most s already
     inner = is_upper_bound(p, S, budget)
     if isinstance(inner, Yes):
         return FailLeastness(p)

@@ -14,7 +14,7 @@ from conftest import fraction_prefix, sqrt_truncation, unhinted
 from decreal import supremum
 from decreal.cli import evaluate_expression, parse_expression, run
 from decreal.errors import MalformedLiteral
-from decreal.realnum import real_from_fraction
+from decreal.realnum import parse_real as P, real_from_fraction
 
 fractions_st = st.fractions(min_value=-10**3, max_value=10**3,
                             max_denominator=10**3)
@@ -57,8 +57,10 @@ class TestGrammar:
             parse_expression(text)
 
     def test_chain_is_one_flat_node(self):
-        op, operands = parse_expression("+".join(["1"] * 10**4))
-        assert op == "+" and len(operands) == 10**4
+        program = parse_expression("+".join(["1"] * 10**4))
+        assert len(program) == 10**4 + 1
+        assert program[-1] == ("+", 10**4)
+        assert all(step == P("1") for step in program[:-1])
 
     @given(fractions_st)
     @settings(max_examples=150)
@@ -113,10 +115,32 @@ class TestEval:
         code, out, err = invoke(capsys, "eval", "sqrt(2)", "--digits", "-3")
         assert (code, out) == (1, "") and "--digits" in err
 
-    def test_nesting_past_limit_exit_1(self, capsys):
-        deep = "(" * 600 + "1" + "+1)" * 600
-        code, out, err = invoke(capsys, "eval", deep)
-        assert (code, out) == (1, "") and "nests deeper" in err
+    @pytest.mark.parametrize("opener,core,closer,want", [
+        ("(", "1", "+1)", str(10**4 + 1)),
+        ("sqrt(", "2", ")", None),
+        ("1/(sqrt(2)+", "1", ")", None),
+    ], ids=["parentheses", "roots", "reciprocals"])
+    def test_nesting_ten_thousand_deep(self, opener, core, closer, want):
+        # parser and evaluator keep their own stacks, so depth is bounded
+        # by the text alone, at the default recursion limit
+        depth = 10**4
+        if want is None:
+            want = (nested_root_prefix(depth, 30, 2, 0) if opener == "sqrt("
+                    else continued_root_two(depth, 30))
+        text = opener * depth + core + closer * depth
+        code, out, seconds = run_quietly("eval", text)
+        assert (code, out) == (0, want + "\n")
+        assert seconds < 2
+
+    @pytest.mark.parametrize("text,message", [
+        # the reciprocal of this computed zero would exit 3 after a
+        # full-budget classification; the syntax error comes first
+        ("1/(sqrt(2)*sqrt(2)-2))", "trailing input after expression: ')'"),
+        ("1/0+", "unexpected end of expression"),
+    ])
+    def test_syntax_errors_before_arithmetic(self, capsys, text, message):
+        code, out, err = invoke(capsys, "eval", text)
+        assert (code, out) == (1, "") and message in err
 
     def test_nesting_at_depth_200_admitted(self, capsys):
         code, out, _ = invoke(capsys, "eval", "(" * 200 + "1" + "+1)" * 200)
@@ -319,7 +343,7 @@ class TestOptions:
 
 
 # texts for the front-end fuzz: literals with and without groups, unary
-# minus, sqrt and the four operators, plus nesting around MAX_NESTING
+# minus, sqrt and the four operators, plus nesting 195 to 1000 levels deep
 literals_st = st.one_of(
     st.from_regex(r"(0|[1-9][0-9]{0,6})(\.[0-9]{1,6})?", fullmatch=True),
     st.from_regex(r"(0|[1-9][0-9]{0,3})\.[0-9]{0,4}\([0-9]{1,5}\)",
@@ -350,19 +374,41 @@ def nest(levels: bytes, core: str) -> str:
             + "".join(c for _, c in reversed(chosen)))
 
 
-deep_st = st.builds(nest, st.binary(min_size=195, max_size=205),
+deep_st = st.builds(nest, st.binary(min_size=195, max_size=1000),
                     expressions_st)
 raw_st = st.text(alphabet="0123456789.()+-*/ sqrt", max_size=40)
 
 
-def nested_root_prefix(depth: int, n: int) -> str:
-    """sqrt(3 + sqrt(3 + ... sqrt(3 + 1))) with ``depth`` roots, to n
-    digits, from long-hand roots of both ends of an interval."""
-    lo = hi = Fraction(1)
+def nested_root_prefix(depth: int, n: int, core: int = 1,
+                       addend: int = 3) -> str:
+    """sqrt(addend + sqrt(addend + ... sqrt(addend + core))) with
+    ``depth`` roots, to n digits, from long-hand roots of both ends of an
+    interval."""
+    lo = hi = Fraction(core)
     ulp = Fraction(1, 10 ** (n + 10))
     for _ in range(depth):
-        lo = sqrt_truncation(3 + lo, n + 10)
-        hi = sqrt_truncation(3 + hi, n + 10) + ulp
+        step = (sqrt_truncation(addend + lo, n + 10),
+                sqrt_truncation(addend + hi, n + 10) + ulp)
+        if step == (lo, hi):
+            break  # a fixed point of the rounded iteration stays fixed
+        lo, hi = step
+    want = fraction_prefix(lo, n)
+    assert fraction_prefix(hi, n) == want
+    return want
+
+
+def continued_root_two(depth: int, n: int) -> str:
+    """1/(sqrt(2) + 1/(sqrt(2) + ... 1/(sqrt(2) + 1))) with ``depth``
+    reciprocals, to n digits: both ends of an interval, from a long-hand
+    root of 2, rounded outward to 10**-(n + 10) at each level."""
+    k = n + 10
+    ulp = Fraction(1, 10**k)
+    r2 = sqrt_truncation(Fraction(2), k)  # r2 <= sqrt(2) < r2 + ulp
+    lo = hi = Fraction(1)
+    for _ in range(depth):
+        down, up = 1 / (r2 + ulp + hi), 1 / (r2 + lo)
+        lo = Fraction(down.numerator * 10**k // down.denominator, 10**k)
+        hi = Fraction(-(-up.numerator * 10**k // up.denominator), 10**k)
     want = fraction_prefix(lo, n)
     assert fraction_prefix(hi, n) == want
     return want

@@ -19,7 +19,7 @@ from conftest import (
     fraction_digit,
     rand_fraction,
 )
-from decreal import rationals
+from decreal import rationals, realnum
 from decreal.rationals import (
     NoPeriodFound,
     PeriodFound,
@@ -228,6 +228,24 @@ class TestPhiViolation:
         out = phi_check(Fraction(2, 7), Fraction(-5, 3))
         assert isinstance(out, PhiViolation)
         assert out.detail.startswith(f"{branch} mismatch for (2/7, -5/3)")
+
+    @pytest.mark.parametrize("y,detail", [
+        (Fraction(1, 7), "equal rationals embed differently: 1/7"),
+        (Fraction(1, 3), "sum mismatch for (1/7, 1/3)")])
+    def test_wrong_period(self, monkeypatch, y, detail):
+        # every period found with its last digit raised: both sides of
+        # each pair carry the same wrong text, so only the long division
+        # behind decimal_representation tells
+        period_digits = realnum._period_digits
+
+        def wrong(s, q, limit):
+            period = period_digits(s, q, limit)
+            return period[:-1] + str((int(period[-1]) + 1) % 10)
+
+        monkeypatch.setattr(realnum, "_period_digits", wrong)
+        out = phi_check(Fraction(1, 7), y)
+        assert isinstance(out, PhiViolation)
+        assert out.detail.startswith(detail)
 
     @pytest.mark.parametrize("position", [1, 2, 5, 11])
     def test_wrong_periodic_digit(self, monkeypatch, position):

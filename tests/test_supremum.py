@@ -25,7 +25,7 @@ from conftest import (
     sqrt_truncation,
     unhinted,
 )
-from decreal import realnum
+from decreal import realnum, supremum
 from decreal.errors import (
     CanonicalViolation,
     MalformedLiteral,
@@ -1057,6 +1057,25 @@ class TestVerdictReuse:
         # one probe, finding one member above it and ordering it against
         # s once
         assert sum(probes.values()) <= 1
+
+    @pytest.mark.parametrize("s,verdict,calls", [
+        ("3.25", Pass, 9), ("61", FailLeastness, 10)])
+    def test_finite_set_orders_each_member_once_per_side(
+            self, monkeypatch, s, verdict, calls):
+        # the bound side orders all five members against s; the probe
+        # side orders them against the probe up to the first above it,
+        # and never orders that member against s again
+        members = FiniteSet(tuple(P(t) for t in
+                                  ("1", "2.5", "0.(3)", "3.25", "-7")))
+        counted = Counter()
+
+        def counting(x, y, budget):
+            counted["compare"] += 1
+            return compare(x, y, budget)
+
+        monkeypatch.setattr(supremum, "compare", counting)
+        assert isinstance(check_sup_certificate(P(s), members), verdict)
+        assert counted["compare"] == calls
 
     def check(self, S, top, eps, first_above):
         """Pass at the supremum top, FailLeastness above it and FailBound
