@@ -34,6 +34,7 @@ from .realnum import (
     ZERO_REAL,
     _decimal_digits,
     _describe,
+    _is_exact_zero,
     _on_scale,
     classify,
     real_from_fraction,
@@ -104,10 +105,6 @@ class _Sum(ComputedReal):
             lo += tlo * scale
             hi += thi * scale
         return (*_on_scale(lo, hi, k, p + 1), p + 1)
-
-
-def _is_exact_zero(x: RealNumber) -> bool:
-    return isinstance(x, TerminatingReal) and x.value.is_zero()
 
 
 def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:

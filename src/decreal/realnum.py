@@ -423,6 +423,11 @@ def real_from_fraction(value: Fraction) -> RealNumber:
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
 
 
+def _is_exact_zero(x: RealNumber) -> bool:
+    """Whether x is exactly zero; only a terminating value can be."""
+    return isinstance(x, TerminatingReal) and x.value.is_zero()
+
+
 class OracleReal(RealNumber):
     """A real given by an explicit digit stream.
 
@@ -878,6 +883,12 @@ def _guess_group_value(frac: str, period: str) -> Optional[Fraction]:
 class _View:
     """Sign-magnitude view of a real, read by the lexicographic walks.
 
+    ``flag`` is 0 for an exact zero and otherwise -1 or 1, the sign of
+    the expansion, which a stream of zeros has too.  ``known_nonzero``
+    holds for an exact value other than zero; any other value is nonzero
+    once it shows a nonzero digit.  ``int_part`` is read on first use, so
+    a question that the sign settles never computes it.
+
     ``head(n)`` is the first n fractional digits as one string.  It is
     shorter when the next digit cannot be produced (a ComputedReal on a
     decimal boundary, an oracle callback that raises), and ``error`` then
@@ -885,15 +896,15 @@ class _View:
     head, which is where a walk reading one digit at a time raised it.
     """
 
-    __slots__ = ("flag", "int_part", "known_nonzero", "_read", "error")
-
-    def __init__(self, x: RealNumber, flag: int, int_part: int,
-                 known_nonzero: bool):
+    def __init__(self, x: RealNumber, flag: int, known_nonzero: bool):
         self.flag = flag
-        self.int_part = int_part
         self.known_nonzero = known_nonzero
-        self._read = x._read
+        self._x, self._read = x, x._read
         self.error: Optional[Exception] = None
+
+    @cached_property
+    def int_part(self) -> int:
+        return self._x.int_part
 
     def head(self, n: int) -> str:
         digits, self.error = self._read(n)
@@ -912,8 +923,10 @@ class _View:
         return None
 
     def nonzero_within(self, budget: int) -> bool:
-        return (self.known_nonzero or self.int_part > 0
-                or self.first_not("0", 1, budget) is not None)
+        # an exact zero is never scanned
+        return self.flag != 0 and (
+            self.known_nonzero or self.int_part > 0
+            or self.first_not("0", 1, budget) is not None)
 
 
 def _blocks(start: int, budget: int) -> Iterator[tuple[int, int]]:
@@ -946,52 +959,33 @@ def _first_difference(vx: _View, vy: _View,
 
 def _view(x: RealNumber) -> _View:
     """May raise DigitsUnstable for a ComputedReal near a boundary."""
-    if isinstance(x, TerminatingReal):
-        sign = x.value.sign
-        return _View(x, sign, x.int_part, sign != 0)
-    if isinstance(x, PeriodicReal):
-        return _View(x, -1 if x.negative else 1, x.int_part, True)
-    if isinstance(x, OracleReal):
-        return _View(x, -1 if x.negative else 1, x.int_part, x.int_part > 0)
-    if isinstance(x, ComputedReal):
-        neg, ip, _ = x._pin(0)
-        return _View(x, -1 if neg else 1, ip, ip > 0)
-    raise TypeError(f"not a RealNumber: {x!r}")
+    if not isinstance(x, RealNumber):
+        raise TypeError(f"not a RealNumber: {x!r}")
+    flag = 0 if _is_exact_zero(x) else -1 if x.negative else 1
+    return _View(x, flag, x.is_exact and flag != 0)
 
 
 def _walk(vx: _View, vy: _View, budget: int) -> Comparison:
+    """Order by sign, then by magnitude, reversed for two negatives."""
     if vx.flag != vy.flag:
-        if vx.flag > vy.flag:
-            r = _walk(vy, vx, budget)
-            if r is Comparison.LT:
-                return Comparison.GT
-            if r is Comparison.GT:
-                return Comparison.LT
-            return r
-        # vx.flag < vy.flag: x <= y, strict unless both are zero
-        if vx.flag == -1 and vy.flag == 1:
-            decided = vx.nonzero_within(budget) or vy.nonzero_within(budget)
-        elif vx.flag == -1:
-            decided = vx.nonzero_within(budget)
-        else:
-            decided = vy.nonzero_within(budget)
-        return Comparison.LT if decided else Comparison.UNDECIDED
+        # the lower flag is below, strictly once either view shows a
+        # nonzero digit; the lower one is scanned first
+        less = vx.flag < vy.flag
+        low, high = (vx, vy) if less else (vy, vx)
+        if not (low.nonzero_within(budget) or high.nonzero_within(budget)):
+            return Comparison.UNDECIDED
+        return Comparison.LT if less else Comparison.GT
     if vx.flag == 0:
         return Comparison.EQ
-    # same sign: compare magnitudes, flip for negatives
-    def verdict(c: Comparison) -> Comparison:
-        if vx.flag > 0 or c is Comparison.UNDECIDED:
-            return c
-        return Comparison.GT if c is Comparison.LT else Comparison.LT
-
     if vx.int_part != vy.int_part:
-        return verdict(Comparison.LT if vx.int_part < vy.int_part
-                       else Comparison.GT)
-    split = _first_difference(vx, vy, budget)
-    if split is None:
-        return Comparison.UNDECIDED
-    _, dx, dy = split
-    return verdict(Comparison.LT if dx < dy else Comparison.GT)
+        less = vx.int_part < vy.int_part
+    else:
+        split = _first_difference(vx, vy, budget)
+        if split is None:
+            return Comparison.UNDECIDED
+        less = split[1] < split[2]
+    # the smaller magnitude is the lower value unless both are negative
+    return Comparison.LT if less == (vx.flag > 0) else Comparison.GT
 
 
 def _digit_compare(x: RealNumber, y: RealNumber, budget: int) -> Comparison:
@@ -1065,16 +1059,11 @@ def compare(x: RealNumber, y: RealNumber,
 
 def classify(x: RealNumber, budget: int = DEFAULT_BUDGET) -> Classification:
     """Sign of x, or raise SignUndecided when x cannot be told from zero
-    within the budget."""
-    if isinstance(x, TerminatingReal):
-        return Classification(x.value.sign)
-    if isinstance(x, PeriodicReal):
-        return Classification(-1 if x.negative else 1)
-    if isinstance(x, OracleReal):
-        if _view(x).nonzero_within(budget):
-            return Classification(-1 if x.negative else 1)
-        raise SignUndecided(
-            f"oracle stream is zero through {budget} digits")
+    within the budget.
+
+    A ComputedReal is refined until an enclosure excludes zero or is the
+    point zero.  Any other value is read from its view: an exact value
+    by its sign alone, a stream once it shows a nonzero digit."""
     if isinstance(x, ComputedReal):
         for m in _precisions(min(2, budget), budget):
             lo, hi, _ = x._grid(m)
@@ -1084,9 +1073,11 @@ def classify(x: RealNumber, budget: int = DEFAULT_BUDGET) -> Classification:
                 return Classification.NEGATIVE
             if lo == hi:
                 return Classification.ZERO
-        raise SignUndecided(
-            f"value within 10^-{budget} of zero; sign unknown")
-    raise TypeError(f"not a RealNumber: {x!r}")
+    else:
+        v = _view(x)
+        if v.flag == 0 or v.nonzero_within(budget):
+            return Classification(v.flag)
+    raise SignUndecided(f"value within 10^-{budget} of zero; sign unknown")
 
 
 def digit_at(x: RealNumber, i: int) -> int:
@@ -1197,24 +1188,36 @@ def between(a: RealNumber, b: RealNumber,
         raise OrderUndecided("could not establish a < b within the budget")
     if order is not Comparison.LT:
         raise NotLess(f"expected a < b, found {order.value}")
-    ca = _try_classify(a, budget)
-    cb = _try_classify(b, budget)
-    if ca is Classification.NEGATIVE and cb is Classification.POSITIVE:
-        return TerminatingDecimal(0)
+    ca, cb = _try_classify(a, budget), _try_classify(b, budget)
+    if cb is Classification.POSITIVE or ca in (Classification.ZERO,
+                                               Classification.POSITIVE):
+        return _between_signed(a, b, ca, cb, budget)
+    # otherwise the mirror image -b < -a is such a pair, unless no sign
+    # is known
+    cnb, cna = (None if c is None else Classification(-c.value)
+                for c in (cb, ca))
+    return -_between_signed(b.negated(), a.negated(), cnb, cna, budget)
+
+
+def _between_signed(a: RealNumber, b: RealNumber,
+                    ca: Optional[Classification],
+                    cb: Optional[Classification],
+                    budget: int) -> TerminatingDecimal:
+    """Witness for a < b when classify proved b > 0 or a >= 0; ca and cb
+    are the signs it found, None where it found none.  Without such a
+    sign the endpoints are unresolved."""
     if ca is Classification.POSITIVE:
         return _between_positive(a, b, budget)
-    if cb is Classification.NEGATIVE:
-        return -_between_positive(b.negated(), a.negated(), budget)
-    if ca is None and cb is Classification.POSITIVE:
+    if ca is Classification.ZERO:
+        return _above_zero_witness(b, budget)
+    if cb is Classification.POSITIVE:
+        if ca is Classification.NEGATIVE:
+            return TerminatingDecimal(0)
         # a is within 10**-budget of zero; any witness 0 < c < b with
         # fewer digits than that is also provably above a
         c = _above_zero_witness(b, budget)
         if c.scale < budget:
             return c
-    if ca is Classification.ZERO:
-        return _above_zero_witness(b, budget)
-    if cb is Classification.ZERO:
-        return -_above_zero_witness(a.negated(), budget)
     raise OrderUndecided("endpoint signs could not be resolved")
 
 

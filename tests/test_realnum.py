@@ -5,6 +5,7 @@ and literals decoded one digit a step; expected digits and witnesses are
 frozen from those routes."""
 
 import contextlib
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -543,6 +544,87 @@ class TestCompare:
         assert compare(neg_zeros, tiny, 10) is Comparison.LT
 
 
+class TestWalkSigns:
+    """The digit walk's sign rule, checked against Fractions.
+
+    ``digit_walk`` swaps in the reference's views and digit scan but
+    keeps ``realnum._walk``, so it cannot catch a wrong sign rule.  Here
+    the walk's verdict is the Fractions' order once the budget reaches
+    the position that decides it, and UNDECIDED one digit short of it.
+    That position comes from long division: for opposite sign flags, the
+    first budget at which either value is seen to be nonzero; for equal
+    ones, the first place where the magnitudes differ."""
+
+    @staticmethod
+    def operand(rng, f):
+        """(real, value, sign flag, budget from which it is seen to be
+        nonzero or None) for f: an exact value, a digit stream, or for
+        zero also a negative stream of zeros."""
+        kind = rng.choice(("exact", "stream", "stream"))
+        if f == 0 and rng.random() < 0.4:
+            return OracleReal(lambda i: 0, negative=True), f, -1, None
+        if kind == "exact":
+            flag = (f > 0) - (f < 0)
+            return real_from_fraction(f), f, flag, 0 if f else None
+        mag = abs(f)
+        seen = next((i for i in range(200) if int(mag * 10**i)), None)
+        return opaque(f), f, -1 if f < 0 else 1, seen
+
+    @staticmethod
+    def deciding_position(x, y):
+        (_, f, fx, sx), (_, g, fy, sy) = x, y
+        if fx != fy:
+            seen = [s for s in (sx, sy) if s is not None]
+            return min(seen) if seen else None
+        if int(abs(f)) != int(abs(g)):
+            return 0
+        return next((i for i in range(1, 200)
+                     if fraction_digit(f, i) != fraction_digit(g, i)), None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdicts_follow_fractions(self, seed):
+        rng = random.Random(seed)
+        flips = {Comparison.LT: Comparison.GT, Comparison.GT: Comparison.LT,
+                 Comparison.EQ: Comparison.EQ,
+                 Comparison.UNDECIDED: Comparison.UNDECIDED}
+        for _ in range(300):
+            f = Fraction(rng.randint(-3000, 3000), rng.randint(1, 999))
+            g = rng.choice((
+                Fraction(rng.randint(-3000, 3000), rng.randint(1, 999)),
+                f + Fraction(rng.randint(-9, 9), 10 ** rng.randint(1, 25)),
+                -f, f, Fraction(0)))
+            x, y = self.operand(rng, f), self.operand(rng, g)
+            if x[2] == y[2] == 0:
+                checks = [(0, Comparison.EQ)]
+            else:
+                at = self.deciding_position(x, y)
+                order = Comparison.LT if f < g else Comparison.GT
+                checks = ([(60, Comparison.UNDECIDED)] if at is None else
+                          [(at, order), (at + 9, order)])
+                if at:
+                    checks.append((at - 1, Comparison.UNDECIDED))
+            for budget, want in checks:
+                assert realnum._digit_compare(x[0], y[0], budget) is want, (
+                    f, g, budget)
+                assert realnum._digit_compare(y[0], x[0], budget) is (
+                    flips[want]), (g, f, budget)
+
+    def test_opposite_signs_refuse_at_the_negative_stream(self):
+        # neither stream of zeros shows a nonzero digit before it refuses;
+        # the negative one is scanned first, in either argument order
+        def zeros(negative, refused_from):
+            def digit(i):
+                if i >= refused_from:
+                    raise RuntimeError(f"negative={negative} refused {i}")
+                return 0
+            return OracleReal(digit, negative=negative)
+
+        for swap in (False, True):
+            pair = zeros(False, 3), zeros(True, 5)
+            with pytest.raises(RuntimeError, match="negative=True refused 5"):
+                compare(*(reversed(pair) if swap else pair), 10)
+
+
 class TestClassify:
     def test_goldens(self):
         assert classify(P("0")) is Classification.ZERO
@@ -558,6 +640,21 @@ class TestClassify:
         late = OracleReal(digit_fn=lambda i: 1 if i == 40 else 0,
                           negative=True, int_part=0)
         assert classify(late, 100) is Classification.NEGATIVE
+
+    def test_exact_value_read_by_sign_alone(self, monkeypatch):
+        # the integer part of a 10**5-digit literal costs a power of ten
+        # and a division of that size; the sign settles classify without it
+        def unread(self):
+            raise AssertionError("classify computed int_part")
+        monkeypatch.setattr(TerminatingReal, "int_part", property(unread))
+        monkeypatch.setattr(PeriodicReal, "int_part", property(unread))
+        digits = "37" * (10**5 // 2)
+        assert classify(P("-" + digits[:10] + "." + digits)) is (
+            Classification.NEGATIVE)
+        assert classify(P(digits[:10] + "." + digits)) is (
+            Classification.POSITIVE)
+        assert classify(P("-12.(3)")) is Classification.NEGATIVE
+        assert classify(P("0")) is Classification.ZERO
 
 
 class TestIntegralPart:
@@ -658,6 +755,15 @@ class TestBetween:
         else:
             assert compare(P("-1"), zero) is Comparison.LT
             assert str(between(P("-1"), zero)) == "-0.1"
+
+    def test_unsettled_zero_at_either_end(self):
+        # sqrt(2) - sqrt(2) never gets a sign, so each call finds its
+        # witness from the other endpoint, each the mirror image of the other
+        def zero():
+            r = sqrt(P("2"))
+            return add(r, neg(r))
+        assert str(between(P("-1"), zero(), 50)) == "-0.1"
+        assert str(between(zero(), P("1"), 50)) == "0.1"
 
     def test_not_less(self):
         with pytest.raises(NotLess):
