@@ -414,10 +414,16 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
 
 def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
-    2^a * 5^b, periodic otherwise."""
-    if split_denominator(value.denominator)[0] == 1:
+    2^a * 5^b, periodic otherwise.
+
+    ``PeriodicReal`` splits the denominator for its own check that the
+    value does not terminate, so it is tried first, and a periodic
+    value's denominator is split once.
+    """
+    try:
+        return PeriodicReal(value)
+    except ValueError:  # the value terminates
         return TerminatingReal(TerminatingDecimal.from_fraction(value))
-    return PeriodicReal(value)
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
@@ -719,13 +725,16 @@ class ComputedReal(RealNumber):
         return head + sep.join(_describe(t, depth)
                                for t in self._operands) + tail
 
+    # every pinned prefix carries the sign and integer part, so once one
+    # is cached they are read from it without taking the lock
+
     @property
     def int_part(self) -> int:
-        return self._pin(0)[1]
+        return (self._pinned or self._pin(0))[1]
 
     @property
     def negative(self) -> bool:
-        return self._pin(0)[0]
+        return (self._pinned or self._pin(0))[0]
 
     def integral_part(self) -> int:
         # pin floor(value) directly in value space

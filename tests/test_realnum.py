@@ -1026,6 +1026,27 @@ class TestComputedReal:
         with pytest.raises(AssertionError):
             coarse.bounds(3)
 
+    def test_view_pins_once(self, monkeypatch):
+        # the sign and the integer part of a view come from one pin of
+        # no digits; later views read the cached pin
+        pins = []
+        pin = ComputedReal._pin
+
+        def counted(self, n):
+            pins.append(n)
+            return pin(self, n)
+
+        monkeypatch.setattr(ComputedReal, "_pin", counted)
+        for x, sign, whole in ((self.shrinking(Fraction(-19, 100)), -1, 0),
+                               (sqrt(P("2")), 1, 1), (sqrt(P("150")), 1, 12)):
+            pins.clear()
+            view = realnum._view(x)
+            assert (view.flag, view.int_part) == (sign, whole)
+            assert pins == [0]
+            view = realnum._view(x)
+            assert (view.flag, view.int_part) == (sign, whole)
+            assert pins == [0]
+
     def test_negated(self):
         x = self.shrinking(Fraction(5, 4))
         y = x.negated()

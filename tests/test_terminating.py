@@ -6,13 +6,16 @@ integer rescaling)."""
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decreal.errors import MalformedLiteral
+from decreal.realnum import parse_real
 from decreal.terminating import (
+    _LITERAL,
     ONE,
     ZERO,
     TerminatingDecimal,
@@ -20,6 +23,7 @@ from decreal.terminating import (
     int_from_digits,
     parse_terminating,
     pow10,
+    scan_literal,
     split_denominator,
 )
 
@@ -184,6 +188,75 @@ class TestParseAndRender:
         for ch in text:
             want = want * 10 + (ord(ch) - ord("0"))
         assert int_from_digits(text) == want
+
+
+def scan_by_pattern(text: str):
+    """The parts of a literal read by a full match of the written
+    grammar ``_LITERAL``, with the sign and the rules on leading zeros
+    and a bare point, or None where that route rejects the text."""
+    negative = text.startswith("-")
+    m = _LITERAL.fullmatch(text, int(negative))
+    if m is None:
+        return None
+    int_digits, frac, period = m.groups()
+    if (int_digits.startswith("0") and int_digits != "0"
+            or frac == "" and period is None):
+        return None
+    return negative, int_digits, frac or "", period
+
+
+# 99 988 digits, one period of 1/99989, by long division
+@cache
+def long_group() -> str:
+    r, digits = 1, []
+    for _ in range(99988):
+        r *= 10
+        digits.append(str(r // 99989))
+        r %= 99989
+    return "".join(digits)
+
+
+class TestScanLiteral:
+    """The scanner splits at the punctuation and checks digit runs as
+    bytes; the regex full match of the written grammar is its oracle.
+    Besides the literal's own characters, the alphabet holds what
+    ``int()`` accepts in a digit string: other scripts' digits, '_',
+    white space and signs."""
+
+    @given(st.text(alphabet="-0123456789.()\u0663\uff15\u00b2_ \n+e",
+                   max_size=12))
+    @example("\u0663")
+    @example("1.\u00b2")
+    @example("0.(\uff15)")
+    @settings(max_examples=2000)
+    def test_matches_written_grammar(self, text):
+        want = scan_by_pattern(text)
+        if want is None:
+            with pytest.raises(MalformedLiteral) as info:
+                scan_literal(text)
+            assert str(info.value) == f"malformed real literal: {text!r}"
+        else:
+            assert scan_literal(text) == want
+
+    @pytest.mark.parametrize("parse", [parse_real, parse_terminating])
+    @pytest.mark.parametrize("spoil", [
+        lambda g: f"0.({g[:-1]}\u0663)",  # ends in an Arabic-Indic three
+        lambda g: f"0.({g[:50_000]}_{g[50_000:]})",
+        lambda g: f"0.({g})\n",
+        lambda g: f"-7.{g[:-1]}\u0663",
+        lambda g: f"1{g}\n",
+    ], ids=["group-foreign-digit", "group-underscore", "group-newline",
+            "fraction-foreign-digit", "integer-newline"])
+    def test_long_runs_with_foreign_characters(self, parse, spoil):
+        text = spoil(long_group())
+        with pytest.raises(MalformedLiteral) as info:
+            parse(text)
+        assert str(info.value) == f"malformed real literal: {text!r}"
+        assert scan_by_pattern(text) is None
+
+    def test_long_group_scans_like_the_pattern(self):
+        text = "-3.25(" + long_group() + ")"
+        assert scan_literal(text) == scan_by_pattern(text)
 
 
 class TestStructure:
