@@ -416,14 +416,15 @@ def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise.
 
-    ``PeriodicReal`` splits the denominator for its own check that the
-    value does not terminate, so it is tried first, and a periodic
-    value's denominator is split once.
+    A denominator 2^a * 5^b divides 10^n once n >= max(a, b), as
+    n = den.bit_length() is, and no other divides a power of ten.  That
+    test is cheaper than a split, so either path splits den once: in
+    ``PeriodicReal``'s own check, or in ``from_fraction`` for the scale.
     """
-    try:
+    den = value.denominator
+    if pow(10, den.bit_length(), den):
         return PeriodicReal(value)
-    except ValueError:  # the value terminates
-        return TerminatingReal(TerminatingDecimal.from_fraction(value))
+    return TerminatingReal(TerminatingDecimal.from_fraction(value))
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))

@@ -176,6 +176,16 @@ class TestPeriodicStructure:
         y = real_from_fraction(Fraction(1, 6))
         assert (y.preperiod, y.period) == ("1", "6")
 
+    @pytest.mark.parametrize("q", [1, 3, 7, 99989, 2**61 - 1])
+    def test_kind_follows_the_denominator(self, q):
+        # -1 / (2^a * 5^b * q) terminates exactly when q == 1, with
+        # either prime alone or both up to the power 69
+        for a in range(0, 70, 3):
+            for b in range(0, 70, 3):
+                x = real_from_fraction(Fraction(-1, 2**a * 5**b * q))
+                assert isinstance(x, TerminatingReal) == (q == 1)
+                assert isinstance(x, PeriodicReal) != (q == 1)
+
     @given(st.integers(min_value=2, max_value=1000),
            st.integers(min_value=1, max_value=1000))
     @settings(max_examples=150)
