@@ -32,6 +32,7 @@ from .realnum import (
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
+    _Record,
     _decimal_digits,
     _describe,
     _is_exact_zero,
@@ -85,7 +86,7 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
     return Enclosure(t, t + ulp)
 
 
-class _Sum(ComputedReal):
+class _Sum(_Record):
     """An n-ary sum: terms that are not exact, then at most one exact
     term.  The terms are aligned on the finest of their grids and added,
     so the widths of n terms read at p add up to n * 10**-p, plus the
@@ -95,7 +96,7 @@ class _Sum(ComputedReal):
 
     def __init__(self, streams: list[RealNumber], exact: list[RealNumber]):
         self.streams, self.exact = streams, exact
-        self._record(*streams, *exact)
+        super().__init__(*streams, *exact)
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         k = max(g[2] for g in grids)
@@ -140,7 +141,7 @@ def neg(x: RealNumber) -> RealNumber:
     return x.negated()
 
 
-class _Product(ComputedReal):
+class _Product(_Record):
     """x * y from integer corner products, which bound it whatever the
     signs, rounded outward to the grid 10**-(p+1).  Its width is about
     |x| * wy + |y| * wx for operand widths wx and wy, so a large factor
@@ -148,9 +149,6 @@ class _Product(ComputedReal):
     operands at as many more digits."""
 
     _form = ("(", " * ", ")")
-
-    def __init__(self, x: RealNumber, y: RealNumber):
-        self._record(x, y)
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         (lx, hx, kx), (ly, hy, ky) = grids
@@ -178,7 +176,7 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     return _Product(x, y)
 
 
-class _Reciprocal(ComputedReal):
+class _Reciprocal(_Record):
     """1 / x for x of settled sign.  The reciprocal of x's enclosure [lx,
     hx] is read on the grid 10**-(p+1) by floor and ceiling integer
     division, which bound it for either sign.  Every enclosure of x
@@ -188,9 +186,6 @@ class _Reciprocal(ComputedReal):
     as x nears zero, and the root's check then asks for more digits."""
 
     _form = ("1/(", "", ")")
-
-    def __init__(self, x: RealNumber):
-        self._record(x)
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         (lx, hx, kx), = grids
@@ -225,7 +220,7 @@ def _exact_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-class _Root(ComputedReal):
+class _Root(_Record):
     """sqrt(r) for a computed radicand r proven positive, whose every
     enclosure therefore excludes zero (see ``_Reciprocal``).  The floor
     root of its lower end and the ceiling root of its upper end, on the
@@ -235,9 +230,6 @@ class _Root(ComputedReal):
     """
 
     _form = ("sqrt(", "", ")")
-
-    def __init__(self, r: RealNumber):
-        self._record(r)
 
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         k = p + 1

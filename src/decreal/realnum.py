@@ -38,7 +38,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, log2
 from typing import Callable, Iterator, Optional
 
 from ._frozen import frozen
@@ -273,11 +273,8 @@ class PeriodicReal(RealNumber):
     is_exact = True
 
     def __post_init__(self):
-        # (q, k) of the denominator, kept for _expansion
-        split = split_denominator(self.fraction.denominator)
-        if split[0] == 1:
+        if _terminates(self.fraction.denominator):
             raise ValueError("value terminates; use TerminatingReal")
-        object.__setattr__(self, "_split", split)
 
     @cached_property
     def _expansion(self) -> tuple[str, str]:
@@ -290,7 +287,7 @@ class PeriodicReal(RealNumber):
         """
         limit = MAX_EXPANSION_DIGITS
         _, r, den = self._magnitude
-        q, k = self._split
+        q, k = split_denominator(den)
         if k > limit:
             raise ExpansionTooLong(self.fraction, limit)
         pre, s = divmod(r * (10 ** k // (den // q)), q)
@@ -416,15 +413,30 @@ def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise.
 
-    A denominator 2^a * 5^b divides 10^n once n >= max(a, b), as
-    n = den.bit_length() is, and no other divides a power of ten.  That
-    test is cheaper than a split, so either path splits den once: in
-    ``PeriodicReal``'s own check, or in ``from_fraction`` for the scale.
+    ``_terminates`` tells the two apart without splitting the
+    denominator, so only a terminating value splits it, in
+    ``from_fraction`` for the scale.
     """
-    den = value.denominator
-    if pow(10, den.bit_length(), den):
+    if not _terminates(value.denominator):
         return PeriodicReal(value)
     return TerminatingReal(TerminatingDecimal.from_fraction(value))
+
+
+def _terminates(den: int) -> bool:
+    """Whether p/den in lowest terms terminates: whether den is 2^a * 5^b.
+
+    The factors 2 are shifted out.  What is left is 5^b only if 5
+    divides it, and then only for the one b whose power has its bit
+    length.  So a shift and a remainder by 5, both linear in the length
+    of den, settle every den that 5 does not divide, and any other
+    takes one power of 5, where ``split_denominator`` would take
+    O(log b) big divisions.
+    """
+    odd = den >> ((den & -den).bit_length() - 1)
+    # 5^b has floor(b * log2(5)) + 1 bits, so (bits - 1) / log2(5) lies
+    # in (b - 0.44, b]
+    return odd == 1 or not odd % 5 and odd == 5 ** round(
+        (odd.bit_length() - 1) / log2(5))
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
@@ -594,11 +606,6 @@ class ComputedReal(RealNumber):
         self._pinned: Optional[tuple[bool, int, str]] = None
         self._lock = threading.RLock()
 
-    def _record(self, *operands: RealNumber) -> None:
-        """Make this node a record over the operands."""
-        ComputedReal.__init__(self, None)
-        self._operands = operands
-
     def _step(self, p: int, grids: list) -> tuple[int, int, int]:
         return self._refine(p)
 
@@ -757,13 +764,18 @@ class ComputedReal(RealNumber):
         return f"ComputedReal({self.description})"
 
 
-class _Negation(ComputedReal):
+class _Record(ComputedReal):
+    """A node over operands: its ``_step`` combines their triples."""
+
+    def __init__(self, *operands: RealNumber):
+        super().__init__(None)
+        self._operands = operands
+
+
+class _Negation(_Record):
     """-x: x is read at the working precision of the pass."""
 
     _form = ("-(", "", ")")
-
-    def __init__(self, x: ComputedReal):
-        self._record(x)
 
     def _step(self, q: int, grids: list) -> tuple[int, int, int]:
         (lo, hi, k), = grids
@@ -894,10 +906,10 @@ class _View:
     """Sign-magnitude view of a real, read by the lexicographic walks.
 
     ``flag`` is 0 for an exact zero and otherwise -1 or 1, the sign of
-    the expansion, which a stream of zeros has too.  ``known_nonzero``
-    holds for an exact value other than zero; any other value is nonzero
-    once it shows a nonzero digit.  ``int_part`` is read on first use, so
-    a question that the sign settles never computes it.
+    the expansion, which a stream of zeros has too.  An exact value with
+    a nonzero flag is nonzero; any other value is nonzero once it shows
+    a nonzero digit.  ``int_part`` is read on first use, so a question
+    that the sign settles never computes it.
 
     ``head(n)`` is the first n fractional digits as one string.  It is
     shorter when the next digit cannot be produced (a ComputedReal on a
@@ -906,9 +918,8 @@ class _View:
     head, which is where a walk reading one digit at a time raised it.
     """
 
-    def __init__(self, x: RealNumber, flag: int, known_nonzero: bool):
+    def __init__(self, x: RealNumber, flag: int):
         self.flag = flag
-        self.known_nonzero = known_nonzero
         self._x, self._read = x, x._read
         self.error: Optional[Exception] = None
 
@@ -935,7 +946,7 @@ class _View:
     def nonzero_within(self, budget: int) -> bool:
         # an exact zero is never scanned
         return self.flag != 0 and (
-            self.known_nonzero or self.int_part > 0
+            self._x.is_exact or self.int_part > 0
             or self.first_not("0", 1, budget) is not None)
 
 
@@ -972,7 +983,7 @@ def _view(x: RealNumber) -> _View:
     if not isinstance(x, RealNumber):
         raise TypeError(f"not a RealNumber: {x!r}")
     flag = 0 if _is_exact_zero(x) else -1 if x.negative else 1
-    return _View(x, flag, x.is_exact and flag != 0)
+    return _View(x, flag)
 
 
 def _walk(vx: _View, vy: _View, budget: int) -> Comparison:

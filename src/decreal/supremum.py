@@ -441,13 +441,14 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
     ``MAX_EXPANSION_DIGITS`` gives no hint, and the supremum is a digit
     stream.  Exists for cross-checking sup against plain max.
 
-    Member digits are read in blocks through ``prefix``, at least
-    ``HINT_WINDOW`` digits and then twice as many as held whenever a
-    longer prefix is asked about, and kept for the life of the family.
-    A selection of n digits is then one ``startswith`` and one slice on
-    the digits held for each member: the largest slice (the smallest for
-    a negative pool) is what n digit-by-digit choices pick.  No digit is
-    recomputed, and no rational arithmetic runs.
+    Each member's integer part is read once.  A selection of n digits
+    reads the digits up to its end from each member with the prefix's
+    integer part, in one ``_read``, then makes one ``startswith`` and one
+    slice: the largest slice (the smallest for a negative pool) is what
+    n digit-by-digit choices pick.  Nothing is kept between selections,
+    so a caller that selects one digit at a time reads every member's
+    digits again each time; ``sup`` selects in blocks of doubling width.
+    No rational arithmetic runs.
     """
     members = tuple(members)
     if not members:
@@ -460,22 +461,17 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
     pick = min if negative else max
     best = _max_member(pool)
 
-    def max_integral() -> int:
-        return pick(m.int_part for m in pool)
-
-    reads = [m.prefix(0) for m in pool]
+    int_parts = [m.int_part for m in pool]
 
     def next_digits(prefix: DigitPrefix, n: int) -> str:
-        end = len(prefix) + n
+        start, end = len(prefix), len(prefix) + n
         blocks = []
-        for i, read in enumerate(reads):
-            if read.int_part != prefix.int_part:
-                continue
-            if len(read) < end:
-                read = reads[i] = pool[i].prefix(
-                    max(end, 2 * len(read), HINT_WINDOW))
-            if read.digits.startswith(prefix.digits):
-                blocks.append(read.digits[len(prefix):end])
+        for m, int_part in zip(pool, int_parts):
+            if int_part == prefix.int_part:
+                # an exact member reads every digit asked for
+                digits = m._read(end)[0]
+                if digits.startswith(prefix.digits):
+                    blocks.append(digits[start:end])
         return pick(blocks)
 
     def member_above(b: RealNumber, budget: int) -> Optional[RealNumber]:
@@ -483,8 +479,8 @@ def finite_family(members: Iterable[RealNumber]) -> Family:
 
     tail = (RepeatsFrom(best.value.scale + 1, 1)
             if isinstance(best, TerminatingReal) else _repeats(best))
-    return Family(max_integral, next_digits, tail, negative=negative,
-                  member_above=member_above,
+    return Family(lambda: pick(int_parts), next_digits, tail,
+                  negative=negative, member_above=member_above,
                   description=f"finite family of {len(members)} members")
 
 

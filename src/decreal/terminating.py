@@ -11,6 +11,7 @@ import decimal
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from typing import Optional
 
 from ._frozen import frozen
@@ -38,6 +39,7 @@ class Comparison(Enum):
 _LITERAL = re.compile(r"([0-9]+)(?:\.([0-9]*)(?:\(([0-9]+)\))?)?")
 
 
+@total_ordering
 @frozen
 class TerminatingDecimal:
     """A signed decimal with finitely many fractional digits.
@@ -126,23 +128,12 @@ class TerminatingDecimal:
         return TerminatingDecimal(self.units * other.units,
                                   self.scale + other.scale)
 
-    def _cmp(self, other: "TerminatingDecimal") -> int:
+    def __lt__(self, other: "TerminatingDecimal") -> bool:
+        # the other three orders come from total_ordering, with the
+        # field equality, which is numeric on canonical pairs
         s = max(self.scale, other.scale)
-        a = self.units * 10 ** (s - self.scale)
-        b = other.units * 10 ** (s - other.scale)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return (self.units * 10 ** (s - self.scale)
+                < other.units * 10 ** (s - other.scale))
 
     # -- rendering ---------------------------------------------------
 

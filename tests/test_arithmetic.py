@@ -198,6 +198,13 @@ class TestReciprocal:
         e = evaluate(mul(x, reciprocal(x)), 25)
         assert enclosure_contains(e, Fraction(1))
 
+    def test_computed_point_zero_rejected(self):
+        # a computed value whose enclosure is the point 0 classifies as
+        # zero when the node is built, and zero has no reciprocal
+        zero = computed(lambda m: (Fraction(0), Fraction(0)))
+        with pytest.raises(ZeroDivisionError):
+            reciprocal(zero)
+
 
 class TestSqrt:
     def test_goldens(self):
@@ -263,6 +270,13 @@ class TestSqrt:
             x = sqrt(real_from_fraction(r))
             e = evaluate(mul(x, x), 30)
             assert enclosure_contains(e, r)
+
+    def test_computed_point_zero_is_exact_zero(self):
+        # the root of a computed radicand whose enclosure is the point 0
+        # is exact zero, not a record over the radicand
+        zero = computed(lambda m: (Fraction(0), Fraction(0)))
+        root = sqrt(zero)
+        assert isinstance(root, TerminatingReal) and root.value.is_zero()
 
 
 class TestDigitsUnstable:

@@ -186,6 +186,43 @@ class TestPeriodicStructure:
                 assert isinstance(x, TerminatingReal) == (q == 1)
                 assert isinstance(x, PeriodicReal) != (q == 1)
 
+    @pytest.mark.parametrize("den, terminating", [
+        (2**7 * 5**10**4, True), (10**10**5 + 1, False)],
+        ids=["2^7*5^10^4", "10^10^5+1"])
+    def test_kind_follows_long_denominators(self, den, terminating):
+        # the rule of test_kind_follows_the_denominator for denominators
+        # of thousands of digits, one a power of 5 times a power of 2
+        for a in range(0, 70, 23):
+            for b in range(0, 70, 23):
+                x = real_from_fraction(Fraction(-1, 2**a * 5**b * den))
+                assert isinstance(x, TerminatingReal) == terminating
+                assert isinstance(x, PeriodicReal) != terminating
+
+    def test_long_denominator_is_told_in_linear_time(self):
+        # pow(10, den.bit_length(), den), the test this one replaced,
+        # took 2.9 s of CPU on a shared 2-core x86-64 machine
+        f = Fraction(1, 10**300000 + 1)
+        start = time.process_time()
+        x = real_from_fraction(f)
+        assert time.process_time() - start < 0.05
+        assert isinstance(x, PeriodicReal)
+
+    def test_denominator_is_split_when_the_expansion_is_made(
+            self, monkeypatch):
+        # building a periodic value tells that it does not terminate
+        # without splitting its denominator; its expansion splits it once
+        calls = []
+        split = realnum.split_denominator
+        monkeypatch.setattr(realnum, "split_denominator",
+                            lambda den: calls.append(den) or split(den))
+        for make in (lambda: P("0.1(6)"),
+                     lambda: real_from_fraction(Fraction(1, 3))):
+            calls.clear()
+            x = make()
+            assert calls == []
+            str(x)
+            assert len(calls) == 1
+
     @given(st.integers(min_value=2, max_value=1000),
            st.integers(min_value=1, max_value=1000))
     @settings(max_examples=150)
@@ -681,6 +718,13 @@ class TestIntegralPart:
     def test_floor_law(self, f):
         n = integral_part(real_from_fraction(f))
         assert n <= f < n + 1
+
+    def test_computed_integer_is_refused(self):
+        # sqrt(2) * sqrt(2) is 2, and every enclosure of it straddles 2,
+        # so its floor never pins
+        with pytest.raises(DigitsUnstable) as info:
+            mul(sqrt(P("2")), sqrt(P("2"))).integral_part()
+        assert (info.value.digits, info.value.budget) == (0, 64)
 
 
 class TestExpansionValue:

@@ -26,6 +26,7 @@ from conftest import (
     unhinted,
 )
 from decreal import realnum, supremum
+from decreal.arithmetic import mul, sqrt
 from decreal.errors import (
     CanonicalViolation,
     MalformedLiteral,
@@ -37,6 +38,7 @@ from decreal.realnum import (
     PASS_GUARD,
     DigitPrefix,
     OracleReal,
+    PeriodicReal,
     TerminatingReal,
     compare,
     parse_real,
@@ -729,6 +731,22 @@ class TestIsUpperBound:
         s = sup(A)
         assert isinstance(is_upper_bound(s, A, budget=50), Undecided)
 
+    @pytest.mark.parametrize("b, c", [
+        ("0.142", "0.(142857)"), ("-1", "-0.(3)"), ("2", "2.000001"),
+        ("-0.5", "0")])
+    def test_cut_refutes_a_bound_below_with_a_member(self, b, c):
+        # the cut's bound hint refutes b < c, and the witness is a
+        # member of the cut above b
+        verdict = is_upper_bound(P(b), lower_cut(P(c)))
+        assert isinstance(verdict, No)
+        assert (P(b).as_fraction() < verdict.witness.as_fraction()
+                < P(c).as_fraction())
+
+    def test_unorderable_member_is_undecided(self):
+        # sqrt(2) * sqrt(2) is 2, which no budget tells apart from 2
+        S = FiniteSet((P("1"), mul(sqrt(P("2")), sqrt(P("2")))))
+        assert isinstance(is_upper_bound(P("2"), S, budget=50), Undecided)
+
     @given(st.lists(fractions_st, min_size=1, max_size=6), fractions_st)
     @settings(max_examples=100)
     def test_finite_matches_fraction_oracle(self, fs, b):
@@ -778,6 +796,20 @@ class TestCertificates:
                           FailLeastness)
         assert isinstance(check_sup_certificate(low, S, samples=8),
                           FailBound)
+
+    def test_member_above_the_probe_can_refute_the_bound(self):
+        # a family whose witness search finds nothing above s = 1, but
+        # names 2 above the probe 1 - 10**-20: s stood as a bound only
+        # for want of a witness, and the member found later refutes it
+        one, two = P("1"), P("2")
+
+        def member_above(b, budget):
+            return two if compare(b, one, budget) is Comparison.LT else None
+
+        family = Family(lambda: 2, lambda prefix, n: "0" * n,
+                        RepeatsFrom(1, 1), member_above=member_above)
+        out = check_sup_certificate(one, family, samples=20)
+        assert isinstance(out, FailBound) and out.witness is two
 
     def test_leastness_is_sampled(self):
         # the probe sits at s - 10**-samples, so an s above the supremum
@@ -1249,6 +1281,20 @@ class TestLinearSelection:
         got = render_digits(sup(family), 16000)
         assert time.process_time() - start < 0.5
         assert got == "0." + long_division_digits(1, 7, 16000)
+
+    def test_hinted_sup_reads_each_top_member_once(self, monkeypatch):
+        # one block selects the hinted supremum, so each member with the
+        # largest integer part is read once and no other member is read
+        members = [P("1.5"), P("2.25"), P("2.(3)"), P("0.(142857)"),
+                   P("2.1"), P("-3")]
+        reads = Counter()
+        for cls in (TerminatingReal, PeriodicReal):
+            monkeypatch.setattr(
+                cls, "_read", lambda self, n, read=cls._read:
+                reads.update([id(self)]) or read(self, n))
+        assert sup(finite_family(members)).as_fraction() == Fraction(7, 3)
+        top = members[1], members[2], members[4]
+        assert reads == Counter(id(m) for m in top)
 
     def test_long_member_stream(self):
         start = time.process_time()
