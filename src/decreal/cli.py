@@ -35,11 +35,10 @@ construction was undecided within its budget.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .arithmetic import add, evaluate, mul, neg, reciprocal, sqrt
 from .errors import (
@@ -61,6 +60,9 @@ from .realnum import (
 from .supremum import load_set_file, sup
 from .terminating import _LITERAL, Comparison, int_from_digits
 
+if TYPE_CHECKING:
+    import argparse
+
 DEFAULT_DIGITS = 30
 
 
@@ -68,24 +70,23 @@ DEFAULT_DIGITS = 30
 # expressions
 
 
-# a literal token is checked in full by parse_real
-_TOKEN = re.compile(
-    r"\s*(?:"
-    rf"(?P<lit>{_LITERAL.pattern})"
-    r"|(?P<name>sqrt)"
-    r"|(?P<op>[()+\-*/])"
-    r"|(?P<bad>\S)"
-    r")")
+# one token per match, all of it in group 1: a literal, checked in full
+# by parse_real, "sqrt", an operator or parenthesis, or any other single
+# character, which _tokenize refuses
+_TOKEN = re.compile(rf"\s*({_LITERAL}|sqrt|[()+\-*/]|\S)")
+# the one-character tokens that are not refused
+_SINGLE = frozenset("0123456789()+-*/")
 
 
 def _tokenize(text: str) -> list[Optional[str]]:
     """The tokens of ``text``, ending with a ``None`` end marker."""
     tokens: list[Optional[str]] = []
     for m in _TOKEN.finditer(text):
-        if m["bad"]:
+        tok = m[1]
+        if len(tok) == 1 and tok not in _SINGLE:
             raise MalformedLiteral(
-                f"unexpected character {m['bad']!r} in expression")
-        tokens.append(m["lit"] or m["name"] or m["op"])
+                f"unexpected character {tok!r} in expression")
+        tokens.append(tok)
     tokens.append(None)
     return tokens
 
@@ -234,11 +235,8 @@ def _cmd_sup(args: argparse.Namespace) -> int:
     return 0
 
 
-_FRACTION = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
-
-
 def _cmd_rep(args: argparse.Namespace) -> int:
-    m = _FRACTION.fullmatch(args.fraction.strip())
+    m = re.fullmatch(r"(-?[0-9]+)(?:/([1-9][0-9]*))?", args.fraction.strip())
     if m is None:
         raise MalformedLiteral(
             f"expected a fraction like 22/7, found {args.fraction!r}")
@@ -251,6 +249,11 @@ def _cmd_rep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, not at the top: argparse and the gettext it loads
+    # are a quarter of the start-up of a process that only evaluates
+    # expressions through the Python API
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="decreal",
         description="exact decimal arithmetic on canonical expansions")

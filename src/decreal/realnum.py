@@ -38,7 +38,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, log2
+from math import isqrt
 from typing import Callable, Iterator, Optional
 
 from ._frozen import frozen
@@ -63,6 +63,7 @@ from .terminating import (
     pow10,
     scan_literal,
     split_denominator,
+    two_five_exponents,
 )
 
 DEFAULT_BUDGET = 1000
@@ -273,7 +274,7 @@ class PeriodicReal(RealNumber):
     is_exact = True
 
     def __post_init__(self):
-        if _terminates(self.fraction.denominator):
+        if two_five_exponents(self.fraction.denominator) is not None:
             raise ValueError("value terminates; use TerminatingReal")
 
     @cached_property
@@ -413,30 +414,13 @@ def real_from_fraction(value: Fraction) -> RealNumber:
     """Exact real for a rational: terminating when the denominator is
     2^a * 5^b, periodic otherwise.
 
-    ``_terminates`` tells the two apart without splitting the
-    denominator, so only a terminating value splits it, in
-    ``from_fraction`` for the scale.
+    ``two_five_exponents`` tells the two apart without splitting the
+    denominator; only a terminating value takes its scale from them, in
+    ``from_fraction``.
     """
-    if not _terminates(value.denominator):
+    if two_five_exponents(value.denominator) is None:
         return PeriodicReal(value)
     return TerminatingReal(TerminatingDecimal.from_fraction(value))
-
-
-def _terminates(den: int) -> bool:
-    """Whether p/den in lowest terms terminates: whether den is 2^a * 5^b.
-
-    The factors 2 are shifted out.  What is left is 5^b only if 5
-    divides it, and then only for the one b whose power has its bit
-    length.  So a shift and a remainder by 5, both linear in the length
-    of den, settle every den that 5 does not divide, and any other
-    takes one power of 5, where ``split_denominator`` would take
-    O(log b) big divisions.
-    """
-    odd = den >> ((den & -den).bit_length() - 1)
-    # 5^b has floor(b * log2(5)) + 1 bits, so (bits - 1) / log2(5) lies
-    # in (b - 0.44, b]
-    return odd == 1 or not odd % 5 and odd == 5 ** round(
-        (odd.bit_length() - 1) / log2(5))
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))

@@ -8,10 +8,10 @@ rescaling to a common scale, so the field laws hold with no rounding.
 from __future__ import annotations
 
 import decimal
-import re
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
+from math import log2
 from typing import Optional
 
 from ._frozen import frozen
@@ -31,12 +31,13 @@ class Comparison(Enum):
     UNDECIDED = "undecided"
 
 
-# the unsigned decimal literal: integer digits, then optional fractional
-# digits and an optional repeating group.  The CLI's tokenizer splits
-# literal tokens with it; scan_literal checks the same grammar by
-# splitting at the punctuation, and adds the sign and the rules on
-# leading zeros and a bare point
-_LITERAL = re.compile(r"([0-9]+)(?:\.([0-9]*)(?:\(([0-9]+)\))?)?")
+# the unsigned decimal literal as pattern text: integer digits, then
+# optional fractional digits and an optional repeating group, one
+# capturing group each.  It is not compiled here: the CLI's tokenizer
+# embeds it in its own pattern to split literal tokens, and scan_literal
+# checks the same grammar by splitting at the punctuation, adding the
+# sign and the rules on leading zeros and a bare point
+_LITERAL = r"([0-9]+)(?:\.([0-9]*)(?:\(([0-9]+)\))?)?"
 
 
 @total_ordering
@@ -82,12 +83,17 @@ class TerminatingDecimal:
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "TerminatingDecimal":
-        """Exact conversion; the denominator must factor as 2^a * 5^b."""
-        den = value.denominator
-        rest, scale = split_denominator(den)
-        if rest != 1:
+        """Exact conversion; the denominator must factor as 2^a * 5^b.
+
+        The scale is k = max(a, b), and the units are the numerator times
+        2^(k - a) * 5^(k - b): a shift and one power, with no division.
+        """
+        exponents = two_five_exponents(value.denominator)
+        if exponents is None:
             raise ValueError(f"{value} is not a terminating decimal")
-        return cls(value.numerator * 10 ** scale // den, scale)
+        a, b = exponents
+        k = max(a, b)
+        return cls((value.numerator << (k - a)) * 5 ** (k - b), k)
 
     def floor(self) -> int:
         """The unique integer n with n <= self < n + 1."""
@@ -171,6 +177,8 @@ _LEAF_BITS = 4096
 # exact decimal arithmetic on integers: no rounding, and any rounding traps
 EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 EXACT_CONTEXT.traps[decimal.Inexact] = True
+# the low 64 bits, which an odd part must share with a power of 5
+_LOW_64 = (1 << 64) - 1
 
 
 def split_denominator(den: int) -> tuple[int, int]:
@@ -197,6 +205,29 @@ def split_denominator(den: int) -> tuple[int, int]:
         if not r:
             den, fives = q, fives + (1 << len(powers))
     return den, max(twos, fives)
+
+
+def two_five_exponents(den: int) -> Optional[tuple[int, int]]:
+    """(a, b) with den = 2^a * 5^b, or None when another prime divides den.
+
+    p/den in lowest terms terminates exactly when this is not None.  The
+    factors 2 are shifted out.  What is left is 5^b only if 5 divides it
+    or it is 1, only for the one b whose power has its bit length, and
+    only if its low 64 bits are those of 5^b.  So a shift, a remainder
+    by 5 and a mask, each linear in the length of den, turn away nearly
+    every other den, and 5^b is raised once, to confirm, where
+    ``split_denominator`` would take O(log b) big divisions.
+    """
+    a = (den & -den).bit_length() - 1
+    odd = den >> a
+    if odd % 5:
+        return (a, 0) if odd == 1 else None
+    # 5^b has floor(b * log2(5)) + 1 bits, so (bits - 1) / log2(5) lies
+    # in (b - 0.44, b]
+    b = round((odd.bit_length() - 1) / log2(5))
+    if (odd & _LOW_64) == pow(5, b, _LOW_64 + 1) and odd == 5 ** b:
+        return a, b
+    return None
 
 
 def _squaring_powers(base, leaf: int):

@@ -4,6 +4,7 @@ Oracle: Python Fraction arithmetic (stdlib, independent of this layer's
 integer rescaling)."""
 
 import random
+import re
 import time
 from fractions import Fraction
 from functools import cache
@@ -25,6 +26,7 @@ from decreal.terminating import (
     pow10,
     scan_literal,
     split_denominator,
+    two_five_exponents,
 )
 
 units = st.integers(min_value=-10**12, max_value=10**12)
@@ -195,7 +197,7 @@ def scan_by_pattern(text: str):
     grammar ``_LITERAL``, with the sign and the rules on leading zeros
     and a bare point, or None where that route rejects the text."""
     negative = text.startswith("-")
-    m = _LITERAL.fullmatch(text, int(negative))
+    m = re.compile(_LITERAL).fullmatch(text, int(negative))
     if m is None:
         return None
     int_digits, frac, period = m.groups()
@@ -301,6 +303,31 @@ class TestStructure:
     def test_from_fraction_matches_fraction(self, p, a, b):
         f = Fraction(p, 2**a * 5**b)
         assert TerminatingDecimal.from_fraction(f).as_fraction() == f
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_fraction_against_fraction(self, seed):
+        # random 2^a * 5^b and numerators: the value is the Fraction's,
+        # the scale the fewest digits that make it whole, and a further
+        # odd factor (a small prime, a multiple of 5, or 5^b + 2^64,
+        # which shares its low 64 bits with 5^b) is refused
+        rng = random.Random(seed)
+        for _ in range(60):
+            a, b = rng.randrange(400), rng.randrange(400)
+            f = Fraction(rng.randrange(-10**30, 10**30), 2**a * 5**b)
+            t = TerminatingDecimal.from_fraction(f)
+            assert t.as_fraction() == f
+            assert (f * 10**t.scale).denominator == 1
+            assert t.scale == 0 or (f * 10**(t.scale - 1)).denominator != 1
+            q = rng.choice((3, 7, 15, 5 * (10**40 + 1), 5**b + 2**64))
+            with pytest.raises(ValueError):
+                TerminatingDecimal.from_fraction(Fraction(1, 2**a * 5**b * q))
+
+    @pytest.mark.parametrize("b", [30, 1000, 40000])
+    def test_low_bits_of_a_power_of_five_do_not_suffice(self, b):
+        # 5^b + 2^64 has the bit length and the low 64 bits of 5^b
+        assert two_five_exponents(2**9 * 5**b) == (9, b)
+        assert two_five_exponents(5**b + 2**64) is None
+        assert two_five_exponents(2**9 * (5**b + 2**64)) is None
 
     @given(st.integers(min_value=1, max_value=10**6),
            st.integers(min_value=0, max_value=60),
