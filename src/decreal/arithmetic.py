@@ -29,6 +29,7 @@ from .realnum import (
     DEFAULT_BUDGET,
     Classification,
     ComputedReal,
+    PeriodicReal,
     RealNumber,
     TerminatingReal,
     ZERO_REAL,
@@ -67,11 +68,18 @@ def evaluate(x: RealNumber, n: int) -> Enclosure:
     reattached) and hi = lo + 10**-n; when digits refuse to stabilise
     the enclosure falls back to outward rounding of the raw interval
     at one extra digit, which still meets the width contract.
+
+    A periodic value is never on the grid 10**-n, so the floor of
+    x * 10**n, one integer division in ``_grid``, is that truncation
+    for either sign, and no digit text is made.
     """
     if n < 0:
         raise ValueError("precision must be non-negative")
     if isinstance(x, TerminatingReal):
         return Enclosure(x.value, x.value)
+    if isinstance(x, PeriodicReal):
+        lo, hi, _ = x._grid(n)
+        return Enclosure(TerminatingDecimal(lo, n), TerminatingDecimal(hi, n))
     try:
         p = x.prefix(n)
     except DigitsUnstable:

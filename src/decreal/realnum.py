@@ -52,7 +52,7 @@ from .errors import (
     SignUndecided,
 )
 from .terminating import (
-    _CHUNK,
+    _LEAF,
     EXACT_CONTEXT,
     Comparison,
     TerminatingDecimal,
@@ -385,15 +385,21 @@ def _period_digits(s: int, q: int, limit: int) -> Optional[str]:
     digits after them are, so the period is the first p >= 1 at which
     the leading w digits recur, and no table of remainders is needed.
     Only the new digits of each block, with the w - 1 before them, are
-    searched.  The blocks double in width from w + 8 digits, and a
-    period of at most limit digits shows within limit + w digits, so no
-    more are made.
+    searched.  The period divides the order of 10 modulo q, which is at
+    most q - 1, so the limit is first cut to q - 1: a longer one could
+    never be reached.  A period of at most limit digits shows within
+    limit + w digits, so no more are made.  The first block is limit + w
+    digits when that fits in ``_LEAF``, so a short q takes one division,
+    and otherwise ``_LEAF``; it is never narrower than w + 8.  Each
+    block after it is twice as wide.
     """
     w = q.bit_length() * 30103 // 100_000 + 1  # 10**w > 2**bits > q
+    limit = min(limit, q - 1)
     s, q = decimal_from_int(s), decimal_from_int(q)
     blocks: list[str] = []
     head = tail = ""  # the first w digits; the last w - 1 digits
-    n, width = 0, w + 8  # digits generated; the next block's width
+    # digits generated; the next block's width
+    n, width = 0, max(min(limit + w, _LEAF), w + 8)
     while n < limit + w:
         block, s = _digit_block(s, q, min(width, limit + w - n))
         width *= 2
@@ -415,12 +421,14 @@ def real_from_fraction(value: Fraction) -> RealNumber:
     2^a * 5^b, periodic otherwise.
 
     ``two_five_exponents`` tells the two apart without splitting the
-    denominator; only a terminating value takes its scale from them, in
-    ``from_fraction``.
+    denominator, once: a terminating value is scaled by the exponents
+    it found.
     """
-    if two_five_exponents(value.denominator) is None:
+    exponents = two_five_exponents(value.denominator)
+    if exponents is None:
         return PeriodicReal(value)
-    return TerminatingReal(TerminatingDecimal.from_fraction(value))
+    return TerminatingReal(
+        TerminatingDecimal._scaled(value.numerator, *exponents))
 
 
 ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
@@ -827,19 +835,21 @@ def _expansion_value(negative: bool, int_digits: str, frac: str,
 
     The period of r/b is shorter than b, and a group of n digits
     usually comes from a fraction whose denominator has about log10(n)
-    digits, not n.  So when the group is longer than ``_CHUNK`` digits,
-    the fractional part F(P) is first guessed from its first 64 digits,
-    as the closest fraction c = r/b with b at most about 7 * 10**31;
-    write b = 2^i * 5^j * q with q coprime to 10.  c is taken only when
-    max(i, j) <= len(F), 10**len(P) = 1 (mod q), and the first len(F)
-    + len(P) digits of c are F + P.  The first two conditions make c's
-    expansion repeat with period len(P) from digit len(F) + 1 on, as
-    the literal's does, and the third makes the two expansions agree on
-    one whole period past that point, so they agree everywhere and c is
-    the value of F(P).  That last check makes c's digits in two decimal
-    divisions (``_digit_block``), a short block and then the rest, so it
-    is linear in the literal's length.  Any other group is decoded
-    digit by digit.
+    digits, not n.  So when the group is longer than ``_LEAF`` (1000)
+    digits, past which normalising the ``Fraction`` below costs more
+    than a guess that fails, the fractional part F(P) is first guessed
+    from its first 64 digits, as the closest fraction c = r/b with b at
+    most about 7 * 10**31; write b = 2^i * 5^j * q with q coprime to
+    10.  c is taken only when max(i, j) <= len(F), 10**len(P) = 1 (mod
+    q), and the first len(F) + len(P) digits of c are F + P.  The first
+    two conditions make c's expansion repeat with period len(P) from
+    digit len(F) + 1 on, as the literal's does, and the third makes the
+    two expansions agree on one whole period past that point, so they
+    agree everywhere and c is the value of F(P).  That last check makes
+    c's digits in two decimal divisions (``_digit_block``), a short
+    block and then the rest, so it is linear in the literal's length.
+    Any other group, and any group of at most 1000 digits, is decoded
+    through the ``Fraction``.
     """
     if period is None or not period.strip("0"):
         return TerminatingReal(decimal_from_digits(negative, int_digits, frac))
@@ -847,7 +857,7 @@ def _expansion_value(negative: bool, int_digits: str, frac: str,
         value = (decimal_from_digits(False, int_digits, frac)
                  + pow10(-len(frac)))
         return TerminatingReal(-value if negative else value)
-    if len(period) > _CHUNK:
+    if len(period) > _LEAF:
         guess = _guess_group_value(frac, period)
         if guess is not None:
             value = int_from_digits(int_digits) + guess

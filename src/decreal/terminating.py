@@ -83,17 +83,22 @@ class TerminatingDecimal:
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "TerminatingDecimal":
-        """Exact conversion; the denominator must factor as 2^a * 5^b.
+        """Exact conversion; the denominator must factor as 2^a * 5^b."""
+        exponents = two_five_exponents(value.denominator)
+        if exponents is None:
+            raise ValueError(f"{value} is not a terminating decimal")
+        return cls._scaled(value.numerator, *exponents)
+
+    @classmethod
+    def _scaled(cls, numerator: int, a: int, b: int) -> "TerminatingDecimal":
+        """numerator / (2^a * 5^b), with exponents already found by
+        ``two_five_exponents``, so that 5^b is not raised again.
 
         The scale is k = max(a, b), and the units are the numerator times
         2^(k - a) * 5^(k - b): a shift and one power, with no division.
         """
-        exponents = two_five_exponents(value.denominator)
-        if exponents is None:
-            raise ValueError(f"{value} is not a terminating decimal")
-        a, b = exponents
         k = max(a, b)
-        return cls((value.numerator << (k - a)) * 5 ** (k - b), k)
+        return cls((numerator << (k - a)) * 5 ** (k - b), k)
 
     def floor(self) -> int:
         """The unique integer n with n <= self < n + 1."""

@@ -94,6 +94,20 @@ class TestEvaluate:
         assert e.lo.as_fraction() == lo
         assert e.hi.as_fraction() == lo + Fraction(1, 10**5000)
 
+    @pytest.mark.parametrize("n", [1, 50, 4400, 5000])
+    def test_periodic_is_the_floor_on_the_grid(self, rng, n):
+        # a periodic value is never on the grid, so its enclosure is
+        # [floor(f * 10**n), that + 1] * 10**-n for either sign; the
+        # numerator 3k + 1 keeps the factor 3 of the denominator
+        for digits in (1, 3, 1000):
+            q = 3 * rng.randrange(10 ** (digits - 1), 10 ** digits)
+            for sign in (1, -1):
+                f = Fraction(sign * (3 * rng.randrange(10 * q) + 1), q)
+                lo = Fraction(math.floor(f * 10**n), 10**n)
+                e = evaluate(real_from_fraction(f), n)
+                assert (e.lo.as_fraction(), e.hi.as_fraction()) == \
+                    (lo, lo + Fraction(1, 10**n))
+
     @given(fractions_st, st.integers(min_value=1, max_value=50))
     @settings(max_examples=200)
     def test_soundness_and_width_on_streams(self, f, n):

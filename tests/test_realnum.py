@@ -245,6 +245,25 @@ class TestPeriodicStructure:
             str(x)
             assert len(calls) == 1
 
+    def test_terminating_value_is_tested_once(self, monkeypatch):
+        # the exponents that tell a terminating value also scale it, so
+        # 5^b is raised once, not again inside from_fraction
+        calls = []
+        test = realnum.two_five_exponents
+
+        def counting(den):
+            calls.append(den)
+            return test(den)
+
+        monkeypatch.setattr(realnum, "two_five_exponents", counting)
+        monkeypatch.setattr("decreal.terminating.two_five_exponents", counting)
+        for f in (Fraction(7, 40), Fraction(-3, 2**7 * 5**400),
+                  Fraction(1, 5**9), Fraction(5), Fraction(0)):
+            calls.clear()
+            x = real_from_fraction(f)
+            assert isinstance(x, TerminatingReal) and x.as_fraction() == f
+            assert calls == [f.denominator]
+
     @given(st.integers(min_value=2, max_value=1000),
            st.integers(min_value=1, max_value=1000))
     @settings(max_examples=150)
@@ -289,13 +308,18 @@ class TestPeriodicStructure:
                                        q * 2**a * 5**b))
 
     # the period search finds a period L once L + w digits are read,
-    # where 10**w exceeds the denominator; for each of these, L + w is
-    # one digit before, on or one digit past the end of a block when the
-    # blocks are w + 8 digits wide and double up to 500
+    # where 10**w exceeds the denominator.  For each of the first 30,
+    # L + w is one digit before, on or one digit past the end of a block
+    # when the blocks are w + 8 digits wide and double up to 500.  The
+    # last 7 are full-reptend primes, L = q - 1, whose L + w lies a few
+    # digits before or past the end of the blocks of 1000, 2000, 4000
+    # and 8000 digits made now: the search stops at q - 1 + w digits, so
+    # that bound cuts their last block
     BLOCK_EDGE_DENOMINATORS = (
         239, 73, 81, 717, 657, 2997, 2791, 641, 603, 951, 697, 729, 1173,
         3187, 3671, 799, 6723, 4507, 4519, 8341, 13151, 2753, 5507, 16879,
-        13139, 28151, 8627, 10073, 10627, 10631)
+        13139, 28151, 8627, 10073, 10627, 10631,
+        983, 1019, 2971, 3011, 6983, 7019, 15017)
 
     @pytest.mark.parametrize("q", BLOCK_EDGE_DENOMINATORS)
     def test_structure_at_block_edges(self, q):
@@ -303,9 +327,10 @@ class TestPeriodicStructure:
             self._check_structure(Fraction(p, q))
         self._check_structure(Fraction(7, 40 * q))
 
-    # the same when the blocks double with no cap, as they do now: L + w
-    # is w + 8 times 2**j - 1, give or take one, for j from 5 to 11, so
-    # the last blocks are 400 to 28 000 digits wide
+    # the same when the blocks double from w + 8 digits with no cap, as
+    # they did before the first block was ``_LEAF`` digits: L + w is
+    # w + 8 times 2**j - 1, give or take one, for j from 5 to 11, so the
+    # last blocks were 400 to 28 000 digits wide
     DOUBLING_EDGE_DENOMINATORS = (
         4507, 4519, 60199, 78849, 3247, 89587, 95769, 6511, 101549, 19867,
         59743, 26557, 85893, 53821, 114649)
@@ -356,12 +381,13 @@ def equals(x, value: tuple[int, int]) -> bool:
 
 
 class TestLongGroupParse:
-    """Literals with groups past 4000 digits, whose value parse_real
+    """Literals with groups past 1000 digits, whose value parse_real
     guesses from their first digits and checks digit for digit."""
 
-    # 10 has order q - 1 modulo the first four, (q - 1) / 2, / 3 or / 4
-    # modulo the others: every group is 5004 to 29 988 digits long
-    PRIMES = (5021, 5087, 19979, 29989, 10009, 15121, 20011, 29917)
+    # 10 has order q - 1 modulo the first six, (q - 1) / 2, / 3 or / 4
+    # modulo the others: every group is 1018 to 29 988 digits long
+    PRIMES = (1019, 2017, 5021, 5087, 19979, 29989, 10009, 15121, 20011,
+              29917)
 
     @staticmethod
     def expansion(q, i, j, a):
@@ -423,10 +449,11 @@ class TestLongGroupParse:
             x = P(f"-7.{frac}({period})")
             assert equals(x, literal_value(True, "7", frac, period))
 
-    def test_full_reptend_group_is_not_decoded(self, monkeypatch):
-        # 1/99989 has a period of 99 988 digits; only the integer part
-        # goes through the digit decoder
-        period = long_division_digits(1, 99_989, 99_988)
+    @pytest.mark.parametrize("q", [1019, 2017, 99_989])
+    def test_full_reptend_group_is_not_decoded(self, monkeypatch, q):
+        # 1/q has a period of q - 1 digits, 1018 to 99 988 here; only the
+        # integer part goes through the digit decoder
+        period = long_division_digits(1, q, q - 1)
         lengths = []
 
         def counting(digits):
@@ -435,7 +462,7 @@ class TestLongGroupParse:
 
         monkeypatch.setattr(realnum, "int_from_digits", counting)
         x = P(f"0.({period})")
-        assert x.as_fraction() == Fraction(1, 99_989)
+        assert x.as_fraction() == Fraction(1, q)
         assert max(lengths, default=0) <= 1
 
 
@@ -755,7 +782,7 @@ class TestExpansionValue:
 
     @given(fractions_st)
     @settings(max_examples=200)
-    @example(Fraction(1, 10007))  # a group past 4000 digits
+    @example(Fraction(1, 10007))  # a group past 1000 digits
     @example(Fraction(-3, 10007))
     def test_agrees_with_parse_real(self, f):
         literal = str(real_from_fraction(f))
@@ -1246,8 +1273,8 @@ class TestDigitKernel:
             assert widths == [n]
         widths.clear()
         text = str(x)
-        # blocks of 15, 30, 60, ... digits, never past the cap and the 7
-        # digits that show a period there
+        # blocks of 1000, 2000, 4000, ... digits, never past the cap and
+        # the 7 digits that show a period there
         assert sum(widths) <= MAX_EXPANSION_DIGITS + 7
         assert len(widths) <= (q // 15).bit_length() + 1
         widths.clear()
@@ -1258,6 +1285,32 @@ class TestDigitKernel:
         widths.clear()
         assert realnum._digit_compare(x, y, 10**5) is Comparison.LT
         assert len(widths) <= 2 * (10**5).bit_length()
+
+    @pytest.mark.parametrize("q,limit", [
+        (3, 10**6), (7, 1), (7, 5), (7, 6), (983, 10**6), (1019, 10**6),
+        (1019, 1017), (1019, 1018), (99_989, 10**6), (99_989, 500),
+        (7 * 99_989, 3000), (5_882_353 * 99_990_001, 10**6)])
+    def test_period_search_stops_at_its_bound(self, monkeypatch, q, limit):
+        # the period divides the order of 10 mod q, at most q - 1, so no
+        # more than min(limit, q - 1) + w digits are made, w as the search
+        # takes it (10**w > 2**bits > q), and a bound that fits in one
+        # leaf of 1000 digits is made by one division
+        widths = []
+        block = realnum._digit_block
+
+        def counting(s, q, width):
+            widths.append(width)
+            return block(s, q, width)
+
+        monkeypatch.setattr(realnum, "_digit_block", counting)
+        period = realnum._period_digits(1, q, limit)
+        _, order = expected_period_structure(q)
+        want = long_division_digits(1, q, order) if order <= limit else None
+        assert period == want
+        bound = min(limit, q - 1) + q.bit_length() * 30103 // 100_000 + 1
+        assert sum(widths) <= bound
+        if bound <= 1000:
+            assert len(widths) == 1
 
 
 # ---------------------------------------------------------------------------
