@@ -1,21 +1,28 @@
 """Field operations on decimal reals, realized as rigorous enclosures.
 
 Whenever every operand is exactly representable the operations go
-through rational arithmetic and stay exact.  Otherwise the result is a
-:class:`~decreal.realnum.ComputedReal` record whose enclosures are
-derived from the operands' enclosures by outward-safe interval
-arithmetic on integers.  A pass at the working precision p reads each
-operand as a grid triple (lo, hi, k), [lo, hi] * 10**-k with k >= p; a
+through rational arithmetic and stay exact.  Exact operands are read as
+the integers of their ratio a / (b * 10**s), not as Fractions: a unit
+factor is a == b * 10**s, and a radicand is reduced by one gcd, tested
+for a perfect square and kept as two integers by the leaf of its root.
+Otherwise the result is a :class:`~decreal.realnum.ComputedReal` record
+whose enclosures are derived from the operands' enclosures by
+outward-safe interval arithmetic on integers.  A pass at the working
+precision p reads each operand as a grid triple (lo, hi, k), [lo, hi] *
+10**-k with k >= p, or an exact terminating operand as its own point; a
 sum aligns its terms' grids and adds, the other kernels compute corner
 products, floor and ceiling divisions and ``math.isqrt``, and each
-rounds outward to the grid 10**-(p+1).  No node adds digits of its own
-to what it asks of its operands: the root checks the width it was
-asked for and runs another pass when it missed, so the precision asked
-of the bottom of an expression does not grow with its depth.  Digits of
-the result are pinned from those enclosures on demand, and a value that
-sits on an exact decimal boundary surfaces as ``DigitsUnstable`` at
-digit-query time while its enclosures stay available through
-:func:`evaluate`.
+rounds outward to the grid 10**-(p+1).  The powers of ten that scale
+them come from ``terminating.ten``, which keeps each one up to a fixed
+bound once made: every leaf of a pass scales by the same power, and a
+workload asks for the same precisions again and again.  No node adds
+digits of its own to what it asks of its operands: the root checks the
+width it was asked for and runs another pass when it missed, so the
+precision asked of the bottom of an expression does not grow with its
+depth.  Digits of the result are pinned from those enclosures on
+demand, and a value that sits on an exact decimal boundary surfaces as
+``DigitsUnstable`` at digit-query time while its enclosures stay
+available through :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .realnum import (
     classify,
     real_from_fraction,
 )
-from .terminating import TerminatingDecimal, pow10
+from .terminating import TerminatingDecimal, pow10, ten
 
 
 @frozen
@@ -110,7 +117,7 @@ class _Sum(_Record):
         k = max(g[2] for g in grids)
         lo = hi = 0
         for tlo, thi, tk in grids:
-            scale = 10 ** (k - tk)
+            scale = ten(k - tk)
             lo += tlo * scale
             hi += thi * scale
         return (*_on_scale(lo, hi, k, p + 1), p + 1)
@@ -175,13 +182,20 @@ def mul(x: RealNumber, y: RealNumber) -> RealNumber:
     """
     if _is_exact_zero(x) or _is_exact_zero(y):
         return ZERO_REAL
-    if x.is_exact and x.as_fraction() == 1:
+    if x.is_exact and _is_one(x):
         return y
-    if y.is_exact and y.as_fraction() == 1:
+    if y.is_exact and _is_one(y):
         return x
     if x.is_exact and y.is_exact:
-        return real_from_fraction(x.as_fraction() * y.as_fraction())
+        (a, b, s), (c, d, t) = x._ratio(), y._ratio()
+        return real_from_fraction(Fraction(a * c, b * d * ten(s + t)))
     return _Product(x, y)
+
+
+def _is_one(x: RealNumber) -> bool:
+    """Whether the exact value x is 1, read from its integer ratio."""
+    a, b, s = x._ratio()
+    return a == b * ten(s)
 
 
 class _Reciprocal(_Record):
@@ -199,7 +213,7 @@ class _Reciprocal(_Record):
         (lx, hx, kx), = grids
         k = p + 1
         # 10**-k * 10**-kx: one unit of the result times one of x
-        one = 10 ** (k + kx)
+        one = ten(k + kx)
         return one // hx, -(-one // lx), k
 
 
@@ -218,14 +232,6 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if sign is Classification.ZERO:
         raise ZeroDivisionError("reciprocal of zero")
     return _Reciprocal(x)
-
-
-def _exact_sqrt(f: Fraction) -> Fraction | None:
-    """The exact rational square root, if one exists."""
-    sp, sq = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if sp * sp == f.numerator and sq * sq == f.denominator:
-        return Fraction(sp, sq)
-    return None
 
 
 class _Root(_Record):
@@ -253,27 +259,32 @@ class _Root(_Record):
 def sqrt(r: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     """The unique non-negative s with s*s = r.
 
-    Rational perfect squares come back exact.  Any other exact radicand
-    n/d gives a leaf: its root lies strictly between isqrt(n * 10**(2k)
-    // d) * 10**-k and the next unit, with k = p + 1.  A computed
-    radicand is classified when the node is built: NegativeRadicand when
-    it is provably negative, SignUndecided when its sign is not settled
-    within the budget.
+    An exact radicand is read as the integers of its ratio a / (b *
+    10**s), reduced to n/d in lowest terms by one gcd; no Fraction is
+    built unless it is negative, for the error's text.  Rational perfect
+    squares, n and d both squares, come back exact.  Any other exact
+    radicand gives a leaf: its root lies strictly between isqrt(n *
+    10**(2k) // d) * 10**-k and the next unit, with k = p + 1.  A
+    computed radicand is classified when the node is built:
+    NegativeRadicand when it is provably negative, SignUndecided when
+    its sign is not settled within the budget.
     """
     if r.is_exact:
-        f = r.as_fraction()
-        if f == 0:
+        n, d, scale = r._ratio()
+        if n == 0:
             return ZERO_REAL
-        if f < 0:
-            raise NegativeRadicand(f"square root of {f}")
-        exact = _exact_sqrt(f)
-        if exact:
-            return real_from_fraction(exact)
-        n, d = f.numerator, f.denominator
+        if n < 0:
+            raise NegativeRadicand(f"square root of {r.as_fraction()}")
+        d *= ten(scale)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return real_from_fraction(Fraction(rn, rd))
 
         def refine(p: int) -> tuple[int, int, int]:
             k = p + 1
-            scaled = n * 10 ** (2 * k)
+            scaled = n * ten(2 * k)
             s = math.isqrt(scaled // d)
             # n/d is not a rational square, so the upper end is strict
             assert s * s * d <= scaled < (s + 1) * (s + 1) * d

@@ -15,7 +15,13 @@ A real is one of four variants:
 
 Every variant encloses its value on a decimal grid (``_grid``).  Nodes
 hand these integer triples to one another, so no rational is normalised
-on the refinement path; ``bounds`` reads one as two Fractions.
+on the refinement path; ``bounds`` reads one as two Fractions.  A
+terminating value answers with its own point, on its own grid at any
+precision asked, so an exact factor adds no width to a product and no
+digits to what a pass asks of the rest.  The powers of ten that move
+triples between grids, pin digits and check widths come from
+``terminating.ten``, which keeps those up to a fixed exponent: a pass
+and a workload use the same few precisions again and again.
 
 Canonical form is sign-magnitude: ``-a.d1 d2 ...`` with a non-negative
 integer part and fractional digits of the magnitude.  Expansions never
@@ -63,6 +69,7 @@ from .terminating import (
     pow10,
     scan_literal,
     split_denominator,
+    ten,
     two_five_exponents,
 )
 
@@ -169,8 +176,9 @@ class RealNumber:
         raise NotImplementedError
 
     def _grid(self, m: int) -> tuple[int, int, int]:
-        """An enclosure on the grid 10**-k: (lo, hi, k) with k >= m,
-        lo * 10**-k <= x <= hi * 10**-k and hi - lo <= 10**(k - m)."""
+        """An enclosure on the grid 10**-k: (lo, hi, k) with lo * 10**-k
+        <= x <= hi * 10**-k, and either k >= m and hi - lo <= 10**(k - m),
+        or lo == hi, an exact point on its own grid, whatever m is."""
         raise NotImplementedError
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
@@ -237,10 +245,9 @@ class TerminatingReal(RealNumber):
         return self._fraction_digits[:n].ljust(n, "0"), None
 
     def _grid(self, m: int) -> tuple[int, int, int]:
-        units, scale = self.value.units, self.value.scale
-        if m > scale:
-            units, scale = units * 10 ** (m - scale), m
-        return units, units, scale
+        # the point itself: a consumer scales it to the grid it needs
+        units = self.value.units
+        return units, units, self.value.scale
 
     def negated(self) -> "TerminatingReal":
         return TerminatingReal(-self.value)
@@ -340,7 +347,7 @@ class PeriodicReal(RealNumber):
 
     def _grid(self, m: int) -> tuple[int, int, int]:
         # the value is never on the grid, so both ends are strict
-        lo = self.fraction.numerator * 10 ** m // self.fraction.denominator
+        lo = self.fraction.numerator * ten(m) // self.fraction.denominator
         return lo, lo + 1, m
 
     def bounds(self, m: int) -> tuple[Fraction, Fraction]:
@@ -604,7 +611,7 @@ class ComputedReal(RealNumber):
     def _fresh(self, m: int) -> bool:
         best = self._best
         return (best is not None and best[2] >= m
-                and best[1] - best[0] <= 10 ** (best[2] - m))
+                and best[1] - best[0] <= ten(best[2] - m))
 
     def _grid(self, m: int) -> tuple[int, int, int]:
         """The enclosure at m, from passes over the expression below:
@@ -644,7 +651,7 @@ class ComputedReal(RealNumber):
                         continue
                 with node._lock:  # a leaf's refine runs under it too
                     lo, hi, k = node._step(p, grids)
-                    if not grids and (k < p or hi - lo > 10 ** (k - p)):
+                    if not grids and (k < p or hi - lo > ten(k - p)):
                         raise AssertionError(
                             "a leaf answered wider than its precision allows")
                     if node._best is not None:
@@ -661,9 +668,9 @@ class ComputedReal(RealNumber):
                         node._p = p
             # after any pass the root is on a grid finer than 10**-m
             best = lo, hi, k = self._best
-            if hi - lo <= 10 ** (k - m):
+            if hi - lo <= ten(k - m):
                 return best
-            p = self._p + _decimal_digits(hi - lo, 10 ** (k - m)) + PASS_GUARD
+            p = self._p + _decimal_digits(hi - lo, ten(k - m)) + PASS_GUARD
 
     def _pin(self, n: int) -> tuple[bool, int, str]:
         """Pin the canonical sign-magnitude prefix of length n."""
@@ -679,13 +686,13 @@ class ComputedReal(RealNumber):
                     neg, mag_lo, mag_hi = True, -hi, -lo
                 else:
                     continue  # sign unresolved; refine further
-                cell = 10 ** (k - n)
+                cell = ten(k - n)
                 a = mag_lo // cell
                 if a == mag_hi // cell:
                     break
             else:
                 raise DigitsUnstable(n, PIN_WINDOW)
-            ip, frac = divmod(a, 10 ** n)
+            ip, frac = divmod(a, ten(n))
             ds = digits_from_int(frac).rjust(n, "0") if n else ""
             pinned = (neg, ip, ds)
             if self._pinned is None or len(ds) > len(self._pinned[2]):
@@ -778,9 +785,9 @@ def _on_scale(lo: int, hi: int, k: int, j: int) -> tuple[int, int]:
     """The enclosure [lo, hi] * 10**-k on the grid 10**-j: exact when j
     >= k, rounded outward otherwise."""
     if j >= k:
-        s = 10 ** (j - k)
+        s = ten(j - k)
         return lo * s, hi * s
-    s = 10 ** (k - j)
+    s = ten(k - j)
     return lo // s, -(-hi // s)
 
 

@@ -169,6 +169,31 @@ def pow10(k: int) -> TerminatingDecimal:
     return TerminatingDecimal(1, -k)
 
 
+# largest exponent whose power ``ten`` keeps: the table then holds at
+# most about 0.3 MB
+_TEN_BOUND = 1024
+_TENS: dict[int, int] = {}
+
+
+def ten(e: int) -> int:
+    """10**e for e >= 0, the same int object each time for e up to
+    ``_TEN_BOUND``.
+
+    Refinement scales by powers of ten at precisions that recur: every
+    leaf of one pass scales by the same one, and a workload asks for
+    the same digit counts again and again, so each power up to the
+    bound is raised once per process.  A larger one is raised on each
+    call and not kept, which bounds the table.
+    """
+    try:
+        return _TENS[e]
+    except KeyError:
+        power = 10 ** e
+        if 0 <= e <= _TEN_BOUND:
+            _TENS[e] = power
+        return power
+
+
 # widest int <-> str conversion left to plain int() or str(), below the
 # interpreter's 4300-digit cap
 _CHUNK = 4000

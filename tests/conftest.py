@@ -6,11 +6,12 @@ come from grade-school sequential long division (production's
 division per block of digits) or from Fraction multiples where
 production's ``decimal_representation`` runs long division itself, one
 integer division per block of digits, square roots by the long-hand
-digit-pair method (production uses
-``math.isqrt``), and period structure from the multiplicative order of
-10 (production reads the preperiod length off the factors 2 and 5 and
-finds the period where the leading digits recur).  Expected values in
-the tests are frozen from these routes, never from the code under test.
+digit-pair method (production uses ``math.isqrt``), and period
+structure from the multiplicative order of 10, stepped or taken from
+Carmichael's lambda (production reads the preperiod length off the
+factors 2 and 5 and finds the period where the leading digits recur).
+Expected values in the tests are frozen from these routes, never from
+the code under test.
 """
 
 from __future__ import annotations
@@ -93,11 +94,67 @@ def sqrt_truncation(r: Fraction, n: int) -> Fraction:
     return Fraction(longhand_isqrt(scaled), 10**n)
 
 
+def trial_factors(n: int) -> dict[int, int]:
+    """The prime factorisation {p: e} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def carmichael(n: int) -> int:
+    """Carmichael's lambda(n), the exponent of the units modulo n: the
+    lcm over prime powers p^e of n of p^(e-1) * (p - 1), halved for 2^e
+    with e >= 3."""
+    lam = 1
+    for p, e in trial_factors(n).items():
+        part = p ** (e - 1) * (p - 1)
+        if p == 2 and e >= 3:
+            part //= 2
+        lam = lam * part // math.gcd(lam, part)
+    return lam
+
+
+def carmichael_order(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 (mod n), gcd(a, n) = 1, from lambda(n).
+
+    The order divides lambda(n), so it is lambda(n) with each prime
+    factor divided out while a to the smaller exponent is still 1.  Both
+    factorisations are by trial division, so the limit is an n, and a
+    lambda(n), whose factors it can find, not the size of the order.
+    """
+    assert math.gcd(a, n) == 1 and n > 1
+    k = carmichael(n)
+    for p in trial_factors(k):
+        while k % p == 0 and pow(a, k // p, n) == 1:
+            k //= p
+    return k
+
+
+# powers that multiplicative_order steps through before it factorises
+ORDER_STEPS = 10**5
+
+
 def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1."""
+    """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1.
+
+    A short order is found by stepping through the powers, which needs
+    no factorisation, so an n of thousands of digits with a small order
+    is fine.  Past ``ORDER_STEPS`` powers the order comes from
+    ``carmichael_order``, so a prime near 10**9 ends in milliseconds
+    where stepping could take 10**9 steps.
+    """
     assert math.gcd(a, n) == 1 and n > 1
     k, power = 1, a % n
     while power != 1:
+        if k == ORDER_STEPS:
+            return carmichael_order(a, n)
         power = power * a % n
         k += 1
     return k

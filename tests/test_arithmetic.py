@@ -27,7 +27,7 @@ from conftest import (
     opaque,
     sqrt_truncation,
 )
-from decreal import arithmetic
+from decreal import arithmetic, terminating
 from decreal.arithmetic import (
     Enclosure,
     _Reciprocal,
@@ -46,6 +46,7 @@ from decreal.realnum import (
     Classification,
     ComputedReal,
     OracleReal,
+    PeriodicReal,
     TerminatingReal,
     classify,
     compare,
@@ -175,6 +176,28 @@ class TestMul:
         e = evaluate(mul(opaque(f), opaque(g)), 20)
         assert enclosure_contains(e, f * g)
 
+    @pytest.mark.parametrize("text", ["1", "1.000", "1.0"])
+    def test_unit_factors_return_the_other_operand(self, text):
+        x = sqrt(P("2"))
+        assert mul(P(text), x) is x and mul(x, P(text)) is x
+
+    @pytest.mark.parametrize("text", ["-1", "10", "0.1", "1.01", "0.(1)"])
+    def test_other_factors_make_a_node(self, text):
+        x = sqrt(P("2"))
+        assert mul(P(text), x) is not x and mul(x, P(text)) is not x
+
+    @pytest.mark.parametrize("left,right,product", [
+        ("1.5", "0.(6)", Fraction(1)),
+        ("0.25", "-0.004", Fraction(-1, 1000)),
+        ("0.1(6)", "0.(3)", Fraction(1, 18)),
+        ("-12.5", "0.08", Fraction(-1)),
+        ("0.(142857)", "7", Fraction(1)),
+    ])
+    def test_exact_products_match_fractions(self, left, right, product):
+        got = mul(P(left), P(right))
+        assert got.is_exact and got.as_fraction() == product
+        assert got == real_from_fraction(product)
+
 
 class TestReciprocal:
     def test_goldens(self):
@@ -237,6 +260,44 @@ class TestSqrt:
             sqrt(P("-1"))
         with pytest.raises(NegativeRadicand):
             sqrt(opaque(Fraction(-2)))
+
+    @pytest.mark.parametrize("text,root", [
+        ("0.25", Fraction(1, 2)),
+        ("2.25", Fraction(3, 2)),
+        ("0.0004", Fraction(1, 50)),
+        ("0.(1)", Fraction(1, 3)),
+        ("0.(4)", Fraction(2, 3)),
+        ("0", Fraction(0)),
+    ])
+    def test_exact_squares(self, text, root):
+        x = sqrt(P(text))
+        assert x.is_exact and x.as_fraction() == root
+        assert x == real_from_fraction(root)
+
+    @pytest.mark.parametrize("text,radicand", [
+        ("2", Fraction(2)),
+        ("0.2", Fraction(1, 5)),
+        ("0.(3)", Fraction(1, 3)),
+        ("127", Fraction(127)),
+        ("0.00(27)", Fraction(3, 1100)),
+    ])
+    def test_exact_non_squares(self, text, radicand):
+        x = sqrt(P(text))
+        assert isinstance(x, ComputedReal)
+        for n in (1, 40, 301):
+            assert render_digits(x, n) == fraction_prefix(
+                sqrt_truncation(radicand, n), n)
+
+    @pytest.mark.parametrize("text,message", [
+        ("-0.25", "square root of -1/4"),
+        ("-2", "square root of -2"),
+        ("-0.(3)", "square root of -1/3"),
+        ("-127.5", "square root of -255/2"),
+    ])
+    def test_negative_exact_radicand_text(self, text, message):
+        with pytest.raises(NegativeRadicand) as raised:
+            sqrt(P(text))
+        assert str(raised.value) == message
 
     def test_defining_property_exact_radicand(self):
         x = sqrt(P("2"))
@@ -440,7 +501,9 @@ periodic_st = fractions_st.filter(
 class TestGridContract:
     """_grid(m) of every variant and of each kernel node: k >= m, the
     value lies in [lo, hi] * 10**-k, and hi - lo <= 10**(k - m), read
-    directly and through negation."""
+    directly and through negation.  A terminating value is the exception
+    the contract allows: it answers with its own point, lo == hi on its
+    own grid, whatever m is."""
 
     @staticmethod
     def check(x, negate: bool, m: int, within) -> None:
@@ -456,7 +519,10 @@ class TestGridContract:
     @settings(max_examples=40, deadline=None)
     def test_terminating(self, units, scale, negate, m):
         x = TerminatingReal(TerminatingDecimal(units, scale))
-        self.check(x, negate, m, _holds(Fraction(units, 10**scale)))
+        lo, hi, k = (x.negated() if negate else x)._grid(m)
+        value = Fraction(units, 10**scale)
+        assert lo == hi and k <= scale
+        assert Fraction(lo, 10**k) == (-value if negate else value)
 
     @given(periodic_st, st.booleans(), grid_precisions_st)
     @settings(max_examples=40, deadline=None)
@@ -875,6 +941,33 @@ class TestConcurrency:
 
 
 class TestRefinementWork:
+    def test_exact_operands_are_read_as_integers(self, monkeypatch):
+        # roots and products of exact operands are built from the
+        # integers of _ratio(); no operand is turned into a Fraction
+        operands = [P(t) for t in ("2", "0.(3)", "2.25", "0.0004", "0.(4)",
+                                   "1", "1.000", "-3", "0.1(6)", "127")]
+        stream = sqrt(P("5"))
+        calls = []
+
+        def spy(self):
+            calls.append(self)
+            raise AssertionError("as_fraction called")
+
+        for cls in (TerminatingReal, PeriodicReal, TerminatingDecimal):
+            monkeypatch.setattr(cls, "as_fraction", spy)
+        for x in operands:
+            if not x.negative:
+                sqrt(x)
+            mul(x, stream)
+            mul(stream, x)
+            for y in operands:
+                mul(x, y)
+        assert calls == []
+
+    def test_powers_of_ten_table_stays_bounded(self):
+        render_digits(sqrt(P("2")), 2 * 10**4)
+        assert max(terminating._TENS) <= terminating._TEN_BOUND
+
     def test_rendering_makes_no_fraction_calls(self):
         x = reciprocal(add(mul(sqrt(P("101")), sqrt(P("103"))),
                            sqrt(P("107"))))

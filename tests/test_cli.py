@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_prefix, sqrt_truncation, unhinted
+from conftest import (
+    fraction_prefix,
+    longhand_isqrt,
+    sqrt_truncation,
+    unhinted,
+)
 from decreal import supremum
 from decreal.cli import evaluate_expression, parse_expression, run
 from decreal.errors import MalformedLiteral
@@ -119,13 +124,17 @@ class TestEval:
         ("(", "1", "+1)", str(10**4 + 1)),
         ("sqrt(", "2", ")", None),
         ("1/(sqrt(2)+", "1", ")", None),
-    ], ids=["parentheses", "roots", "reciprocals"])
+        ("(2*", "sqrt(2)", ")", None),
+    ], ids=["parentheses", "roots", "reciprocals", "doublings"])
     def test_nesting_ten_thousand_deep(self, opener, core, closer, want):
         # parser and evaluator keep their own stacks, so depth is bounded
-        # by the text alone, at the default recursion limit
+        # by the text alone, at the default recursion limit; an exact
+        # factor enters each product as its own point, so a doubling adds
+        # no width and 2**(10**4) * sqrt(2) is read to 30 digits
         depth = 10**4
         if want is None:
             want = (nested_root_prefix(depth, 30, 2, 0) if opener == "sqrt("
+                    else doubled_root_two(depth, 30) if opener == "(2*"
                     else continued_root_two(depth, 30))
         text = opener * depth + core + closer * depth
         code, out, seconds = run_quietly("eval", text)
@@ -412,6 +421,14 @@ def continued_root_two(depth: int, n: int) -> str:
     want = fraction_prefix(lo, n)
     assert fraction_prefix(hi, n) == want
     return want
+
+
+def doubled_root_two(depth: int, n: int) -> str:
+    """2 * (2 * ... (2 * sqrt(2))) with ``depth`` factors 2, to n digits:
+    the value is sqrt(2**(2 * depth + 1)), irrational, so its truncation
+    is the long-hand root of 2**(2 * depth + 1) * 10**(2n)."""
+    root = longhand_isqrt(2 ** (2 * depth + 1) * 10 ** (2 * n))
+    return f"{root // 10**n}.{root % 10**n:0{n}d}"
 
 
 def root_two_minus_three(n: int) -> str:

@@ -15,14 +15,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ORDER_STEPS,
+    carmichael_order,
     computed,
     digit_walk,
     expected_period_structure,
     fraction_digit,
     fraction_prefix,
     long_division_digits,
+    multiplicative_order,
     nine_tail_value,
     opaque,
+    trial_factors,
 )
 from decreal.errors import (
     CanonicalViolation,
@@ -167,6 +171,28 @@ class TestParse:
         terminating = period is None or set(period) == {"0"}
         assert isinstance(x, TerminatingReal) == terminating
         assert isinstance(x, PeriodicReal) != terminating
+
+
+class TestPeriodOracle:
+    """The oracle's order of 10 modulo q from the factorised Carmichael
+    lambda is the stepping definition's, and the oracle ends on a prime
+    whose order stepping would take up to 10**9 steps to reach."""
+
+    def test_matches_stepping_below_2000(self):
+        # an order below ORDER_STEPS is found by stepping
+        for n in range(3, 2000):
+            if n % 2 and n % 5:
+                assert carmichael_order(10, n) == multiplicative_order(10, n)
+
+    def test_large_prime_ends_within_a_second(self):
+        q = 999_999_937
+        start = time.process_time()
+        order = multiplicative_order(10, q)
+        elapsed = time.process_time() - start
+        assert elapsed < 1, f"took {elapsed:.3f} s of CPU time"
+        assert order > ORDER_STEPS  # so it was not found by stepping
+        assert (q - 1) % order == 0 and pow(10, order, q) == 1
+        assert all(pow(10, order // p, q) != 1 for p in trial_factors(order))
 
 
 class TestPeriodicStructure:

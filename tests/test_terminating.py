@@ -17,6 +17,8 @@ from decreal.errors import MalformedLiteral
 from decreal.realnum import parse_real
 from decreal.terminating import (
     _LITERAL,
+    _TEN_BOUND,
+    _TENS,
     ONE,
     ZERO,
     TerminatingDecimal,
@@ -26,6 +28,7 @@ from decreal.terminating import (
     pow10,
     scan_literal,
     split_denominator,
+    ten,
     two_five_exponents,
 )
 
@@ -388,3 +391,14 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
         assert a + ZERO == a
         assert a * ONE == a
+
+
+class TestTen:
+    @pytest.mark.parametrize("e", [0, 1, 2, 64, 301, _TEN_BOUND - 1,
+                                   _TEN_BOUND, _TEN_BOUND + 1, 5000])
+    def test_is_the_power_on_both_sides_of_the_bound(self, e):
+        assert ten(e) == 10**e and ten(e) == 10**e  # made, then read
+        assert (e in _TENS) == (e <= _TEN_BOUND)
+
+    def test_kept_powers_are_shared(self):
+        assert ten(_TEN_BOUND) is ten(_TEN_BOUND)
