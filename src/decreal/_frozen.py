@@ -12,6 +12,8 @@ costs about 60 us a class, and most of the package's value types are
 never built in a given process.  The first call compiles the method,
 installs it on the class and calls it, so every later instance is built
 by the compiled method alone.
+
+:class:`lazy` makes the fields that these types compute on first read.
 """
 
 from __future__ import annotations
@@ -75,3 +77,29 @@ def frozen(cls: type) -> type:
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls
+
+
+class lazy:
+    """A field computed on first read and kept in the instance's
+    ``__dict__``, which shadows this descriptor from then on.
+
+    It is ``functools.cached_property`` without its lock: on Python 3.10
+    and 3.11 that takes one ``RLock`` per field of a class, shared by
+    every instance, so a long first read of one value blocks the same
+    field of all the others.  Python 3.12 dropped the lock, and this is what remains.  Two
+    threads that read a field first at once may both compute it, so the
+    function must be pure: either result may be the one kept.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fn(obj)
+        return value

@@ -2,9 +2,13 @@
 
 Whenever every operand is exactly representable the operations go
 through rational arithmetic and stay exact.  Exact operands are read as
-the integers of their ratio a / (b * 10**s), not as Fractions: a unit
-factor is a == b * 10**s, and a radicand is reduced by one gcd, tested
-for a perfect square and kept as two integers by the leaf of its root.
+the integers of their ratio a / (b * 10**s), not as Fractions: exact
+terms are summed over the lcm of their b's, a reciprocal swaps a and b
+* 10**s, a unit factor is a == b * 10**s, and a radicand is reduced by
+one gcd, tested for a perfect square and kept as two integers by the
+leaf of its root.  An exact result is one ``Fraction``, made in lowest
+terms from the final integers, whose kind ``real_from_fraction`` decides
+once.
 Otherwise the result is a :class:`~decreal.realnum.ComputedReal` record
 whose enclosures are derived from the operands' enclosures by
 outward-safe interval arithmetic on integers.  A pass at the working
@@ -142,13 +146,28 @@ def add(x: RealNumber, y: RealNumber, *more: RealNumber) -> RealNumber:
         elif not _is_exact_zero(t):
             exact.append(t)
     if len(exact) > 1:
-        first, *rest = (u.as_fraction() for u in exact)
-        total = real_from_fraction(sum(rest, first))
+        total = _exact_sum(exact)
         exact = [] if _is_exact_zero(total) else [total]
     terms = streams + exact
     if len(terms) > 1:
         return _Sum(streams, exact)
     return terms[0] if terms else ZERO_REAL
+
+
+def _exact_sum(terms: list[RealNumber]) -> RealNumber:
+    """The sum of exact terms, read as the integers of their ratios a /
+    (b * 10**s): the running sum n / (d * 10**e) keeps d the lcm of the
+    b's and e the largest s, and only the total becomes a Fraction."""
+    n, d, e = 0, 1, 0
+    for t in terms:
+        a, b, s = t._ratio()
+        if s > e:
+            n, e = n * ten(s - e), s
+        elif s < e:
+            a *= ten(e - s)
+        g = math.gcd(d, b)
+        n, d = n * (b // g) + a * (d // g), d // g * b
+    return real_from_fraction(Fraction(n, d * ten(e)))
 
 
 def neg(x: RealNumber) -> RealNumber:
@@ -227,7 +246,8 @@ def reciprocal(x: RealNumber, budget: int = DEFAULT_BUDGET) -> RealNumber:
     if _is_exact_zero(x):
         raise ZeroDivisionError("reciprocal of zero")
     if x.is_exact:
-        return real_from_fraction(1 / x.as_fraction())
+        a, b, s = x._ratio()
+        return real_from_fraction(Fraction(b * ten(s), a))
     sign = classify(x, budget)  # raises SignUndecided on boundary values
     if sign is Classification.ZERO:
         raise ZeroDivisionError("reciprocal of zero")

@@ -11,6 +11,7 @@ that the embedding respects order, sums and products.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ._frozen import frozen
 from .arithmetic import add, mul
@@ -22,15 +23,19 @@ from .realnum import (
     _digit_compare,
     real_from_fraction,
 )
-from .terminating import _LEAF, Comparison
+from .terminating import _LEAF, Comparison, ten
 
 Rational = Fraction
 
 
 def to_decimal(r: Rational) -> RealNumber:
     """Exact decimal expansion of a rational: terminating when the
-    denominator is 2^a * 5^b, otherwise periodic with minimal period."""
-    return real_from_fraction(Fraction(r))
+    denominator is 2^a * 5^b, otherwise periodic with minimal period.
+
+    A ``Fraction`` is used as given, not copied: it is in lowest terms
+    already, and its kind is decided once, by ``real_from_fraction``.
+    Any other rational (an int, say) is made a ``Fraction`` first."""
+    return real_from_fraction(r if isinstance(r, Fraction) else Fraction(r))
 
 
 def from_periodic(x: RealNumber) -> Rational:
@@ -62,16 +67,16 @@ def decimal_representation(x: RealNumber, n: int) -> DigitPrefix:
         raise ValueError("digit count must be non-negative")
     if not x.is_exact:
         return x.prefix(n)
-    f = x.as_fraction()
-    q = f.denominator
-    int_part, p = divmod(abs(f.numerator), q)
+    a, b, s = x._ratio()
+    q = b * ten(s)
+    int_part, p = divmod(abs(a), q)
     blocks = []
     for start in range(0, n, _LEAF):
         width = min(_LEAF, n - start)
-        block, p = divmod(p * 10 ** width, q)
+        block, p = divmod(p * ten(width), q)
         blocks.append(str(block).rjust(width, "0"))
         assert 0 <= p < q
-    return DigitPrefix(f < 0, int_part, "".join(blocks))
+    return DigitPrefix(a < 0, int_part, "".join(blocks))
 
 
 @frozen
@@ -120,14 +125,18 @@ def _structurally_equal(u: RealNumber, v: RealNumber) -> bool:
     # exact variants are canonical by construction (one representation per
     # value), so same variant + same underlying rational is structural
     # equality; rendering would walk the whole period, whose length is the
-    # multiplicative order of 10 and can reach millions of digits
+    # multiplicative order of 10 and can reach millions of digits.  Both
+    # ratios are canonical too, a Fraction's or a TerminatingDecimal's, so
+    # equal values have equal integers
     if not (u.is_exact and v.is_exact):
         return False
     if type(u) is not type(v):
         return False
-    if u.as_fraction() != v.as_fraction():
+    a, b, s = u._ratio()
+    if (a, b, s) != v._ratio():
         return False
-    if u.as_fraction().denominator <= 10_000:
+    den = b * ten(s)
+    if den // gcd(a, den) <= 10_000:  # the denominator in lowest terms
         # cheap confirmation of u's own digits by integer long division:
         # the preperiod, then the period twice, so that it does repeat
         own = (u.preperiod + 2 * u.period if isinstance(u, PeriodicReal)
@@ -140,14 +149,15 @@ def _divergence_budget(x: Fraction, y: Fraction) -> int:
     """Digit positions needed to see x != y in canonical expansions:
     k + 2 for the least k >= 1 with 10**-k < |x - y|.
 
-    With d the least d >= 0 with 1/gap <= 10**d, k is d, or d + 1 when
-    1/gap is exactly 10**d, and at least 1: a few big-integer
-    operations, where trying each k in turn is quadratic in k.
+    The gap is num / den from cross products, not reduced.  With d the
+    least d >= 0 with den / num <= 10**d, k is d, or d + 1 when den /
+    num is exactly 10**d, and at least 1: a few big-integer operations,
+    where trying each k in turn is quadratic in k.
     """
-    gap = abs(x - y)
-    d = _decimal_digits(gap.denominator, gap.numerator)
-    exact = gap.numerator == 1 and gap.denominator == 10 ** d
-    return max(d + exact, 1) + 2
+    num = abs(x.numerator * y.denominator - y.numerator * x.denominator)
+    den = x.denominator * y.denominator
+    d = _decimal_digits(den, num)
+    return max(d + (den == num * ten(d)), 1) + 2
 
 
 def phi_check(x: Rational, y: Rational) -> PhiOk | PhiViolation:

@@ -13,6 +13,14 @@ A real is one of four variants:
   enclosures on demand and may be refused with ``DigitsUnstable`` when
   the value sits on an exact decimal boundary.
 
+An exact value is one ``Fraction`` in lowest terms or one canonical
+``TerminatingDecimal``, and the kernels read it as the integers of its
+ratio (``_ratio``).  Its kind is decided once, when it is made:
+``real_from_fraction`` tests the denominator, and a parsed literal or a
+negation knows its kind already.  Fields that an instance computes on
+first read (``_expansion``, ``_magnitude``) are ``_frozen.lazy``, which
+takes no lock, so a long first read of one value holds up no other.
+
 Every variant encloses its value on a decimal grid (``_grid``).  Nodes
 hand these integer triples to one another, so no rational is normalised
 on the refinement path; ``bounds`` reads one as two Fractions.  A
@@ -43,11 +51,10 @@ import threading
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 from typing import Callable, Iterator, Optional
 
-from ._frozen import frozen
+from ._frozen import frozen, lazy
 from .errors import (
     CanonicalViolation,
     DigitsUnstable,
@@ -232,7 +239,7 @@ class TerminatingReal(RealNumber):
     def integral_part(self) -> int:
         return self.value.floor()
 
-    @cached_property
+    @lazy
     def _fraction_digits(self) -> str:
         # the integer digits are cut from the text: cutting them from the
         # value would first raise 10 to the power scale
@@ -274,6 +281,10 @@ class PeriodicReal(RealNumber):
     digits recur, which yields the minimal period, so two instances are
     structurally equal exactly when their values are equal.  Expansions
     longer than ``MAX_EXPANSION_DIGITS`` raise ``ExpansionTooLong``.
+
+    The public constructor refuses a fraction that terminates.  The
+    library's own routes already know that theirs does not, and build
+    through ``_of``, which skips that test.
     """
 
     fraction: Fraction
@@ -284,7 +295,16 @@ class PeriodicReal(RealNumber):
         if two_five_exponents(self.fraction.denominator) is not None:
             raise ValueError("value terminates; use TerminatingReal")
 
-    @cached_property
+    @classmethod
+    def _of(cls, fraction: Fraction) -> "PeriodicReal":
+        """The value of a fraction already known not to terminate, built
+        without the public constructor's test, so that each value's kind
+        is decided once."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "fraction", fraction)
+        return x
+
+    @lazy
     def _expansion(self) -> tuple[str, str]:
         """(preperiod, period) of the magnitude.
 
@@ -305,7 +325,7 @@ class PeriodicReal(RealNumber):
             raise ExpansionTooLong(self.fraction, limit)
         return preperiod, period
 
-    @cached_property
+    @lazy
     def _magnitude(self) -> tuple[int, int, int]:
         """(int_part, r, q) with |x| = int_part + r/q and 0 < r < q."""
         q = self.fraction.denominator
@@ -314,7 +334,7 @@ class PeriodicReal(RealNumber):
 
     @property
     def negative(self) -> bool:
-        return self.fraction < 0
+        return self.fraction.numerator < 0
 
     @property
     def int_part(self) -> int:
@@ -354,7 +374,7 @@ class PeriodicReal(RealNumber):
         return self.fraction, self.fraction
 
     def negated(self) -> "PeriodicReal":
-        return PeriodicReal(-self.fraction)
+        return PeriodicReal._of(-self.fraction)
 
     def _ratio(self) -> tuple[int, int, int]:
         return self.fraction.numerator, self.fraction.denominator, 0
@@ -429,11 +449,11 @@ def real_from_fraction(value: Fraction) -> RealNumber:
 
     ``two_five_exponents`` tells the two apart without splitting the
     denominator, once: a terminating value is scaled by the exponents
-    it found.
+    it found, and a periodic one is not tested again.
     """
     exponents = two_five_exponents(value.denominator)
     if exponents is None:
-        return PeriodicReal(value)
+        return PeriodicReal._of(value)
     return TerminatingReal(
         TerminatingDecimal._scaled(value.numerator, *exponents))
 
@@ -443,7 +463,7 @@ ZERO_REAL = TerminatingReal(TerminatingDecimal(0))
 
 def _is_exact_zero(x: RealNumber) -> bool:
     """Whether x is exactly zero; only a terminating value can be."""
-    return isinstance(x, TerminatingReal) and x.value.is_zero()
+    return isinstance(x, TerminatingReal) and x.value.units == 0
 
 
 class OracleReal(RealNumber):
@@ -864,17 +884,18 @@ def _expansion_value(negative: bool, int_digits: str, frac: str,
         value = (decimal_from_digits(False, int_digits, frac)
                  + pow10(-len(frac)))
         return TerminatingReal(-value if negative else value)
+    # a group neither all zeros nor all nines never ends in either, so
+    # the value does not terminate and is not tested again
     if len(period) > _LEAF:
         guess = _guess_group_value(frac, period)
         if guess is not None:
             value = int_from_digits(int_digits) + guess
-            return PeriodicReal(-value if negative else value)
+            return PeriodicReal._of(-value if negative else value)
     # I.F(P) = (IF * (10^p - 1) + P) / (10^k * (10^p - 1)), k = len(F)
     nines = 10 ** len(period) - 1
-    value = Fraction(
-        int_from_digits(int_digits + frac) * nines + int_from_digits(period),
-        10 ** len(frac) * nines)
-    return PeriodicReal(-value if negative else value)
+    num = int_from_digits(int_digits + frac) * nines + int_from_digits(period)
+    return PeriodicReal._of(
+        Fraction(-num if negative else num, 10 ** len(frac) * nines))
 
 
 def _guess_group_value(frac: str, period: str) -> Optional[Fraction]:
@@ -924,7 +945,7 @@ class _View:
         self._x, self._read = x, x._read
         self.error: Optional[Exception] = None
 
-    @cached_property
+    @lazy
     def int_part(self) -> int:
         return self._x.int_part
 
@@ -1049,9 +1070,9 @@ def compare(x: RealNumber, y: RealNumber,
         # Fraction is built, and two terminating decimals are aligned
         (a, b, s), (c, d, t) = x._ratio(), y._ratio()
         if s < t:
-            a *= 10 ** (t - s)
+            a *= ten(t - s)
         elif t < s:
-            c *= 10 ** (s - t)
+            c *= ten(s - t)
         left, right = a * d, c * b
         return (Comparison.LT if left < right else Comparison.GT
                 if left > right else Comparison.EQ)

@@ -24,7 +24,7 @@ selection procedure that produced it.
 
 from __future__ import annotations
 
-from functools import cached_property
+import threading
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._frozen import frozen
@@ -141,11 +141,31 @@ class Family:
     bound_hint: Optional[Callable[[RealNumber, int], Optional[bool]]] = None
     description: str = ""
 
-    @cached_property
+    def __post_init__(self):
+        # not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_lock", threading.RLock())
+
+    def __getstate__(self):
+        # a copy is the same family with a lock and a selection of its
+        # own: a lock cannot be copied, and a shared one would serialise
+        # the two families' selections
+        return {name: getattr(self, name)
+                for name in Family.__annotations__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @property
     def _selection(self) -> RealNumber:
         """The selected supremum: made once, however many sups and
-        upper-bound probes ask for it."""
-        return _select_sup(self)
+        upper-bound probes ask for it, from however many threads.  The
+        family's own lock makes it so; no other family waits on it."""
+        with self._lock:
+            if "_selected" not in self.__dict__:
+                object.__setattr__(self, "_selected", _select_sup(self))
+            return self._selected
 
 
 BoundedSet = FiniteSet | Family

@@ -229,6 +229,21 @@ class TestPhiViolation:
         assert isinstance(out, PhiViolation)
         assert out.detail.startswith(f"{branch} mismatch for (2/7, -5/3)")
 
+    @pytest.mark.parametrize("name,branch,x,y,wrong", [
+        # the right numerator over another denominator: -29/22 for
+        # -29/21, and 0.0375 for 0.375, the same units at another scale
+        ("add", "sum", Fraction(2, 7), Fraction(-5, 3),
+         lambda f: Fraction(f.numerator, f.denominator + 1)),
+        ("mul", "product", Fraction(1, 2), Fraction(3, 4), lambda f: f / 10)])
+    def test_same_numerator_other_value(self, monkeypatch, name, branch,
+                                        x, y, wrong):
+        op = getattr(rationals, name)
+        monkeypatch.setattr(rationals, name, lambda u, v: to_decimal(
+            wrong(op(u, v).as_fraction())))
+        out = phi_check(x, y)
+        assert isinstance(out, PhiViolation)
+        assert out.detail.startswith(f"{branch} mismatch for ({x}, {y})")
+
     @pytest.mark.parametrize("y,detail", [
         (Fraction(1, 7), "equal rationals embed differently: 1/7"),
         (Fraction(1, 3), "sum mismatch for (1/7, 1/3)")])

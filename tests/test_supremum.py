@@ -5,6 +5,7 @@ Oracles: Fraction max/arithmetic for finite sets, long-division digit
 prefixes for streams, geometric series for nine-tail repairs, and the
 built-in families enumerated from their definitions as Fractions."""
 
+import copy
 import random
 import sys
 import threading
@@ -375,6 +376,59 @@ class TestSharedSelection:
         assert not any(th.is_alive() for th in threads)
         assert got == want
         assert set(calls.values()) == {1}
+
+    def test_threads_share_one_selection(self, monkeypatch):
+        # eight threads released at once each ask a hint-less family for
+        # its sup: the selection is made once, under the family's own
+        # lock, and every stream handed out reads that one selection
+        made = []
+        select_sup = supremum._select_sup
+
+        def slow(family):
+            made.append(family)
+            time.sleep(0.05)  # leave the others time to arrive
+            return select_sup(family)
+
+        monkeypatch.setattr(supremum, "_select_sup", slow)
+        fam = Family(max_integral=lambda: 1,
+                     next_digits=lambda p, n: alternating_digits(len(p), n))
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def work(k):
+            start.wait(timeout=30)
+            got[k] = sup(fam)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert made == [fam]
+        assert all(isinstance(s, OracleReal) for s in got)
+        assert len({id(s) for s in got}) == 8
+        assert len({id(s._memo) for s in got}) == 1
+        assert render_digits(got[0], 40) == "1." + "72" * 20
+        assert render_digits(got[7], 60) == "1." + "72" * 30
+
+    def test_a_copy_selects_on_its_own(self):
+        # a copy, shallow or deep, is an equal family whose lock and
+        # selection are its own, also after the original has selected
+        fam = Family(max_integral=lambda: 1,
+                     next_digits=lambda p, n: alternating_digits(len(p), n))
+        s = sup(fam)
+        for other in (copy.copy(fam), copy.deepcopy(fam)):
+            assert other == fam and hash(other) == hash(fam)
+            t = sup(other)
+            assert t._memo is not s._memo
+            assert render_digits(t, 30) == render_digits(s, 30)
 
 
 class TestLowerCut:
